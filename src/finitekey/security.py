@@ -152,13 +152,15 @@ def eps_pa(settings: ProtocolSettings, nu: float) -> float:
 
     Returns ``(1/2) sqrt(2^(-(n (1 - h2(delta + nu)) - r - t - ell)))``.  The
     exponent is assembled in the log domain, so the value underflows to zero
-    gracefully; anything that would exceed one is reported as one.
+    gracefully; anything that would exceed one is reported as one.  ``delta
+    + nu`` must stay below 1/2: beyond it ``1 - h2`` grows again, and the
+    term would credit entropy that an error rate that high does not leave.
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise ValueError(f"nu must be positive and finite, got {nu}")
     q = settings.delta + nu
-    if q >= 1.0:
-        raise ValueError(f"delta + nu must stay below 1, got {q}")
+    if q >= 0.5:
+        raise ValueError(f"delta + nu must stay below 1/2, got {q}")
     deficit = settings.shape.n * (1.0 - binary_entropy(q))
     half_exp = 0.5 * (-deficit + settings.r + settings.t + settings.ell)
     if half_exp >= 1.0:
@@ -195,14 +197,14 @@ def feasible(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     eps_c = 2.0 ** (-settings.t)
-    if settings.delta + slack.nu >= 1.0:
+    if settings.delta + slack.nu >= 0.5:
         bd = EpsilonBreakdown(
             eps_correct=eps_c,
             eps_pe=math.inf,
             eps_pa=math.inf,
             total=math.inf,
             variant=variant,
-            reason=f"delta + nu = {settings.delta + slack.nu} reaches 1",
+            reason=f"delta + nu = {settings.delta + slack.nu} reaches 1/2",
         )
         return bd, False
     try:
@@ -233,16 +235,18 @@ def max_ell_at(
 ) -> int:
     """Largest ``ell`` that keeps the point feasible; 0 if none does.
 
-    ``settings.ell`` is ignored.  The budget condition is solved for ``ell``
-    in closed form, then the result is verified through `feasible` and nudged
-    by single steps to absorb rounding, so the returned value satisfies the
-    actual predicate, not just its algebraic rearrangement.
+    ``settings.ell`` is ignored.  Points where ``delta + nu`` reaches 1/2
+    are infeasible, as in `feasible`, and give 0.  The budget condition is
+    solved for ``ell`` in closed form, then the result is verified through
+    `feasible` and nudged by single steps to absorb rounding, so the
+    returned value satisfies the actual predicate, not just its algebraic
+    rearrangement.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     shape = settings.shape
     q = settings.delta + slack.nu
-    if q >= 1.0:
+    if q >= 0.5:
         return 0
     try:
         pe = _pe_term(shape, settings.delta, slack, variant)

@@ -1,12 +1,14 @@
 """Monte Carlo audit of the parameter-estimation tail bounds.
 
-`run` draws random PE subsets for a block with a fixed number of planted
-errors, counts how often the joint bad event fires (PE sample passes while
-the key side is noisy) and reports the frequency with a 99% confidence
-interval next to the exact hypergeometric value.  `validate_bounds` runs a
-whole grid of such cases and checks each one against both closed-form
-bounds; the bound functions are injectable so a test double can prove the
-check would actually catch a broken bound.
+`run` plants a fixed number of errors in a block, draws the number of them
+that a uniform PE subset takes, counts how often the joint bad event fires
+(PE sample passes while the key side is noisy) and reports the frequency
+with a 99% confidence interval next to the exact hypergeometric value.  The
+draw is numpy's hypergeometric sampler, which shares no code with the
+exact tail in `bounds`, so the audit stays independent of what it checks.
+`validate_bounds` runs a whole grid of such cases and checks each one
+against both closed-form bounds; the bound functions are injectable so a
+test double can prove the check would actually catch a broken bound.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .bounds import (
     BlockShape,
@@ -45,9 +47,9 @@ __all__ = [
 _Z99 = 2.5758293035489004
 # Below this count the normal interval is replaced by Clopper-Pearson.
 _EXACT_CI_COUNT = 30
-# Trials per chunk: fixed function of m alone (memory cap ~8 MiB per chunk),
-# so the substream layout depends only on the config, never on the host.
-_CHUNK_BYTES = 8 * 1024 * 1024
+# Trials per chunk.  Fixed, so the substream layout depends only on the
+# trial count, never on the block size or the host.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,29 +136,23 @@ def _confidence_interval(count: int, trials: int):
     """
     p = count / trials
     if count < _EXACT_CI_COUNT or trials - count < _EXACT_CI_COUNT:
-        lo = 0.0 if count == 0 else float(_beta_dist.ppf(0.005, count, trials - count + 1))
-        hi = 1.0 if count == trials else float(_beta_dist.ppf(0.995, count + 1, trials - count))
+        lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.005))
+        hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 0.995))
         return lo, hi
     half = _Z99 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
     return max(0.0, p - half), min(1.0, p + half)
 
 
 def _count_bad(rng, size, shape, w, pe_max, key_min):
-    """Vectorised trials: shuffle error positions into the first k slots.
+    """Bad events among ``size`` trials, one hypergeometric draw per trial.
 
-    Only the first k steps of a Fisher-Yates shuffle are executed; after
-    them the leading k columns are a uniform PE subset of the block.
+    The number of the ``w`` planted errors that a uniform k-subset of the
+    ``m`` positions takes is hypergeometric with ``w`` good and ``m - w``
+    bad items and ``k`` draws; that is the PE error count of one trial, and
+    the rest of the errors land on the key side.  The cost per trial does
+    not depend on ``m``.
     """
-    m, k = shape.m, shape.k
-    block = np.zeros((size, m), dtype=np.int8)
-    block[:, :w] = 1
-    rows = np.arange(size)
-    for i in range(k):
-        j = rng.integers(i, m, size=size)
-        vi = block[rows, i].copy()
-        block[rows, i] = block[rows, j]
-        block[rows, j] = vi
-    pe_errors = block[:, :k].sum(axis=1, dtype=np.int64)
+    pe_errors = rng.hypergeometric(w, shape.m - w, shape.k, size=size)
     key_errors = w - pe_errors
     return int(np.count_nonzero((pe_errors <= pe_max) & (key_errors >= key_min)))
 
@@ -164,24 +160,23 @@ def _count_bad(rng, size, shape, w, pe_max, key_min):
 def run(config: SimConfig) -> SimReport:
     """Estimate the joint bad-event probability at fixed error count ``w``.
 
-    Deterministic for a given config: trials are split into fixed-size
-    chunks, each driven by one spawn of ``SeedSequence(seed)``, so the
-    result is independent of how the chunks are executed.
+    Deterministic for a given config: the trials are split into chunks of
+    ``_CHUNK`` (the last one shorter), and chunk ``i`` draws from child
+    ``i`` of ``SeedSequence(seed).spawn``, so the streams depend on the seed
+    and the trial count alone.  When the key side cannot hold enough errors
+    to alarm, no draw is made and the count is 0.
     """
     shape = config.shape
     pe_max = max_passing_pe_errors(shape, config.delta)
     key_min = min_alarming_key_errors(shape, config.delta, config.nu)
-    chunk = max(1, min(1 << 16, _CHUNK_BYTES // shape.m))
-    n_chunks = (config.trials + chunk - 1) // chunk
+    n_chunks = (config.trials + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(config.seed).spawn(n_chunks)
     bad = 0
-    done = 0
     if key_min <= shape.n:
-        for child in children:
-            size = min(chunk, config.trials - done)
+        for i, child in enumerate(children):
+            size = min(_CHUNK, config.trials - i * _CHUNK)
             rng = np.random.default_rng(child)
             bad += _count_bad(rng, size, shape, config.w, pe_max, key_min)
-            done += size
     freq = bad / config.trials
     ci_low, ci_high = _confidence_interval(bad, config.trials)
     exact = exact_joint_ppe(shape, config.delta, config.nu, config.w)

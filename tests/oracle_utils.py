@@ -2,9 +2,10 @@
 
 Nothing here imports the package's numerical routines: the enumeration
 oracle counts subsets directly, the rational oracle sums binomials with
-exact arithmetic, and the high-precision oracle reruns the tail recurrence
-in 50-digit arithmetic.  Agreement between these and the package is the
-evidence the tests rest on.
+exact arithmetic, the high-precision oracle reruns the tail recurrence in
+50-digit arithmetic, and the urn sampler replays the protocol split slot by
+slot.  Agreement between these and the package is the evidence the tests
+rest on.
 """
 
 import math
@@ -53,6 +54,21 @@ def enum_key_tail(counts, total, k, w, j_lo):
         if w - p >= j_lo:
             good += counts[w][p]
     return Fraction(good, total)
+
+
+def urn_pe_errors(rng, size, m, k, w):
+    """PE error counts of ``size`` random splits, replayed slot by slot.
+
+    A block of ``m`` positions holds ``w`` errors.  The k PE slots are
+    filled one at a time, each from the positions still unused: slot ``i``
+    takes an error with probability (errors left) / (``m - i`` positions
+    left).  The count each trial ends with is the PE error count of a
+    uniform k-subset.  Costs O(k) per trial.
+    """
+    taken = np.zeros(size, dtype=np.int64)
+    for i in range(k):
+        taken += rng.random(size) * (m - i) < w - taken
+    return taken
 
 
 def frac_window_tail(m, w, n, j_lo):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finitekey.bounds import BlockShape, SlackParams
+from finitekey.optimizer import optimize
 from finitekey.security import (
     EpsilonBreakdown,
     ProtocolSettings,
@@ -111,6 +112,8 @@ class TestEpsPa:
             eps_pa(ref_settings(), 0.0)
         with pytest.raises(ValueError):
             eps_pa(ref_settings(), 0.96)
+        with pytest.raises(ValueError):
+            eps_pa(ref_settings(), 0.5 - REF_DELTA)
 
 
 class TestFeasible:
@@ -208,6 +211,18 @@ class TestMaxEll:
                     brute = ell
             got = max_ell_at(st, budget, slack, variant)
             assert got == brute
+
+    def test_error_rate_past_half_has_no_key(self):
+        # 1 - h2(delta + nu) grows again past 1/2: at nu = 0.9 this point
+        # used to report 519 bits, where the best key at the block is 0
+        budget = SecurityBudget(6)
+        slack = SlackParams(nu=0.9)
+        assert max_ell_at(ref_settings(), budget, slack, "serfling") == 0
+        assert optimize(3100, REF_DELTA, budget, "serfling").ell == 0
+        bd, ok = feasible(ref_settings(), budget, slack, "serfling")
+        assert ok is False
+        assert bd.total == math.inf
+        assert "1/2" in bd.reason
 
     def test_zero_when_unavailable(self):
         shape = BlockShape(m=40, k=20)

@@ -2,12 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from oracle_utils import enumeration_tables, urn_pe_errors
 
-from finitekey.bounds import BlockShape
+from finitekey.bounds import (
+    BlockShape,
+    SlackParams,
+    exact_joint_ppe,
+    max_passing_pe_errors,
+    min_alarming_key_errors,
+)
 from finitekey.simulator import (
     SimConfig,
     ValidationCase,
+    default_lemma2_bound,
     default_serfling_bound,
     default_validation_grid,
     run,
@@ -34,10 +43,13 @@ class TestRun:
         assert run(cfg) == run(cfg)
 
     def test_seed_changes_counts(self):
-        base = dict(shape=BlockShape(m=60, k=30), w=12, delta=0.1, nu=0.3, trials=5000)
-        a = run(SimConfig(seed=3, **base))
-        b = run(SimConfig(seed=4, **base))
-        assert a.bad_event_count != b.bad_event_count
+        # about 470 expected events per seed, so five seeds all tying is
+        # out of reach for any sampler that depends on the seed
+        base = dict(
+            shape=BlockShape(m=3100, k=1550), w=155, delta=0.0451, nu=0.01, trials=5000
+        )
+        counts = {run(SimConfig(seed=seed, **base)).bad_event_count for seed in range(5)}
+        assert len(counts) > 1
 
     def test_no_errors_no_bad_event(self):
         cfg = SimConfig(
@@ -99,6 +111,59 @@ class TestRun:
             SimConfig(shape=shape, w=5, delta=0.1, nu=-0.3, trials=100, seed=0)
 
 
+def within(freq, p, trials, draws=1):
+    """``freq`` within 5 standard errors plus one count of ``p``.
+
+    ``draws`` is 2 when ``p`` is itself a frequency over ``trials``.
+    """
+    return abs(freq - p) <= 5.0 * math.sqrt(draws * p * (1.0 - p) / trials) + 1.0 / trials
+
+
+class TestSampler:
+    """`run` against the slot-by-slot replay of the split and the exact value."""
+
+    @pytest.mark.parametrize("m, delta, nu, w", [(60, 0.1, 0.3, 15), (1000, 0.05, 0.03, 65)])
+    def test_run_urn_and_exact_agree(self, m, delta, nu, w):
+        shape, trials = BlockShape(m=m, k=m // 2), 100_000
+        exact = exact_joint_ppe(shape, delta, nu, w)
+        assert exact >= 1e-3
+        report = run(SimConfig(shape=shape, w=w, delta=delta, nu=nu, trials=trials, seed=4))
+        pe = urn_pe_errors(np.random.default_rng(4), trials, m, shape.k, w)
+        bad = (pe <= max_passing_pe_errors(shape, delta)) & (
+            w - pe >= min_alarming_key_errors(shape, delta, nu)
+        )
+        urn = np.count_nonzero(bad) / trials
+        assert within(report.frequency, exact, trials)
+        assert within(urn, exact, trials)
+        assert within(report.frequency, urn, trials, draws=2)
+
+    def test_urn_pmf_matches_enumeration(self):
+        m, k, w, trials = 14, 7, 6, 100_000
+        counts, total = enumeration_tables(m, k)
+        pe = urn_pe_errors(np.random.default_rng(8), trials, m, k, w)
+        seen = np.bincount(pe, minlength=k + 1) / trials
+        for p in range(k + 1):
+            want = counts[w][p] / total
+            assert abs(seen[p] - want) <= 5.0 * math.sqrt(want * (1.0 - want) / trials)
+
+
+class TestOperatingPoint:
+    """Audit cases at the operating block sizes, ``w`` at the sup of the exact value."""
+
+    @pytest.mark.parametrize("m, w_sup", [(3100, 155), (4820, 241), (6422, 321)])
+    def test_frequency_and_bounds(self, m, w_sup):
+        shape = BlockShape(m=m, k=m // 2)
+        delta, slack, trials = 0.0451, SlackParams(nu=0.01, xi=0.005), 100_000
+        ws = range(math.floor(m * delta), math.ceil(m * (delta + slack.nu)) + 1)
+        assert max(ws, key=lambda w: exact_joint_ppe(shape, delta, slack.nu, w)) == w_sup
+        report = run(
+            SimConfig(shape=shape, w=w_sup, delta=delta, nu=slack.nu, trials=trials, seed=m)
+        )
+        assert within(report.frequency, report.exact, trials)
+        assert report.exact <= default_serfling_bound(shape, delta, slack)
+        assert report.exact <= default_lemma2_bound(shape, delta, slack)
+
+
 class TestDefaultGrid:
     def test_structure(self):
         grid = default_validation_grid()
@@ -111,11 +176,18 @@ class TestDefaultGrid:
         assert seeds == list(range(20260821, 20260821 + 50))
 
     def test_all_cases_pass_at_reduced_trials(self):
+        # Every case passes the deterministic checks: no note, exact at or
+        # below both bounds.  The 99% intervals are random: 50 of them all
+        # covering at once is a property of one draw, so coverage is held
+        # to C7's rule instead.
         grid = default_validation_grid(trials=20_000)
         rows = validate_bounds(grid)
         assert len(rows) == 50
-        failed = [r for r in rows if not r.passed]
-        assert failed == []
+        assert all(r.note is None for r in rows)
+        assert all(r.exact <= min(r.serfling_bound, r.lemma2_bound) for r in rows)
+        covered = [r.ci_low <= r.exact <= r.ci_high for r in rows]
+        assert [r.passed for r in rows] == covered
+        assert sum(covered) >= 0.95 * len(rows)
 
 
 class TestValidateBounds:
