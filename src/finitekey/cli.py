@@ -42,6 +42,7 @@ _SIMULATE_HEADER = [
     "m", "k", "n", "w", "delta", "nu", "trials", "seed",
     "bad_event_count", "frequency", "ci_low", "ci_high", "exact",
 ]
+_S_HELP = "budget exponent: eps_qkd = 10^-s, 1 <= s <= 305"
 
 
 class _UsageError(Exception):
@@ -210,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keyrate", help="optimise one block size")
     p.add_argument("--m", type=int, required=True, help="block size")
     p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6, help="budget exponent: eps_qkd = 10^-s")
+    p.add_argument("--s", type=int, default=6, help=_S_HELP)
     p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_keyrate)
@@ -219,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", type=_parse_m_range, required=True,
                    help="start:stop:step, stop inclusive")
     p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6)
+    p.add_argument("--s", type=int, default=6, help=_S_HELP)
     p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -228,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", type=_parse_m_range, default=(1000, 20000, 1),
                    help="search range start:stop (step ignored)")
     p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6)
+    p.add_argument("--s", type=int, default=6, help=_S_HELP)
     p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_minblock)

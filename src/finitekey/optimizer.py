@@ -15,9 +15,10 @@ single peak in ``k``.  The leading candidates are re-evaluated through the
 scalar `security` functions, so the reported result never rests on the
 vectorised path alone.
 
-`min_block_length` inverts the search over ``m``: the smallest block size in
-a range whose optimised ``ell`` reaches one.  `sweep` evaluates a whole list
-of block sizes for tabulation.
+`min_block_length` inverts the search over ``m``: forward strides find the
+first grid point whose optimised ``ell`` reaches one, and a bisection inside
+that stride finds a block size with a key whose predecessor has none.
+`sweep` evaluates a whole list of block sizes for tabulation.
 """
 
 from __future__ import annotations
@@ -472,13 +473,15 @@ def min_block_length(
 ) -> Optional[int]:
     """Smallest m in [m_lo, m_hi] whose optimised ell reaches one, else None.
 
-    Coarse forward strides locate the first block size with a positive key,
-    then single backward steps walk down while the key stays positive.  The
-    walk stops at the first block size without a key, so the result is
-    guaranteed only locally: the returned ``m`` has a key and ``m - 1``
-    (when it is in range) has none.  It is the smallest such ``m`` in the
-    range when the optimised ``ell`` does not fall back to zero as ``m``
-    grows.
+    Coarse forward strides from ``m_lo`` (plus ``m_hi`` itself) locate the
+    first grid point with a positive key.  A bisection then runs between
+    the grid point before it, which has no key, and the hit, keeping a
+    keyless lower end and a keyed upper end until they are adjacent.  The
+    result is guaranteed only locally: the returned ``m`` has a key, and
+    ``m - 1`` (when it is in range) has none.  It is the smallest such
+    ``m`` in the range when the optimised ``ell`` does not fall back to
+    zero as ``m`` grows.  The search costs about the forward probes up to
+    the hit plus ``log2(stride)`` calls of `optimize`.
     """
     if not 10 <= m_lo <= m_hi:
         raise ValueError(f"need 10 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
@@ -486,22 +489,21 @@ def min_block_length(
     grid = list(range(m_lo, m_hi + 1, stride))
     if grid[-1] != m_hi:
         grid.append(m_hi)
-    hit = None
-    for m in grid:
-        if optimize(m, delta, budget, variant).ell >= 1:
-            hit = m
+    # bad has no key and good has one; m_lo - 1 stands for below the range
+    bad = m_lo - 1
+    for good in grid:
+        if optimize(good, delta, budget, variant).ell >= 1:
             break
-    if hit is None:
+        bad = good
+    else:
         return None
-    best = hit
-    m = hit - 1
-    while m >= m_lo:
-        if optimize(m, delta, budget, variant).ell >= 1:
-            best = m
-            m -= 1
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if optimize(mid, delta, budget, variant).ell >= 1:
+            good = mid
         else:
-            break
-    return best
+            bad = mid
+    return good
 
 
 def sweep(

@@ -13,6 +13,7 @@ extractable ``ell``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -65,13 +66,25 @@ def ec_leakage(n: int, delta: float) -> int:
 
 @dataclass(frozen=True)
 class SecurityBudget:
-    """Target failure budget ``eps_qkd = 10^-s`` and its derived constants."""
+    """Target failure budget ``eps_qkd = 10^-s`` and its derived constants.
+
+    ``s`` runs from 1 to 305: beyond that ``eps_correct = 2^-t`` is no
+    longer a normal double.
+    """
 
     s: int
 
     def __post_init__(self):
         if not (isinstance(self.s, int) and self.s >= 1):
             raise ValueError(f"s must be a positive integer, got {self.s}")
+        # a subnormal budget loses precision, and one that underflows to 0
+        # leaves no headroom at all
+        if min(self.eps_qkd, self.eps_correct) < sys.float_info.min:
+            raise ValueError(
+                f"s must be at most 305, got {self.s}: eps_qkd = 10^-s and "
+                f"eps_correct = 2^-t must not fall below the smallest normal "
+                f"float, {sys.float_info.min:.4g}"
+            )
 
     @property
     def eps_qkd(self) -> float:

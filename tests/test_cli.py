@@ -217,6 +217,18 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["keyrate", "--m", "3100", "--s", "324"], ["minblock", "--s", "400"]],
+    )
+    def test_budget_exponent_out_of_range(self, capsys, argv):
+        # 10^-s underflowed to 0 and divided by zero in the optimizer
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "finitekey: error: s must be at most 305" in err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):

@@ -1,11 +1,14 @@
 """Tests for the parameter search and block-length threshold scan."""
 
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracle_utils import single_term_threshold
 
+import finitekey.optimizer as optimizer
 from finitekey.bounds import BlockShape, SlackParams
 from finitekey.optimizer import (
     KeyRateResult,
@@ -175,11 +178,85 @@ class TestMinBlockLength:
         got = min_block_length(0.0451, SecurityBudget(s), "serfling", m_lo, m_hi)
         assert got == ref[0]
 
+    @pytest.mark.parametrize(
+        "variant, lo, threshold, hi",
+        [("lemma2", 4700, 4807, 4848), ("serfling", 6328, 6402, 6476)],
+    )
+    def test_key_is_a_step_inside_the_threshold_stride(self, variant, lo, threshold, hi):
+        # on the 1000..20000 grid (stride 148) at s = 10, the threshold lies
+        # in (lo, hi]; where the key is a step in m there, the bisection
+        # returns the block size that a walk down from hi would
+        keyed = [m for m in range(lo + 1, hi + 1)
+                 if optimize(m, 0.0451, BUDGET10, variant).ell >= 1]
+        assert keyed == list(range(threshold, hi + 1))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             min_block_length(0.0451, BUDGET6, "lemma2", m_lo=5, m_hi=100)
         with pytest.raises(ValueError):
             min_block_length(0.0451, BUDGET6, "lemma2", m_lo=500, m_hi=100)
+
+
+def _grid(m_lo, m_hi):
+    """min_block_length's forward grid: strides from m_lo, then m_hi."""
+    stride = max(1, min(500, (m_hi - m_lo) // 128))
+    grid = list(range(m_lo, m_hi + 1, stride))
+    if grid[-1] != m_hi:
+        grid.append(m_hi)
+    return stride, grid
+
+
+class TestMinBlockSearch:
+    """The search over m against a step oracle standing in for `optimize`."""
+
+    @staticmethod
+    def search(monkeypatch, m_lo, m_hi, keyed):
+        calls = []
+
+        def oracle(m, delta, budget, variant):
+            calls.append(m)
+            return SimpleNamespace(ell=int(keyed(m)))
+
+        monkeypatch.setattr(optimizer, "optimize", oracle)
+        return min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi), calls
+
+    @pytest.mark.parametrize(
+        "m_lo, m_hi, threshold",
+        [
+            (1000, 20000, 1000),  # at m_lo
+            (1000, 20000, 1001),  # one past m_lo
+            (1000, 20000, 2480),  # on a grid point
+            (1000, 20000, 2481),  # one past a grid point
+            (1000, 20000, 20000),  # at m_hi, after the short last stride
+            (1000, 20000, 20001),  # above m_hi
+            (100, 200, 150),  # stride 1
+            (500, 500, 500),  # one block size, with a key
+            (500, 500, 501),  # one block size, without
+        ],
+    )
+    def test_step(self, monkeypatch, m_lo, m_hi, threshold):
+        got, calls = self.search(monkeypatch, m_lo, m_hi, lambda m: m >= threshold)
+        stride, grid = _grid(m_lo, m_hi)
+        if threshold > m_hi:
+            assert got is None
+            assert calls == grid
+            return
+        assert got == threshold
+        if threshold == m_lo:
+            assert calls == [m_lo]
+        forward = sum(1 for g in grid if g < threshold) + 1
+        assert len(calls) <= forward + math.ceil(math.log2(stride))
+
+    @pytest.mark.parametrize("island", [2950, 2998])
+    def test_island_below_threshold(self, monkeypatch, island):
+        # one keyed m inside the stride (2924, 3072] below the threshold 3000
+        def keyed(m):
+            return m >= 3000 or m == island
+
+        got, _ = self.search(monkeypatch, 1000, 20000, keyed)
+        assert keyed(got)
+        assert got == 1000 or not keyed(got - 1)
+        assert not any(keyed(g) for g in _grid(1000, 20000)[1] if g < got)
 
 
 class TestSweep:

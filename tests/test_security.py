@@ -75,6 +75,12 @@ class TestSecurityBudget:
         with pytest.raises(ValueError):
             SecurityBudget(6.0)
 
+    def test_largest_budget_exponent(self):
+        # t = 1020 at s = 305; t = 1024 at s = 306 makes eps_correct subnormal
+        assert SecurityBudget(305).eps_correct == 2.0**-1020
+        with pytest.raises(ValueError, match="at most 305"):
+            SecurityBudget(306)
+
 
 class TestProtocolSettings:
     def test_for_budget_fills_model_values(self):
