@@ -15,11 +15,15 @@ Two independent routes are provided:
   splits the deviation ``nu`` into a sample-side part ``xi`` (handled by
   ``serfling_lower_tail``) and a key-side part ``nu - xi`` (handled by the
   Hush-Scovel hypergeometric tail, ``hush_scovel_tail``).
-* An exact oracle.  ``exact_hypergeometric_tail`` and ``exact_joint_ppe``
-  evaluate the same tail events exactly from the hypergeometric law.
+* An exact oracle.  ``exact_joint_ppe`` evaluates the same tail event
+  exactly from the hypergeometric law.
 
 The exact route exists to audit the closed-form route, so the two share no
 numerical machinery.
+
+Each closed-form formula is one unchecked array kernel (a leading
+underscore), called at size one by the validating public functions and on
+whole arrays by the optimizer.
 """
 
 from __future__ import annotations
@@ -32,17 +36,14 @@ import numpy as np
 __all__ = [
     "BlockShape",
     "SlackParams",
-    "TailQuery",
     "BoundUnavailableError",
     "binary_entropy",
     "serfling_epe",
     "serfling_lower_tail",
-    "gamma_factor",
     "hush_scovel_tail",
     "lemma2_ppe_bound",
     "lemma2_ppe_detail",
     "new_epe",
-    "exact_hypergeometric_tail",
     "exact_joint_ppe",
     "max_passing_pe_errors",
     "min_alarming_key_errors",
@@ -128,32 +129,9 @@ class SlackParams:
         return self.nu - self.xi
 
 
-@dataclass(frozen=True)
-class TailQuery:
-    """One fixed-error-weight question for the exact oracle.
-
-    ``w`` errors sit in a block of shape ``shape``.  ``key_threshold`` is the
-    alarm level: the event of interest has at least that many errors on the
-    key side.  ``pe_threshold`` is the pass level: at most that many errors
-    may show up in the PE sample.
-    """
-
-    shape: BlockShape
-    w: int
-    key_threshold: int
-    pe_threshold: int
-
-    def __post_init__(self):
-        if not 0 <= self.w <= self.shape.m:
-            raise ValueError(f"w must lie in [0, m], got w={self.w}, m={self.shape.m}")
-        if not 0 <= self.key_threshold <= self.shape.n:
-            raise ValueError(
-                f"key_threshold must lie in [0, n], got {self.key_threshold}"
-            )
-        if not 0 <= self.pe_threshold <= self.shape.k:
-            raise ValueError(
-                f"pe_threshold must lie in [0, k], got {self.pe_threshold}"
-            )
+def _h2(x):
+    """``-x log2 x - (1 - x) log2(1 - x)``; unchecked, NaN at 0 and 1."""
+    return -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
 
 
 def binary_entropy(x):
@@ -173,11 +151,49 @@ def binary_entropy(x):
     if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
         raise ValueError("binary_entropy requires arguments in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
-        interior = -(arr * np.log2(arr)) - (1.0 - arr) * np.log2(1.0 - arr)
-    out = np.where((arr > 0.0) & (arr < 1.0), interior, 0.0)
+        out = np.where((arr > 0.0) & (arr < 1.0), _h2(arr), 0.0)
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def _serfling_tail(rate, dev):
+    """``exp(-rate dev^2)``, with `_serfling_rate` or `_sample_rate`; unchecked.
+
+    R. J. Serfling, Probability inequalities for the sum in sampling without
+    replacement, Ann. Statist. 2 (1974) 39-48.
+    """
+    return np.exp(-rate * dev * dev)
+
+
+def _serfling_rate(m, k, n):
+    """Rate ``n k^2 / (m (k + 1))`` of `serfling_epe`; unchecked."""
+    return n * k * k / (m * (k + 1.0))
+
+
+def _sample_rate(m, k, n):
+    """Rate ``2 m k / (n + 1)`` of `serfling_lower_tail`; unchecked."""
+    return 2.0 * m * k / (n + 1.0)
+
+
+def _gamma_factor(m, m_err):
+    """``1/(m_err + 1) + 1/(m - m_err + 1)``, falling on [0, m/2]; unchecked."""
+    return 1.0 / (m_err + 1.0) + 1.0 / (m - m_err + 1.0)
+
+
+def _hush_scovel_factor(k, n, gamma, relaxed):
+    """``max(1/(n + 1) + 1/(k + 1), gamma)``, or ``gamma`` if ``relaxed``; unchecked."""
+    sharp = np.maximum(1.0 / (n + 1.0) + 1.0 / (k + 1.0), gamma)
+    return np.where(relaxed, gamma, sharp)
+
+
+def _hush_scovel_tail(c, n, dev):
+    """``exp(-2 c ((n dev)^2 - 1))``, for ``(n dev)^2 > 1``; unchecked.
+
+    D. Hush and C. Scovel, Concentration of the hypergeometric distribution,
+    Stat. Probab. Lett. 75 (2005) 127-132.
+    """
+    return np.exp(-2.0 * c * ((n * dev) ** 2 - 1.0))
 
 
 def serfling_epe(shape: BlockShape, nu: float) -> float:
@@ -190,8 +206,7 @@ def serfling_epe(shape: BlockShape, nu: float) -> float:
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise ValueError(f"nu must be positive and finite, got {nu}")
-    exponent = -(shape.n * shape.k**2 * nu * nu) / (shape.m * (shape.k + 1))
-    return math.exp(exponent)
+    return float(_serfling_tail(_serfling_rate(shape.m, shape.k, shape.n), nu))
 
 
 def serfling_lower_tail(shape: BlockShape, xi: float) -> float:
@@ -203,18 +218,7 @@ def serfling_lower_tail(shape: BlockShape, xi: float) -> float:
     """
     if not (math.isfinite(xi) and xi > 0.0):
         raise ValueError(f"xi must be positive and finite, got {xi}")
-    exponent = -2.0 * shape.m * shape.k * xi * xi / (shape.n + 1)
-    return math.exp(exponent)
-
-
-def gamma_factor(m: int, m_err: int) -> float:
-    """Curvature factor ``1/(m_err + 1) + 1/(m - m_err + 1)``.
-
-    Decreasing in ``m_err`` on ``[0, m/2]`` and symmetric about ``m/2``.
-    """
-    if not 0 <= m_err <= m:
-        raise ValueError(f"m_err must lie in [0, m], got m_err={m_err}, m={m}")
-    return 1.0 / (m_err + 1) + 1.0 / (m - m_err + 1)
+    return float(_serfling_tail(_sample_rate(shape.m, shape.k, shape.n), xi))
 
 
 def hush_scovel_tail(
@@ -224,9 +228,10 @@ def hush_scovel_tail(
 
     Bounds the probability that, with exactly ``m_err`` errors in the block,
     the key error rate exceeds its expectation by ``dev`` or more.  The sharp
-    form uses ``max(1/(n+1) + 1/(k+1), gamma_factor(m, m_err))`` in the
-    exponent; ``relaxed=True`` drops the first argument of the max, which can
-    only increase the returned value.
+    form uses ``max(1/(n+1) + 1/(k+1), gamma)`` in the exponent, with the
+    curvature factor ``gamma = 1/(m_err + 1) + 1/(m - m_err + 1)``;
+    ``relaxed=True`` drops the first argument of the max, which can only
+    increase the returned value.
 
     Raises
     ------
@@ -236,18 +241,16 @@ def hush_scovel_tail(
     """
     if not (math.isfinite(dev) and dev > 0.0):
         raise ValueError(f"dev must be positive and finite, got {dev}")
-    arg = (shape.n * dev) ** 2 - 1.0
-    if arg <= 0.0:
+    if not 0 <= m_err <= shape.m:
+        raise ValueError(f"m_err must lie in [0, m], got m_err={m_err}, m={shape.m}")
+    if (shape.n * dev) ** 2 - 1.0 <= 0.0:
         raise BoundUnavailableError(
             f"hypergeometric tail bound needs (n*dev)^2 > 1, got "
             f"n={shape.n}, dev={dev}"
         )
-    gamma = gamma_factor(shape.m, m_err)
-    if relaxed:
-        factor = gamma
-    else:
-        factor = max(1.0 / (shape.n + 1) + 1.0 / (shape.k + 1), gamma)
-    return math.exp(-2.0 * factor * arg)
+    gamma = _gamma_factor(shape.m, m_err)
+    factor = _hush_scovel_factor(shape.k, shape.n, gamma, relaxed)
+    return float(_hush_scovel_tail(factor, shape.n, dev))
 
 
 def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> dict:
@@ -373,17 +376,6 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     else:
         tail = math.fsum(up[j_lo - mode - 1 :])
     return tail / total
-
-
-def exact_hypergeometric_tail(query: TailQuery) -> float:
-    """Exact upper-tail probability of key-side errors reaching the alarm.
-
-    With ``query.w`` errors in the block, returns the probability that at
-    least ``query.key_threshold`` of them land on the key side.  The PE pass
-    threshold is ignored here; `exact_joint_ppe` handles the joint event.
-    """
-    shape = query.shape
-    return _window_tail(shape.m, query.w, shape.n, query.key_threshold)
 
 
 def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float:

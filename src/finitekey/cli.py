@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from .bounds import BlockShape
 from .optimizer import min_block_length, optimize, sweep
-from .security import SecurityBudget, stream_budget
+from .security import VARIANTS, SecurityBudget, stream_budget
 from .simulator import SimConfig, default_validation_grid, run, validate_bounds
 
 __all__ = ["main"]
@@ -79,9 +79,7 @@ def _write_rows(args, header, rows) -> None:
 
 
 def _variants(arg: str):
-    if arg == "both":
-        return ("lemma2", "serfling")
-    return (arg,)
+    return VARIANTS if arg == "both" else (arg,)
 
 
 def _parse_m_range(text: str):
@@ -212,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="block size")
     p.add_argument("--delta", type=float, default=0.0451)
     p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
+    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_keyrate)
 
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step, stop inclusive")
     p.add_argument("--delta", type=float, default=0.0451)
     p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
+    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -230,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search range start:stop (step ignored)")
     p.add_argument("--delta", type=float, default=0.0451)
     p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=["lemma2", "serfling", "both"], default="both")
+    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_minblock)
 

@@ -29,15 +29,14 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .bounds import BlockShape, SlackParams, binary_entropy
+from .bounds import (
+    BlockShape, SlackParams, binary_entropy,
+    _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail,
+    _sample_rate, _serfling_rate, _serfling_tail,
+)
 from .security import (
-    VARIANTS,
-    EpsilonBreakdown,
-    ProtocolSettings,
-    SecurityBudget,
-    ec_leakage,
-    feasible,
-    max_ell_at,
+    VARIANTS, EpsilonBreakdown, ProtocolSettings, SecurityBudget,
+    ec_leakage, feasible, max_ell_at, _ell_bound, _leakage,
 )
 
 __all__ = [
@@ -115,7 +114,9 @@ class _Model:
     Hush-Scovel factor taken as a smooth function of ``xi`` when it is not.
     Where ``m_err <= m/2`` the factor falls as ``m_err`` grows, so the
     smooth factor is never below the factor of the piece, and the smooth
-    gain bounds every piece's gain from above.
+    gain bounds every piece's gain from above.  Every formula of the model
+    is a kernel of `bounds` or `security`, shared with the scalar API; only
+    the derivatives that steer the search are this class's own.
     """
 
     def __init__(self, m: int, delta: float, budget: SecurityBudget, variant: str):
@@ -124,12 +125,12 @@ class _Model:
         self.two_term = variant == "lemma2"
         self.t = budget.t
         self.room = budget.eps_qkd - budget.eps_correct
-        # ec_leakage's expression, so np.ceil reproduces its integer
-        self.leak = 1.19 * binary_entropy(delta)
+        self.h = binary_entropy(delta)
         self.nu_hi = (0.5 - delta) * (1.0 - 1e-9)
 
     def leakage(self, k):
-        return np.ceil(self.leak * (self.m - k))
+        """`ec_leakage` at PE sample sizes ``k``, without its validation."""
+        return np.ceil(_leakage(self.m - k, self.h))
 
     def _factor(self, k, m_err, slope=False):
         """Hush-Scovel factor at ``m_err`` errors, in lemma2_ppe_detail's form.
@@ -138,9 +139,8 @@ class _Model:
         xi)`` varies smoothly.
         """
         m = self.m
-        gamma = 1.0 / (m_err + 1.0) + 1.0 / (m - m_err + 1.0)
-        sharp = np.maximum(1.0 / (m - k + 1.0) + 1.0 / (k + 1.0), gamma)
-        c = np.where(m_err <= m // 2, gamma, sharp)
+        gamma = _gamma_factor(m, m_err)
+        c = _hush_scovel_factor(k, m - k, gamma, m_err <= m // 2)
         if not slope:
             return c
         dgamma = m * (1.0 / (m - m_err + 1.0) ** 2 - 1.0 / (m_err + 1.0) ** 2)
@@ -160,7 +160,7 @@ class _Model:
         """
         m, delta = self.m, self.delta
         n = m - k
-        a = 2.0 * m * k / (n + 1.0)
+        a = _sample_rate(m, k, n)
         xi_max = nu - 1.0 / n
         fixed = piece is not None
         c = self._factor(k, piece if fixed else m * (delta + 0.5 * nu))
@@ -181,9 +181,11 @@ class _Model:
         else:
             c = self._factor(k, m * (delta + xi))
         u = nu - xi
-        q = (n * u) ** 2 - 1.0
-        key = np.exp(-2.0 * c * q)
-        p = np.where((xi > 0.0) & (q > 0.0), np.exp(-a * xi * xi) + key, np.inf)
+        key = _hush_scovel_tail(c, n, u)
+        tail = _serfling_tail(a, xi)
+        # NaN where the bound is undefined (the scalar path rejects xi <= 0
+        # and n (nu - xi) <= 1): it survives gain's clamp to 1
+        p = np.where((xi > 0.0) & (n * u > 1.0), tail + key, np.nan)
         return p, -4.0 * c * n * n * u * key, xi
 
     def gain(self, k, nu, piece=None):
@@ -202,16 +204,15 @@ class _Model:
                 pe = np.sqrt(np.minimum(p, 1.0))
                 dp_pe = np.where(pe > 0.0, dp / pe, 0.0)
             else:
-                rate = n * k * k / (self.m * (k + 1.0))
-                pe = np.exp(-rate * nu * nu)
+                rate = _serfling_rate(self.m, k, n)
+                pe = _serfling_tail(rate, nu)
                 dp_pe = -4.0 * rate * nu * pe
-                xi = np.zeros_like(pe)
+                xi = np.zeros(pe.shape)
             room = np.where(np.isfinite(pe), self.room - 2.0 * pe, -np.inf)
             q = self.delta + nu
-            entropy = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
             ok = room > 0.0
-            g = n * (1.0 - entropy) - self.t + 2.0 * np.log2(2.0 * room)
-            g = np.where(ok, g, -np.inf)
+            # gain is ell + r: the leakage is charged per k by the caller
+            g = np.where(ok, _ell_bound(n, _h2(q), 0, self.t, room), -np.inf)
             # d gain / d nu times the headroom: same sign, bounded at the edge
             dg = np.where(
                 ok, -n * np.log2((1.0 - q) / q) * room - 2.0 * _LOG2E * dp_pe, np.inf
@@ -229,11 +230,10 @@ class _Model:
         n = m - k
         need = 2.0 * math.log(2.0 / self.room)
         if not self.two_term:
-            return np.sqrt(0.5 * need * m * (k + 1.0) / (n * k * k))
-        c_max = np.maximum(
-            self._factor(k, math.floor(m * self.delta)), 1.0 / (n + 1.0) + 1.0 / (k + 1.0)
-        )
-        sample = np.sqrt(need * (n + 1.0) / (2.0 * m * k))
+            return np.sqrt(0.5 * need / _serfling_rate(m, k, n))
+        gamma = _gamma_factor(m, math.floor(m * self.delta))
+        c_max = _hush_scovel_factor(k, n, gamma, False)
+        sample = np.sqrt(need / _sample_rate(m, k, n))
         return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
 
     def _seed(self, k, piece):
@@ -343,7 +343,7 @@ def _search(model, half):
     only at the k whose smooth length reaches the best piece length found.
     Returns the rows of every k searched in its pieces, best first.
     """
-    smooth = {}
+    smooth, leak = {}, {}
 
     def visit(ks):
         new = sorted(set(int(k) for k in ks) - smooth.keys())
@@ -352,9 +352,10 @@ def _search(model, half):
         rows = model.best_nu(np.array(new, dtype=float))
         for idx, k in enumerate(new):
             smooth[k] = tuple(float(col[idx]) for col in rows)
+        leak.update(zip(new, model.leakage(np.array(new)).tolist()))
 
     def envelope(k):
-        return smooth[k][0] - model.leak * (model.m - k)
+        return smooth[k][0] - _leakage(model.m - k, model.h)
 
     lo, hi = 1, half
     while True:
@@ -379,12 +380,12 @@ def _search(model, half):
         if model.two_term:
             rows = model.best_piece(np.array(new, dtype=float), rows[2])
         for idx, k in enumerate(new):
-            exact[k] = (float(rows[0][idx] - model.leakage(k)), k) + tuple(
+            exact[k] = (float(rows[0][idx]) - leak[k], k) + tuple(
                 float(col[idx]) for col in rows[1:]
             )
 
     def length(k):
-        return smooth[k][0] - float(model.leakage(k))
+        return smooth[k][0] - leak[k]
 
     width = hi - lo + 1
     while True:

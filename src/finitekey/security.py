@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .bounds import (
     BlockShape,
     BoundUnavailableError,
@@ -55,13 +57,29 @@ def correctness_bits(s: int) -> int:
     return math.ceil((s + 2) * math.log2(10.0))
 
 
+def _leakage(n, h):
+    """Leakage ``1.19 h n`` before rounding up, for ``h = h2(delta)``; unchecked."""
+    return 1.19 * h * n
+
+
 def ec_leakage(n: int, delta: float) -> int:
     """Error-correction leakage model ``r = ceil(1.19 h2(delta) n)`` bits."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-    return math.ceil(1.19 * binary_entropy(delta) * n)
+    return math.ceil(_leakage(n, binary_entropy(delta)))
+
+
+def _ell_bound(n, h, r, t, headroom):
+    """Largest ``ell`` that the budget condition allows, before rounding.
+
+    ``n (1 - h) - r - t + 2 log2(2 headroom)`` with ``h = h2(delta + nu)``
+    and ``headroom = eps_qkd - 2^-t - 2 eps_pe``: the closed-form inverse
+    of ``eps_pa <= headroom``.  Unchecked array kernel; the headroom must be
+    positive.
+    """
+    return n * (1.0 - h) - (r + t) + 2.0 * np.log2(2.0 * headroom)
 
 
 @dataclass(frozen=True)
@@ -268,9 +286,7 @@ def max_ell_at(
     headroom = budget.eps_qkd - 2.0 ** (-settings.t) - 2.0 * pe
     if headroom <= 0.0:
         return 0
-    deficit = shape.n * (1.0 - binary_entropy(q))
-    # eps_pa <= headroom  <=>  ell <= deficit - r - t + 2 log2(2 headroom)
-    guess = deficit - settings.r - settings.t + 2.0 * math.log2(2.0 * headroom)
+    guess = _ell_bound(shape.n, binary_entropy(q), settings.r, settings.t, headroom)
     ell = max(0, min(shape.n, math.floor(guess)))
 
     def ok(candidate: int) -> bool:

@@ -277,10 +277,7 @@ def default_validation_grid(trials: int = 100_000, seed: int = 20260821):
     }
     for m in (20, 40, 60):
         for delta in (0.05, 0.1):
-            ws = w_lists[m]
-            if m < 60:
-                ws = ws[:8]
-            for w in ws:
+            for w in w_lists[m]:
                 cases.append(
                     ValidationCase(
                         shape=BlockShape(m=m, k=m // 2),

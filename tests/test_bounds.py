@@ -1,4 +1,4 @@
-"""Unit tests for the tail bounds and the exact hypergeometric oracle."""
+"""Unit tests for the tail bounds, their kernels and the exact oracle."""
 
 import math
 from fractions import Fraction
@@ -10,12 +10,16 @@ from finitekey.bounds import (
     BlockShape,
     BoundUnavailableError,
     SlackParams,
-    TailQuery,
+    _gamma_factor,
+    _h2,
+    _hush_scovel_factor,
+    _hush_scovel_tail,
+    _sample_rate,
+    _serfling_rate,
+    _serfling_tail,
     _window_tail,
     binary_entropy,
-    exact_hypergeometric_tail,
     exact_joint_ppe,
-    gamma_factor,
     hush_scovel_tail,
     lemma2_ppe_bound,
     lemma2_ppe_detail,
@@ -27,6 +31,7 @@ from finitekey.bounds import (
     snap_ceil,
     snap_floor,
 )
+from finitekey.security import _leakage, ec_leakage
 
 from oracle_utils import frac_window_tail, mp_window_tail
 
@@ -66,15 +71,6 @@ class TestShapeTypes:
         with pytest.raises(ValueError):
             SlackParams(nu=math.nan)
         assert SlackParams(nu=0.2, xi=0.05).nu_prime == pytest.approx(0.15)
-
-    def test_tail_query_validation(self):
-        shape = BlockShape(m=10, k=4)
-        with pytest.raises(ValueError):
-            TailQuery(shape=shape, w=11, key_threshold=0, pe_threshold=0)
-        with pytest.raises(ValueError):
-            TailQuery(shape=shape, w=5, key_threshold=7, pe_threshold=0)
-        with pytest.raises(ValueError):
-            TailQuery(shape=shape, w=5, key_threshold=0, pe_threshold=5)
 
 
 class TestSnapHelpers:
@@ -161,27 +157,28 @@ class TestSerflingLowerTail:
 
 class TestGammaFactor:
     def test_reference_value(self):
-        assert rel_err(gamma_factor(100, 10), 0.1018981018981019) < 1e-12
-        assert rel_err(gamma_factor(100, 10), 0.10190) < 1e-4
+        assert rel_err(_gamma_factor(100, 10), 0.1018981018981019) < 1e-12
+        assert rel_err(_gamma_factor(100, 10), 0.10190) < 1e-4
 
     def test_decreasing_below_half(self):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            m = int(rng.integers(4, 5000))
-            b = int(rng.integers(1, m // 2 + 1))
-            a = int(rng.integers(0, b))
-            assert gamma_factor(m, a) >= gamma_factor(m, b)
+        m = rng.integers(4, 5000, size=200)
+        b = rng.integers(1, m // 2 + 1)
+        a = rng.integers(0, b)
+        assert np.all(_gamma_factor(m, a) >= _gamma_factor(m, b))
 
     def test_symmetry(self):
         for m in (10, 57, 200):
-            for a in range(m + 1):
-                assert gamma_factor(m, a) == pytest.approx(gamma_factor(m, m - a))
+            a = np.arange(m + 1)
+            np.testing.assert_allclose(_gamma_factor(m, a), _gamma_factor(m, m - a))
 
     def test_errors(self):
+        # the kernel is unchecked; the scalar bound rejects m_err outside [0, m]
+        shape = BlockShape(m=10, k=5)
         with pytest.raises(ValueError):
-            gamma_factor(10, 11)
+            hush_scovel_tail(shape, 11, 0.5)
         with pytest.raises(ValueError):
-            gamma_factor(10, -1)
+            hush_scovel_tail(shape, -1, 0.5)
 
 
 class TestHushScovelTail:
@@ -229,6 +226,42 @@ class TestHushScovelTail:
             hush_scovel_tail(REF_SHAPE, 10, 0.0)
         with pytest.raises(ValueError):
             hush_scovel_tail(REF_SHAPE, 4000, 0.1)
+
+
+class TestKernels:
+    def test_arrays_match_scalar_api(self):
+        # one kernel call on arrays equals the scalar API element by element
+        rng = np.random.default_rng(23)
+        size = 300
+        m = rng.integers(10, 20001, size=size)
+        k = rng.integers(1, m // 2 + 1)
+        n = m - k
+        nu = rng.uniform(0.005, 0.45, size=size)
+        xi = nu * rng.uniform(0.02, 0.98, size=size)
+        dev = nu - xi
+        m_err = rng.integers(0, m + 1)
+        delta = rng.uniform(0.0, 0.5, size=size)
+        mf, kf, nf = (v.astype(float) for v in (m, k, n))
+        epe = _serfling_tail(_serfling_rate(mf, kf, nf), nu)
+        lower = _serfling_tail(_sample_rate(mf, kf, nf), xi)
+        gamma = _gamma_factor(mf, m_err.astype(float))
+        sharp = _hush_scovel_tail(_hush_scovel_factor(kf, nf, gamma, False), nf, dev)
+        relaxed = _hush_scovel_tail(_hush_scovel_factor(kf, nf, gamma, True), nf, dev)
+        entropy = _h2(nu)
+        leak = np.ceil(_leakage(nf, _h2(delta)))
+        checked = 0
+        for i in range(size):
+            shape = BlockShape(m=int(m[i]), k=int(k[i]))
+            assert epe[i] == serfling_epe(shape, float(nu[i]))
+            assert lower[i] == serfling_lower_tail(shape, float(xi[i]))
+            assert entropy[i] == binary_entropy(float(nu[i]))
+            assert leak[i] == ec_leakage(int(n[i]), float(delta[i]))
+            if (n[i] * dev[i]) ** 2 > 1.0:
+                checked += 1
+                args = (shape, int(m_err[i]), float(dev[i]))
+                assert sharp[i] == hush_scovel_tail(*args, relaxed=False)
+                assert relaxed[i] == hush_scovel_tail(*args, relaxed=True)
+        assert checked > size // 2
 
 
 class TestLemma2Bound:
@@ -295,17 +328,12 @@ class TestThresholds:
 
 class TestWindowTail:
     def test_hand_value(self):
-        query = TailQuery(
-            shape=BlockShape(m=4, k=2), w=2, key_threshold=2, pe_threshold=0
-        )
-        assert rel_err(exact_hypergeometric_tail(query), 1.0 / 6.0) < 1e-15
+        # both errors of a 4-bit block land in the 2 key bits: 1 of C(4, 2)
+        assert rel_err(_window_tail(4, 2, 2, 2), 1.0 / 6.0) < 1e-15
 
     def test_tail_at_zero_is_one(self):
         for m, k, w in ((10, 4, 3), (50, 25, 20), (1000, 400, 250)):
-            query = TailQuery(
-                shape=BlockShape(m=m, k=k), w=w, key_threshold=0, pe_threshold=0
-            )
-            assert exact_hypergeometric_tail(query) == 1.0
+            assert _window_tail(m, w, m - k, 0) == 1.0
 
     def test_monotone_partition(self):
         rng = np.random.default_rng(13)

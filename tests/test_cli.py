@@ -62,6 +62,19 @@ class TestKeyrate:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keyrate", "--m", "11", "--delta", "0.1"],
+            ["keyrate", "--m", "3100", "--delta", "0.4999", "--variant", "lemma2"],
+        ],
+    )
+    def test_keyless_inputs_print_a_row(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows and all(r[2] == "0" and r[-1] == "false" for r in rows)
+
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "rates.csv"
         argv = ["keyrate", "--m", "3100", "--variant", "lemma2"]
@@ -107,6 +120,43 @@ class TestMinblock:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows == [["0.0451", "6", "lemma2", "", "false"]]
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+# Each file holds the stdout of its command as last accepted.  A change
+# that moves a value updates the file and says which values moved and why.
+GOLDEN = {
+    "keyrate_m800": ["keyrate", "--m", "800"],
+    "keyrate_m3100": ["keyrate", "--m", "3100"],
+    "sweep_600_800_100_lemma2": [
+        "sweep", "--m-range", "600:800:100", "--variant", "lemma2",
+    ],
+    "sweep_200_20000_1300": [
+        "sweep", "--m-range", "200:20000:1300", "--variant", "both",
+    ],
+    "sweep_10_400_7": ["sweep", "--m-range", "10:400:7", "--variant", "both"],
+    "sweep_4000_7000_97_s10": [
+        "sweep", "--m-range", "4000:7000:97", "--s", "10", "--variant", "both",
+    ],
+    "minblock_3000_3050_lemma2": [
+        "minblock", "--m-range", "3000:3050", "--variant", "lemma2",
+    ],
+    "minblock_1000_20000_s6": [
+        "minblock", "--m-range", "1000:20000", "--variant", "both", "--s", "6",
+    ],
+    "minblock_1000_20000_s10": [
+        "minblock", "--m-range", "1000:20000", "--variant", "both", "--s", "10",
+    ],
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_matches_file(self, capsys, name):
+        code, out, _ = run_cli(GOLDEN[name], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
 
 
 class TestValidate:

@@ -110,6 +110,24 @@ class TestOptimize:
             optimize(3100, 0.0451, BUDGET6, "chernoff")
 
 
+class TestKeylessInputs:
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("m", [11, 20, 50, 100, 500, 3100])
+    def test_no_raise_up_to_half(self, m, variant):
+        # an unavailable two-term bound must leave no headroom; otherwise a
+        # point with xi <= 0 or n (nu - xi) <= 1 reaches SlackParams
+        for delta in np.linspace(0.05, 0.4999, 8):
+            res = optimize(m, float(delta), BUDGET6, variant)
+            if res.point is None:
+                assert res.ell == 0 and res.breakdown is None and not res.feasible
+                continue
+            pt = res.point
+            SlackParams(nu=pt.nu, xi=pt.xi)
+            if variant == "lemma2":
+                n = m - round(pt.beta * m)
+                assert pt.xi > 0.0 and n * (pt.nu - pt.xi) > 1.0
+
+
 class TestSearchOverK:
     """The window over k against every k, at block sizes of the operating regime."""
 
