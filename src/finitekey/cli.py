@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .bounds import BlockShape
@@ -59,23 +60,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_output(args):
-    if args.output:
-        return open(args.output, "w", newline="")
-    return None
+@contextmanager
+def _output(args):
+    """The ``--output`` file, opened for writing, or else ``sys.stdout``."""
+    if not args.output:
+        yield sys.stdout
+        return
+    with open(args.output, "w", newline="") as handle:
+        yield handle
 
 
 def _write_rows(args, header, rows) -> None:
-    handle = _open_output(args)
-    target = handle if handle is not None else sys.stdout
-    try:
+    with _output(args) as target:
         writer = csv.writer(target, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 def _variants(arg: str):
@@ -181,13 +181,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_stream(args) -> int:
     budget = stream_budget(args.eps_stream, args.eps_qkd)
-    handle = _open_output(args)
-    target = handle if handle is not None else sys.stdout
-    try:
+    with _output(args) as target:
         print(budget, file=target)
-    finally:
-        if handle is not None:
-            handle.close()
     return 0
 
 

@@ -24,7 +24,7 @@ that stride finds a block size with a key whose predecessor has none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -36,8 +36,9 @@ from .bounds import (
 )
 from .security import (
     VARIANTS, EpsilonBreakdown, ProtocolSettings, SecurityBudget,
-    ec_leakage, feasible, max_ell_at, _ell_bound, _leakage,
+    feasible, max_ell_at, _ell_bound, _headroom, _leakage,
 )
+from .security import ec_leakage  # unused; the benchmark traces it here
 
 __all__ = [
     "OptimizationPoint",
@@ -124,7 +125,7 @@ class _Model:
         self.delta = delta
         self.two_term = variant == "lemma2"
         self.t = budget.t
-        self.room = budget.eps_qkd - budget.eps_correct
+        self.room = budget.room
         self.h = binary_entropy(delta)
         self.nu_hi = (0.5 - delta) * (1.0 - 1e-9)
 
@@ -208,7 +209,7 @@ class _Model:
                 pe = _serfling_tail(rate, nu)
                 dp_pe = -4.0 * rate * nu * pe
                 xi = np.zeros(pe.shape)
-            room = np.where(np.isfinite(pe), self.room - 2.0 * pe, -np.inf)
+            room = np.where(np.isfinite(pe), _headroom(self.room, pe), -np.inf)
             q = self.delta + nu
             ok = room > 0.0
             # gain is ell + r: the leakage is charged per k by the caller
@@ -445,13 +446,10 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     for length, k, nu, xi, room in _search(model, m // 2)[:_VERIFY]:
         if room == -math.inf:
             continue
-        shape = BlockShape(m=m, k=k)
-        r = ec_leakage(shape.n, delta)
+        settings = ProtocolSettings(shape=BlockShape(m=m, k=k), delta=delta)
         slack = SlackParams(nu=nu, xi=xi)
-        settings = ProtocolSettings(shape=shape, delta=delta, t=budget.t, r=r)
         ell = max_ell_at(settings, budget, slack, variant)
-        settings = ProtocolSettings(shape=shape, delta=delta, t=budget.t, r=r, ell=ell)
-        bd, ok = feasible(settings, budget, slack, variant)
+        bd, ok = feasible(replace(settings, ell=ell), budget, slack, variant)
         if best is None or (ok, ell) > best[0]:
             best = ((ok, ell), k, nu, xi, bd)
     if best is None:

@@ -4,17 +4,20 @@ Joins the parameter-estimation bounds to the rest of the distillation
 budget: a correctness term ``2^-t`` from hash verification, the PE term
 (doubled, once per party), and a privacy-amplification term that decays with
 the entropy left in the raw key after error-correction leakage ``r``,
-verification cost ``t`` and extracted length ``ell`` are paid.  A parameter
+verification cost ``t`` and extracted length ``ell`` are paid.  Each
+constant has one owner: `SecurityBudget` derives ``t`` from ``s``, and
+`ProtocolSettings` derives ``r`` from its shape and ``delta``.  A parameter
 point is feasible when the three terms together stay within the target
-budget ``eps_qkd``, and `max_ell_at` inverts that condition for the largest
-extractable ``ell``.
+budget ``eps_qkd``; `feasible` alone evaluates that condition and its
+preconditions, and `max_ell_at` inverts it for the largest extractable
+``ell``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,7 +26,8 @@ from .bounds import (
     BlockShape,
     BoundUnavailableError,
     SlackParams,
-    binary_entropy,
+    _h2,
+    binary_entropy,  # unused; the benchmark traces it here
     new_epe,
     serfling_epe,
     snap_floor,
@@ -68,18 +72,37 @@ def ec_leakage(n: int, delta: float) -> int:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-    return math.ceil(_leakage(n, binary_entropy(delta)))
+    # delta is checked, so the kernel stands in for binary_entropy's
+    # validation; delta = 0 is the one value in range where it gives NaN
+    h = float(_h2(delta)) if delta > 0.0 else 0.0
+    return math.ceil(_leakage(n, h))
+
+
+def _margin(n, h, r, t):
+    """Entropy left after leakage and tag, ``n (1 - h) - r - t``; unchecked.
+
+    ``h = h2(delta + nu)``.  `eps_pa` is ``(1/2) 2^((ell - margin) / 2)``
+    and `_ell_bound` inverts it.
+    """
+    return n * (1.0 - h) - (r + t)
+
+
+def _headroom(room, pe):
+    """What the budget leaves for ``eps_pa``: ``room - 2 eps_pe``; unchecked.
+
+    ``room = eps_qkd - 2^-t`` is `SecurityBudget.room`.
+    """
+    return room - 2.0 * pe
 
 
 def _ell_bound(n, h, r, t, headroom):
     """Largest ``ell`` that the budget condition allows, before rounding.
 
-    ``n (1 - h) - r - t + 2 log2(2 headroom)`` with ``h = h2(delta + nu)``
-    and ``headroom = eps_qkd - 2^-t - 2 eps_pe``: the closed-form inverse
-    of ``eps_pa <= headroom``.  Unchecked array kernel; the headroom must be
-    positive.
+    ``margin + 2 log2(2 headroom)`` with `_margin` and `_headroom`: the
+    closed-form inverse of ``eps_pa <= headroom``.  Unchecked array kernel;
+    the headroom must be positive.
     """
-    return n * (1.0 - h) - (r + t) + 2.0 * np.log2(2.0 * headroom)
+    return _margin(n, h, r, t) + 2.0 * np.log2(2.0 * headroom)
 
 
 @dataclass(frozen=True)
@@ -116,33 +139,35 @@ class SecurityBudget:
     def eps_correct(self) -> float:
         return 2.0 ** (-self.t)
 
+    @property
+    def room(self) -> float:
+        """The budget left after the correctness term: ``eps_qkd - 2^-t``."""
+        return self.eps_qkd - self.eps_correct
+
 
 @dataclass(frozen=True)
 class ProtocolSettings:
     """Fixed choices for one distillation attempt.
 
-    ``shape`` splits the block, ``delta`` is the tolerated PE error rate,
-    ``t`` the verification tag length, ``r`` the error-correction leakage and
-    ``ell`` the number of key bits to extract.
+    ``shape`` splits the block, ``delta`` is the tolerated PE error rate and
+    ``ell`` the number of key bits to extract.  The error-correction leakage
+    ``r = ec_leakage(n, delta)`` is derived, also by ``replace``; the tag
+    length ``t`` belongs to the `SecurityBudget`.
     """
 
     shape: BlockShape
     delta: float
-    t: int
-    r: int
     ell: int = 0
+    r: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
-        if self.t < 1:
-            raise ValueError(f"t must be at least 1, got {self.t}")
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
         if not 0 <= self.ell <= self.shape.n:
             raise ValueError(
                 f"ell must lie in [0, n], got ell={self.ell}, n={self.shape.n}"
             )
+        object.__setattr__(self, "r", ec_leakage(self.shape.n, self.delta))
 
     @classmethod
     def for_budget(
@@ -152,14 +177,8 @@ class ProtocolSettings:
         budget: "SecurityBudget",
         ell: int = 0,
     ) -> "ProtocolSettings":
-        """Settings with ``t`` from the budget and ``r`` from the leakage model."""
-        return cls(
-            shape=shape,
-            delta=delta,
-            t=budget.t,
-            r=ec_leakage(shape.n, delta),
-            ell=ell,
-        )
+        """``ProtocolSettings(shape, delta, ell)``; ``budget`` is not read."""
+        return cls(shape, delta, ell)
 
 
 @dataclass(frozen=True)
@@ -178,11 +197,12 @@ class EpsilonBreakdown:
     reason: Optional[str] = None
 
 
-def eps_pa(settings: ProtocolSettings, nu: float) -> float:
+def eps_pa(settings: ProtocolSettings, budget: SecurityBudget, nu: float) -> float:
     """Privacy-amplification failure term, clamped to [0, 1].
 
-    Returns ``(1/2) sqrt(2^(-(n (1 - h2(delta + nu)) - r - t - ell)))``.  The
-    exponent is assembled in the log domain, so the value underflows to zero
+    Returns ``(1/2) sqrt(2^(-(n (1 - h2(delta + nu)) - r - t - ell)))``, with
+    ``r`` from ``settings`` and ``t`` from ``budget``.  The exponent is
+    assembled in the log domain, so the value underflows to zero
     gracefully; anything that would exceed one is reported as one.  ``delta
     + nu`` must stay below 1/2: beyond it ``1 - h2`` grows again, and the
     term would credit entropy that an error rate that high does not leave.
@@ -192,21 +212,10 @@ def eps_pa(settings: ProtocolSettings, nu: float) -> float:
     q = settings.delta + nu
     if q >= 0.5:
         raise ValueError(f"delta + nu must stay below 1/2, got {q}")
-    deficit = settings.shape.n * (1.0 - binary_entropy(q))
-    half_exp = 0.5 * (-deficit + settings.r + settings.t + settings.ell)
-    if half_exp >= 1.0:
-        return 1.0
-    return min(1.0, 0.5 * 2.0**half_exp)
-
-
-def _pe_term(
-    shape: BlockShape, delta: float, slack: SlackParams, variant: str
-) -> float:
-    if variant == "serfling":
-        return serfling_epe(shape, slack.nu)
-    if variant == "lemma2":
-        return new_epe(shape, delta, slack)
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    # q is checked; float() keeps numpy scalars out of the breakdown
+    margin = _margin(settings.shape.n, float(_h2(q)), settings.r, budget.t)
+    half_exp = 0.5 * (settings.ell - margin)
+    return 1.0 if half_exp >= 1.0 else 0.5 * 2.0**half_exp
 
 
 def feasible(
@@ -223,37 +232,32 @@ def feasible(
     ``delta + nu`` reaching 1/2 and beyond, where the entropy deficit is
     spent) are reported as infeasible rather than raised, since optimisation
     grids hit them routinely; the breakdown then carries ``eps_pe = inf`` and
-    a ``reason``.
+    a ``reason``.  This is the one place that checks those preconditions.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    eps_c = 2.0 ** (-settings.t)
-    if settings.delta + slack.nu >= 0.5:
-        bd = EpsilonBreakdown(
-            eps_correct=eps_c,
-            eps_pe=math.inf,
-            eps_pa=math.inf,
-            total=math.inf,
-            variant=variant,
-            reason=f"delta + nu = {settings.delta + slack.nu} reaches 1/2",
-        )
-        return bd, False
-    try:
-        pe = _pe_term(settings.shape, settings.delta, slack, variant)
-    except (BoundUnavailableError, ValueError) as exc:
-        bd = EpsilonBreakdown(
-            eps_correct=eps_c,
-            eps_pe=math.inf,
-            eps_pa=eps_pa(settings, slack.nu),
-            total=math.inf,
-            variant=variant,
-            reason=str(exc),
-        )
-        return bd, False
-    pa = eps_pa(settings, slack.nu)
-    total = eps_c + 2.0 * pe + pa
+    pe = pa = math.inf
+    reason = None
+    q = settings.delta + slack.nu
+    if q >= 0.5:
+        reason = f"delta + nu = {q} reaches 1/2"
+    else:
+        try:
+            if variant == "serfling":
+                pe = serfling_epe(settings.shape, slack.nu)
+            else:
+                pe = new_epe(settings.shape, settings.delta, slack)
+        except (BoundUnavailableError, ValueError) as exc:
+            reason = str(exc)
+        pa = eps_pa(settings, budget, slack.nu)
+    total = budget.eps_correct + 2.0 * pe + pa
     bd = EpsilonBreakdown(
-        eps_correct=eps_c, eps_pe=pe, eps_pa=pa, total=total, variant=variant
+        eps_correct=budget.eps_correct,
+        eps_pe=pe,
+        eps_pa=pa,
+        total=total,
+        variant=variant,
+        reason=reason,
     )
     return bd, total <= budget.eps_qkd
 
@@ -266,37 +270,30 @@ def max_ell_at(
 ) -> int:
     """Largest ``ell`` that keeps the point feasible; 0 if none does.
 
-    ``settings.ell`` is ignored.  Points where ``delta + nu`` reaches 1/2
-    are infeasible, as in `feasible`, and give 0.  The budget condition is
-    solved for ``ell`` in closed form, then the result is verified through
-    `feasible` and nudged by single steps to absorb rounding, so the
-    returned value satisfies the actual predicate, not just its algebraic
-    rearrangement.
+    ``settings.ell`` is ignored.  `feasible` at ``ell = 0`` supplies
+    ``eps_pe``, so points it rejects (an unavailable bound, ``delta + nu``
+    at 1/2 or beyond) give 0.  The budget condition is then solved for
+    ``ell`` in closed form, and the result is verified through `feasible`
+    and nudged by single steps to absorb rounding, so the returned value
+    satisfies the actual predicate, not just its algebraic rearrangement.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    shape = settings.shape
-    q = settings.delta + slack.nu
-    if q >= 0.5:
-        return 0
-    try:
-        pe = _pe_term(shape, settings.delta, slack, variant)
-    except (BoundUnavailableError, ValueError):
-        return 0
-    headroom = budget.eps_qkd - 2.0 ** (-settings.t) - 2.0 * pe
+    at_zero = replace(settings, ell=0)
+    bd, ok_zero = feasible(at_zero, budget, slack, variant)
+    headroom = _headroom(budget.room, bd.eps_pe)
     if headroom <= 0.0:
         return 0
-    guess = _ell_bound(shape.n, binary_entropy(q), settings.r, settings.t, headroom)
-    ell = max(0, min(shape.n, math.floor(guess)))
+    n = settings.shape.n
+    h = float(_h2(settings.delta + slack.nu))
+    ell = max(0, min(n, math.floor(_ell_bound(n, h, settings.r, budget.t, headroom))))
 
     def ok(candidate: int) -> bool:
-        return feasible(replace(settings, ell=candidate), budget, slack, variant)[1]
+        return feasible(replace(at_zero, ell=candidate), budget, slack, variant)[1]
 
     while ell > 0 and not ok(ell):
         ell -= 1
-    if ell == 0 and not ok(0):
+    if ell == 0 and not ok_zero:
         return 0
-    while ell < shape.n and ok(ell + 1):
+    while ell < n and ok(ell + 1):
         ell += 1
     return ell
 
@@ -312,4 +309,9 @@ def stream_budget(eps_stream: float, eps_qkd: float) -> int:
         raise ValueError(f"eps_stream must be positive and finite, got {eps_stream}")
     if not (math.isfinite(eps_qkd) and eps_qkd > 0.0):
         raise ValueError(f"eps_qkd must be positive and finite, got {eps_qkd}")
-    return max(0, snap_floor(eps_stream / eps_qkd))
+    quotient = eps_stream / eps_qkd
+    if not math.isfinite(quotient):
+        raise ValueError(
+            f"eps_stream / eps_qkd overflows: {eps_stream} / {eps_qkd}"
+        )
+    return max(0, snap_floor(quotient))

@@ -39,7 +39,6 @@ __all__ = [
     "run",
     "validate_bounds",
     "default_serfling_bound",
-    "default_lemma2_bound",
     "default_validation_grid",
 ]
 
@@ -198,11 +197,6 @@ def default_serfling_bound(
     return min(1.0, serfling_epe(shape, slack.nu) ** 2)
 
 
-def default_lemma2_bound(shape: BlockShape, delta: float, slack: SlackParams) -> float:
-    """Two-term bound on the bad-event probability."""
-    return lemma2_ppe_bound(shape, delta, slack)
-
-
 def validate_bounds(
     cases: Sequence[ValidationCase],
     serfling_bound_fn: Optional[Callable] = None,
@@ -218,7 +212,7 @@ def validate_bounds(
     if serfling_bound_fn is None:
         serfling_bound_fn = default_serfling_bound
     if lemma2_bound_fn is None:
-        lemma2_bound_fn = default_lemma2_bound
+        lemma2_bound_fn = lemma2_ppe_bound
     rows = []
     for case in cases:
         slack = SlackParams(nu=case.nu, xi=case.xi)

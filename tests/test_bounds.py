@@ -31,7 +31,14 @@ from finitekey.bounds import (
     snap_ceil,
     snap_floor,
 )
-from finitekey.security import _leakage, ec_leakage
+from finitekey.security import (
+    ProtocolSettings,
+    SecurityBudget,
+    _leakage,
+    _margin,
+    ec_leakage,
+    eps_pa,
+)
 
 from oracle_utils import frac_window_tail, mp_window_tail
 
@@ -262,6 +269,23 @@ class TestKernels:
                 assert sharp[i] == hush_scovel_tail(*args, relaxed=False)
                 assert relaxed[i] == hush_scovel_tail(*args, relaxed=True)
         assert checked > size // 2
+        # the leakage's kernel route agrees with binary_entropy, endpoints too
+        for i, d in enumerate([*delta.tolist(), 0.0, 0.5]):
+            ni = int(n[i % size])
+            assert ec_leakage(ni, d) == math.ceil(1.19 * binary_entropy(d) * ni)
+        # eps_pa is (1/2) 2^((ell - margin) / 2), clamped to one
+        budget = SecurityBudget(6)
+        ell = rng.integers(0, n + 1)
+        q = delta + nu
+        margin = _margin(nf, _h2(q), leak, budget.t)
+        inside = np.flatnonzero((delta > 0.0) & (q < 0.5))
+        for i in inside:
+            shape = BlockShape(m=int(m[i]), k=int(k[i]))
+            settings = ProtocolSettings(shape, float(delta[i]), int(ell[i]))
+            half = 0.5 * (int(ell[i]) - float(margin[i]))
+            want = 1.0 if half >= 1.0 else 0.5 * 2.0**half
+            assert eps_pa(settings, budget, float(nu[i])) == want
+        assert len(inside) > size // 4
 
 
 class TestLemma2Bound:

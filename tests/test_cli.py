@@ -234,6 +234,15 @@ class TestStream:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("eps_qkd", ["1e-300", "1e-10"])
+    def test_overflowing_quotient_is_a_usage_error(self, capsys, eps_qkd):
+        code, out, err = run_cli(
+            ["stream", "--eps-stream", "1e300", "--eps-qkd", eps_qkd], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
 
 class TestImport:
     def test_no_scipy_stats(self):

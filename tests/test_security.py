@@ -1,6 +1,7 @@
 """Unit tests for the failure-budget accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,41 +86,59 @@ class TestSecurityBudget:
 class TestProtocolSettings:
     def test_for_budget_fills_model_values(self):
         st = ref_settings(ell=6)
-        assert st.t == 27
         assert st.r == 490
         assert st.ell == 6
 
+    def test_leakage_is_derived(self):
+        with pytest.raises(TypeError):
+            ProtocolSettings(shape=REF_SHAPE, delta=0.1, r=490)
+        assert not hasattr(ref_settings(), "t")
+
+    def test_replace_derives_the_leakage_again(self):
+        # a stale r would keep the 490 bits of n = 1550
+        shape = BlockShape(m=4000, k=1000)
+        st = replace(ref_settings(), shape=shape)
+        assert st.r == ec_leakage(shape.n, REF_DELTA)
+        assert st.r != 490
+        assert replace(st, delta=0.1).r == ec_leakage(shape.n, 0.1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            ProtocolSettings(shape=REF_SHAPE, delta=0.5, t=27, r=490)
+            ProtocolSettings(shape=REF_SHAPE, delta=0.5)
         with pytest.raises(ValueError):
-            ProtocolSettings(shape=REF_SHAPE, delta=0.1, t=0, r=490)
-        with pytest.raises(ValueError):
-            ProtocolSettings(shape=REF_SHAPE, delta=0.1, t=27, r=490, ell=1551)
+            ProtocolSettings(shape=REF_SHAPE, delta=0.1, ell=1551)
 
 
 class TestEpsPa:
     def test_reference_value(self):
-        got = eps_pa(ref_settings(ell=6), 0.1141)
+        got = eps_pa(ref_settings(ell=6), SecurityBudget(6), 0.1141)
         assert abs(got - 4.529736364786495e-08) / 4.529736364786495e-08 < 1e-12
 
     def test_increasing_in_ell(self):
-        st0 = ref_settings(ell=0)
-        vals = [eps_pa(ref_settings(ell=ell), 0.1141) for ell in (0, 5, 50, 500)]
+        budget = SecurityBudget(6)
+        vals = [eps_pa(ref_settings(ell=ell), budget, 0.1141) for ell in (0, 5, 50, 500)]
         assert vals == sorted(vals)
-        assert eps_pa(st0, 0.1141) > 0.0
+        assert vals[0] > 0.0
+
+    def test_tag_length_comes_from_the_budget(self):
+        # 13 more tag bits at s = 10 shrink the margin by 13 bits
+        st = ref_settings(ell=6)
+        s6, s10 = (eps_pa(st, SecurityBudget(s), 0.1141) for s in (6, 10))
+        assert abs(s10 / s6 - 2.0**6.5) / 2.0**6.5 < 1e-12
 
     def test_clamped_to_one(self):
-        st = ProtocolSettings(shape=REF_SHAPE, delta=0.0451, t=27, r=100_000)
-        assert eps_pa(st, 0.1141) == 1.0
+        # the whole raw key extracted at nu = 0.4 leaves a negative margin
+        st = ProtocolSettings(shape=REF_SHAPE, delta=REF_DELTA, ell=REF_SHAPE.n)
+        assert eps_pa(st, SecurityBudget(6), 0.4) == 1.0
 
     def test_errors(self):
+        budget = SecurityBudget(6)
         with pytest.raises(ValueError):
-            eps_pa(ref_settings(), 0.0)
+            eps_pa(ref_settings(), budget, 0.0)
         with pytest.raises(ValueError):
-            eps_pa(ref_settings(), 0.96)
+            eps_pa(ref_settings(), budget, 0.96)
         with pytest.raises(ValueError):
-            eps_pa(ref_settings(), 0.5 - REF_DELTA)
+            eps_pa(ref_settings(), budget, 0.5 - REF_DELTA)
 
 
 class TestFeasible:
@@ -165,6 +184,18 @@ class TestFeasible:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             feasible(ref_settings(), SecurityBudget(6), REF_SLACK, "hoeffding")
+        with pytest.raises(ValueError):
+            max_ell_at(ref_settings(), SecurityBudget(6), REF_SLACK, "hoeffding")
+
+    def test_correctness_term_comes_from_the_budget(self):
+        # settings built for s = 6 used to charge 2^-27 against 10^-10
+        settings = ProtocolSettings.for_budget(
+            REF_SHAPE, REF_DELTA, SecurityBudget(6), ell=6
+        )
+        budget = SecurityBudget(10)
+        bd, _ = feasible(settings, budget, REF_SLACK, "lemma2")
+        assert bd.eps_correct == budget.eps_correct == 2.0**-40
+        assert bd.eps_pa == eps_pa(settings, budget, REF_SLACK.nu)
 
 
 class TestMaxEll:
@@ -174,8 +205,6 @@ class TestMaxEll:
         assert max_ell_at(ref_settings(), budget, SlackParams(nu=0.1141), "serfling") == 0
 
     def test_maximality(self):
-        from dataclasses import replace
-
         rng = np.random.default_rng(17)
         budget = SecurityBudget(3)
         checked = 0
@@ -199,8 +228,6 @@ class TestMaxEll:
         assert checked > 10
 
     def test_matches_brute_force(self):
-        from dataclasses import replace
-
         budget = SecurityBudget(3)
         for m, k, delta, nu, xi, variant in (
             (60, 30, 0.05, 0.3, 0.1, "lemma2"),
@@ -258,3 +285,8 @@ class TestStreamBudget:
             stream_budget(1e-5, -1e-6)
         with pytest.raises(ValueError):
             stream_budget(math.inf, 1e-6)
+
+    @pytest.mark.parametrize("eps_qkd", [1e-300, 1e-10])
+    def test_overflowing_quotient_rejected(self, eps_qkd):
+        with pytest.raises(ValueError, match="overflows"):
+            stream_budget(1e300, eps_qkd)

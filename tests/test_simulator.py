@@ -10,13 +10,13 @@ from finitekey.bounds import (
     BlockShape,
     SlackParams,
     exact_joint_ppe,
+    lemma2_ppe_bound,
     max_passing_pe_errors,
     min_alarming_key_errors,
 )
 from finitekey.simulator import (
     SimConfig,
     ValidationCase,
-    default_lemma2_bound,
     default_serfling_bound,
     default_validation_grid,
     run,
@@ -161,7 +161,7 @@ class TestOperatingPoint:
         )
         assert within(report.frequency, report.exact, trials)
         assert report.exact <= default_serfling_bound(shape, delta, slack)
-        assert report.exact <= default_lemma2_bound(shape, delta, slack)
+        assert report.exact <= lemma2_ppe_bound(shape, delta, slack)
 
 
 class TestDefaultGrid:
