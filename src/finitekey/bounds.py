@@ -19,7 +19,8 @@ Two independent routes are provided:
   exactly from the hypergeometric law.
 
 The exact route exists to audit the closed-form route, so the two share no
-numerical machinery.
+kernel: the oracle generates its pmf terms with numpy too, but it calls none
+of the closed-form kernels (`_h2` and the rate, factor and tail kernels).
 
 Each closed-form formula is one unchecked array kernel (a leading
 underscore), called at size one by the validating public functions and on
@@ -29,6 +30,7 @@ whole arrays by the optimizer.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +322,21 @@ def new_epe(shape: BlockShape, delta: float, slack: SlackParams) -> float:
     return math.sqrt(lemma2_ppe_bound(shape, delta, slack))
 
 
+def check_error_count(w, m: int) -> int:
+    """The block error count ``w`` as an int, checked to lie in ``[0, m]``.
+
+    Any integer type is accepted (``np.int64(6)`` gives 6); a float, even
+    ``6.0``, raises ``ValueError``.
+    """
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise ValueError(f"w must be an integer, got {w!r}") from None
+    if not 0 <= w <= m:
+        raise ValueError(f"w must lie in [0, m], got w={w}, m={m}")
+    return w
+
+
 def max_passing_pe_errors(shape: BlockShape, delta: float) -> int:
     """Largest PE error count that still passes the rate-``delta`` test."""
     if not 0.0 <= delta <= 1.0:
@@ -339,6 +356,37 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
     return snap_ceil((delta + nu) * shape.n)
 
 
+# Terms per numpy block in `_window_tail`.  A run's range is as long as
+# min(w, n), but its ratios are evaluated one block at a time, and the run
+# stops in the block where its terms underflow to 0.0.
+_BLOCK = 4096
+
+
+def _run(ratio, js: range) -> list:
+    """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
+
+    The run ends before its first product that is exactly 0.0.  ``ratio``
+    is evaluated on float64 arrays of ``j``, one block of at most `_BLOCK`
+    terms at a time.  The product carried in from the previous block is
+    folded into the block's first ratio, which is the same as prepending it,
+    so ``np.multiply.accumulate`` forms every product left to right exactly
+    as a scalar loop would.
+    """
+    terms = []
+    t = 1.0
+    for b in range(0, len(js), _BLOCK):
+        block = js[b : b + _BLOCK]
+        r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
+        r[0] *= t
+        np.multiply.accumulate(r, out=r)
+        if r[-1] == 0.0:  # every ratio is positive, so 0.0 ends a prefix of nonzeros
+            terms += r[: np.count_nonzero(r)].tolist()
+            break
+        terms += r.tolist()
+        t = terms[-1]
+    return terms
+
+
 def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     """Pr[at least j_lo of the w special items land in a sample of size n].
 
@@ -346,6 +394,21 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     the ratio recurrence anchored at the mode (so no term overflows or
     underflows near the mass), summed with compensated summation, and
     normalised by the same-method total so the anchor scale cancels.
+
+    One run goes up from the mode to ``hi`` and one down to ``lo``.  Each
+    ends at its first term that underflows to exactly 0.0, which is left
+    out, so memory grows with the terms kept, not with ``min(w, n)``.  A
+    term at the smallest subnormal only reaches 0.0 once a ratio falls
+    below 1/2, so a run can keep many subnormal terms: at ``m = 1e6``,
+    ``w = 0.05 m`` and ``k = m/2``, 3,878 of each run's 7,974.
+
+    `_run` forms each run in numpy blocks of `_BLOCK` terms.  The values are
+    bit-identical to a scalar loop that multiplies Python ratios one by one,
+    provided ``m < 2^53``: every integer in a ratio is then exact in
+    float64, so each product of two of them is rounded once, as Python
+    rounds the exact integer product when it divides it by a float, and the
+    running product is formed in the same order.  The three sums are
+    `math.fsum` over the same lists as that loop's.
     """
     k = m - n
     lo = max(0, w - k)
@@ -356,20 +419,16 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
         return 0.0
     mode = (n + 1) * (w + 1) // (m + 2)
     mode = min(max(mode, lo), hi)
-    up = []  # terms at j = mode+1 .. hi
-    t = 1.0
-    for j in range(mode, hi):
-        t *= ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1))
-        if t == 0.0:
-            break
-        up.append(t)
-    down = []  # terms at j = mode-1 .. lo, in decreasing j order
-    t = 1.0
-    for j in range(mode, lo, -1):
-        t *= (j * (k - w + j)) / ((w - j + 1.0) * (n - j + 1))
-        if t == 0.0:
-            break
-        down.append(t)
+    # terms at j = mode+1 .. hi
+    up = _run(
+        lambda j: ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1)),
+        range(mode, hi),
+    )
+    # terms at j = mode-1 .. lo, in decreasing j order
+    down = _run(
+        lambda j: (j * (k - w + j)) / ((w - j + 1.0) * (n - j + 1)),
+        range(mode, lo, -1),
+    )
     total = math.fsum([1.0] + up + down)
     if j_lo <= mode:
         tail = math.fsum([1.0] + up + down[: mode - j_lo])
@@ -386,8 +445,7 @@ def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float
     the block.  Both conditions pin down the key-side error count, so the
     probability is a single hypergeometric window sum.
     """
-    if not 0 <= w <= shape.m:
-        raise ValueError(f"w must lie in [0, m], got w={w}, m={shape.m}")
+    w = check_error_count(w, shape.m)
     pe_max = max_passing_pe_errors(shape, delta)
     key_min = min_alarming_key_errors(shape, delta, nu)
     if key_min > shape.n:

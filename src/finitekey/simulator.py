@@ -24,6 +24,7 @@ from .bounds import (
     BlockShape,
     BoundUnavailableError,
     SlackParams,
+    check_error_count,
     exact_joint_ppe,
     lemma2_ppe_bound,
     max_passing_pe_errors,
@@ -63,8 +64,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.w <= self.shape.m:
-            raise ValueError(f"w must lie in [0, m], got {self.w}")
+        object.__setattr__(self, "w", check_error_count(self.w, self.shape.m))
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not self.nu > 0.0:

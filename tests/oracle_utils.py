@@ -3,7 +3,8 @@
 Nothing here imports the package's numerical routines: the enumeration
 oracle counts subsets directly, the rational oracle sums binomials with
 exact arithmetic, the high-precision oracle reruns the tail recurrence in
-50-digit arithmetic, and the urn sampler replays the protocol split slot by
+50-digit arithmetic, the loop oracle reruns it one Python ratio at a time
+in float64, and the urn sampler replays the protocol split slot by
 slot.  Agreement between these and the package is the evidence the tests
 rest on.
 """
@@ -109,6 +110,47 @@ def mp_window_tail(m, w, n, j_lo, dps=50):
         total = mp.fsum(terms.values())
         tail = mp.fsum(v for j, v in terms.items() if j >= j_lo)
         return tail / total
+
+
+def loop_window_tail(m, w, n, j_lo):
+    """Pr[at least j_lo of the w special items land in a sample of size n].
+
+    Exact up to rounding.  Terms of the hypergeometric pmf are generated by
+    the ratio recurrence anchored at the mode (so no term overflows or
+    underflows near the mass), summed with compensated summation, and
+    normalised by the same-method total so the anchor scale cancels.  This
+    is the package's former scalar loop over Python ratios, kept as the
+    reference that its numpy form must equal bit for bit.
+    """
+    k = m - n
+    lo = max(0, w - k)
+    hi = min(w, n)
+    if j_lo <= lo:
+        return 1.0
+    if j_lo > hi:
+        return 0.0
+    mode = (n + 1) * (w + 1) // (m + 2)
+    mode = min(max(mode, lo), hi)
+    up = []  # terms at j = mode+1 .. hi
+    t = 1.0
+    for j in range(mode, hi):
+        t *= ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1))
+        if t == 0.0:
+            break
+        up.append(t)
+    down = []  # terms at j = mode-1 .. lo, in decreasing j order
+    t = 1.0
+    for j in range(mode, lo, -1):
+        t *= (j * (k - w + j)) / ((w - j + 1.0) * (n - j + 1))
+        if t == 0.0:
+            break
+        down.append(t)
+    total = math.fsum([1.0] + up + down)
+    if j_lo <= mode:
+        tail = math.fsum([1.0] + up + down[: mode - j_lo])
+    else:
+        tail = math.fsum(up[j_lo - mode - 1 :])
+    return tail / total
 
 
 def _h2(q):

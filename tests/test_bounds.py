@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import finitekey.bounds
 from finitekey.bounds import (
     BlockShape,
     BoundUnavailableError,
@@ -40,7 +41,7 @@ from finitekey.security import (
     eps_pa,
 )
 
-from oracle_utils import frac_window_tail, mp_window_tail
+from oracle_utils import frac_window_tail, loop_window_tail, mp_window_tail
 
 # Reference operating point used throughout: a 3100-bit block split in half,
 # tolerated rate 0.0451, deviation 0.1141 split at 0.0693.
@@ -350,6 +351,50 @@ class TestThresholds:
         assert min_alarming_key_errors(shape, 0.9, 0.9) == 27
 
 
+def _limits(m, w, n):
+    """``lo``, ``hi`` and the clamped mode of the key-side count."""
+    lo, hi = max(0, w - (m - n)), min(w, n)
+    return lo, hi, min(max((n + 1) * (w + 1) // (m + 2), lo), hi)
+
+
+def _random_windows(seed, count, m_min, m_max):
+    """Seeded ``(m, w, n, j_lo)``, ``m`` log-uniform on ``[m_min, m_max]``.
+
+    Half the error counts are uniform on ``[0, m]``, half at rates up to 0.2
+    as at the operating points.  Half the thresholds are uniform on
+    ``[lo, hi + 1]``, half within ten standard deviations of the mode.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        m = int(round(math.exp(rng.uniform(math.log(m_min), math.log(m_max)))))
+        n = int(rng.integers(1, m))
+        if rng.random() < 0.5:
+            w = int(rng.integers(0, m + 1))
+        else:
+            w = int(m * rng.uniform(0.0, 0.2))
+        lo, hi, mode = _limits(m, w, n)
+        if rng.random() < 0.5:
+            j_lo = int(rng.integers(lo, hi + 2))
+        else:
+            sd = math.sqrt(n * (m - n) * w * (m - w) / (m * m * (m - 1.0)))
+            j_lo = mode + int(rng.normal() * 10.0 * max(sd, 1.0))
+        cases.append((m, w, n, j_lo))
+    return cases
+
+
+def _edge_windows(sizes):
+    """Extreme ``w``, ``k`` and ``n``, with the thresholds at the run ends."""
+    cases = []
+    for m in sizes:
+        for n in sorted({1, m // 2, m - 1}):  # n = m - 1 is k = 1
+            for w in sorted({0, 1, m // 20, m // 3, m - 1, m}):
+                lo, hi, mode = _limits(m, w, n)
+                for j_lo in sorted({lo + 1, mode, mode + 1, hi, hi + 1}):
+                    cases.append((m, w, n, j_lo))
+    return cases
+
+
 class TestWindowTail:
     def test_hand_value(self):
         # both errors of a 4-bit block land in the 2 key bits: 1 of C(4, 2)
@@ -402,6 +447,56 @@ class TestWindowTail:
             ref = float(mp_window_tail(m, w, n, j_lo))
             assert rel_err(_window_tail(m, w, n, j_lo), ref) < 1e-12
 
+    # The numpy runs must equal the scalar loop they replaced, bit for bit.
+    EDGE_SIZES = (2, 3, 10, 1000, 1_000_000)
+
+    def test_matches_loop_reference(self):
+        # 2,000 random cases; a call at m = 1e6 costs about 10 ms in the
+        # loop, so 100 of them span 1e5..1e6 and the rest 2..1e5
+        small = [
+            (m, w, n, j_lo)
+            for m in range(2, 13)
+            for n in range(1, m)
+            for w in range(m + 1)
+            for j_lo in range(-1, n + 2)
+        ]
+        cases = (
+            _random_windows(8, 1900, 2, 100_000)
+            + _random_windows(9, 100, 100_000, 1_000_000)
+            + _edge_windows(self.EDGE_SIZES)
+            + small
+        )
+        for case in cases:
+            assert _window_tail(*case) == loop_window_tail(*case), case
+
+    def test_edge_cases_reach_both_run_ends(self):
+        # the edge list puts the mode at lo and at hi of a nontrivial range
+        at_lo = at_hi = False
+        for m, w, n, _ in _edge_windows(self.EDGE_SIZES):
+            lo, hi, mode = _limits(m, w, n)
+            at_lo |= lo == mode < hi
+            at_hi |= lo < mode == hi
+        assert at_lo and at_hi
+
+    def test_run_evaluates_one_block_at_a_time(self):
+        # a long range that underflows early costs one block of ratios
+        sizes = []
+
+        def half(j):
+            sizes.append(j.size)
+            return np.full(j.size, 0.5)
+
+        terms = finitekey.bounds._run(half, range(10**7))
+        assert len(terms) == 1074 and terms[-1] == 2.0**-1074
+        assert sizes == [finitekey.bounds._BLOCK]
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_block_ends_match_loop_reference(self, monkeypatch, block):
+        monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
+        cases = _random_windows(block, 300, 2, 2000) + _edge_windows((2, 3, 10, 100))
+        for case in cases:
+            assert _window_tail(*case) == loop_window_tail(*case), case
+
 
 class TestExactJoint:
     def test_reference_value(self):
@@ -428,3 +523,12 @@ class TestExactJoint:
     def test_w_bounds_checked(self):
         with pytest.raises(ValueError):
             exact_joint_ppe(BlockShape(m=30, k=15), 0.1, 0.3, 31)
+
+    def test_w_must_be_an_integer(self):
+        shape = BlockShape(m=30, k=15)
+        for w in (6.5, 6.0):
+            with pytest.raises(ValueError, match="integer"):
+                exact_joint_ppe(shape, 0.1, 0.3, w)
+        assert exact_joint_ppe(shape, 0.1, 0.3, np.int64(6)) == exact_joint_ppe(
+            shape, 0.1, 0.3, 6
+        )

@@ -110,6 +110,14 @@ class TestRun:
         with pytest.raises(ValueError):
             SimConfig(shape=shape, w=5, delta=0.1, nu=-0.3, trials=100, seed=0)
 
+    def test_w_must_be_an_integer(self):
+        shape = BlockShape(m=60, k=30)
+        for w in (6.5, 6.0):
+            with pytest.raises(ValueError, match="integer"):
+                SimConfig(shape=shape, w=w, delta=0.1, nu=0.3, trials=100, seed=0)
+        cfg = SimConfig(shape=shape, w=np.int64(6), delta=0.1, nu=0.3, trials=100, seed=0)
+        assert cfg.w == 6 and type(cfg.w) is int
+
 
 def within(freq, p, trials, draws=1):
     """``freq`` within 5 standard errors plus one count of ``p``.
