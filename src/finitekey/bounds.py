@@ -84,24 +84,28 @@ class BoundUnavailableError(ValueError):
 class BlockShape:
     """Partition of one sifted block: ``k`` PE bits, ``n = m - k`` key bits.
 
-    ``n`` may be omitted; it is then derived from ``m`` and ``k``.
+    ``m`` and ``k`` are integers of any integer type (``np.int64(60)`` is
+    accepted, ``60.0`` is not); ``n`` is derived, also by ``replace``.
     """
 
     m: int
     k: int
-    n: int = -1
 
     def __post_init__(self):
-        if self.n == -1:
-            object.__setattr__(self, "n", self.m - self.k)
-        if self.m != self.n + self.k:
+        try:
+            operator.index(self.m), operator.index(self.k)
+        except TypeError:
             raise ValueError(
-                f"inconsistent block shape: m={self.m}, k={self.k}, n={self.n}"
-            )
+                f"m and k must be integers, got m={self.m!r}, k={self.k!r}"
+            ) from None
         if self.k < 1 or self.n < 1:
             raise ValueError(
                 f"need at least one PE bit and one key bit, got k={self.k}, n={self.n}"
             )
+
+    @property
+    def n(self) -> int:
+        return self.m - self.k
 
 
 @dataclass(frozen=True)

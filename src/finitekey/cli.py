@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from .bounds import BlockShape
-from .optimizer import min_block_length, optimize, sweep
+from .optimizer import min_block_length, optimize
 from .security import VARIANTS, SecurityBudget, stream_budget
 from .simulator import SimConfig, default_validation_grid, run, validate_bounds
 
@@ -120,21 +120,25 @@ def _keyrate_row(result):
     ]
 
 
-def cmd_keyrate(args) -> int:
+def _keyrate_rows(args, m_values):
+    """One row per block size and variant, in that order."""
     budget = SecurityBudget(args.s)
-    rows = [
-        _keyrate_row(optimize(args.m, args.delta, budget, var))
+    return [
+        _keyrate_row(optimize(m, args.delta, budget, var))
+        for m in m_values
         for var in _variants(args.variant)
     ]
-    _write_rows(args, _KEYRATE_HEADER, rows)
+
+
+def cmd_keyrate(args) -> int:
+    _write_rows(args, _KEYRATE_HEADER, _keyrate_rows(args, [args.m]))
     return 0
 
 
 def cmd_sweep(args) -> int:
     start, stop, step = args.m_range
-    budget = SecurityBudget(args.s)
-    results = sweep(range(start, stop + 1, step), args.delta, budget, args.variant)
-    _write_rows(args, _KEYRATE_HEADER, [_keyrate_row(r) for r in results])
+    rows = _keyrate_rows(args, range(start, stop + 1, step))
+    _write_rows(args, _KEYRATE_HEADER, rows)
     return 0
 
 

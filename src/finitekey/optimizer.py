@@ -18,14 +18,13 @@ vectorised path alone.
 `min_block_length` inverts the search over ``m``: forward strides find the
 first grid point whose optimised ``ell`` reaches one, and a bisection inside
 that stride finds a block size with a key whose predecessor has none.
-`sweep` evaluates a whole list of block sizes for tabulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "KeyRateResult",
     "optimize",
     "min_block_length",
-    "sweep",
 ]
 
 # Block sizes per zoom round over k, and log-spaced deviations that seed
@@ -504,22 +502,3 @@ def min_block_length(
             bad = mid
     return good
 
-
-def sweep(
-    m_values: Iterable[int],
-    delta: float,
-    budget: SecurityBudget,
-    variant: str = "both",
-) -> List[KeyRateResult]:
-    """Optimise every block size in ``m_values``; rows sorted by (m, variant)."""
-    if variant == "both":
-        chosen = VARIANTS
-    elif variant in VARIANTS:
-        chosen = (variant,)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    results = []
-    for m in sorted(set(int(v) for v in m_values)):
-        for var in sorted(chosen):
-            results.append(optimize(m, delta, budget, var))
-    return results

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -151,14 +151,14 @@ class ProtocolSettings:
 
     ``shape`` splits the block, ``delta`` is the tolerated PE error rate and
     ``ell`` the number of key bits to extract.  The error-correction leakage
-    ``r = ec_leakage(n, delta)`` is derived, also by ``replace``; the tag
-    length ``t`` belongs to the `SecurityBudget`.
+    ``r = ec_leakage(n, delta)`` is computed each time it is read, so it
+    can never go stale; the tag length ``t`` belongs to the
+    `SecurityBudget`.
     """
 
     shape: BlockShape
     delta: float
     ell: int = 0
-    r: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -167,7 +167,10 @@ class ProtocolSettings:
             raise ValueError(
                 f"ell must lie in [0, n], got ell={self.ell}, n={self.shape.n}"
             )
-        object.__setattr__(self, "r", ec_leakage(self.shape.n, self.delta))
+
+    @property
+    def r(self) -> int:
+        return ec_leakage(self.shape.n, self.delta)
 
     @classmethod
     def for_budget(

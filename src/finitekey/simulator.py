@@ -7,15 +7,16 @@ with a 99% confidence interval next to the exact hypergeometric value.  The
 draw is numpy's hypergeometric sampler, which shares no code with the
 exact tail in `bounds`, so the audit stays independent of what it checks.
 `validate_bounds` runs a whole grid of such cases and checks each one
-against both closed-form bounds; the bound functions are injectable so a
-test double can prove the check would actually catch a broken bound.
+against both closed-form bounds.  It looks the bounds up by module name at
+call time, so a test can swap one for a broken double (``monkeypatch``)
+and prove that the check would catch it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.special import betaincinv
@@ -89,40 +90,27 @@ class SimReport:
 
 
 @dataclass(frozen=True)
-class ValidationCase:
-    """One grid entry for `validate_bounds`."""
+class ValidationCase(SimConfig):
+    """One grid entry for `validate_bounds`: a `SimConfig` plus the split ``xi``."""
 
-    shape: BlockShape
-    w: int
-    delta: float
-    nu: float
     xi: float
-    trials: int
-    seed: int
-
-    def sim(self) -> SimConfig:
-        return SimConfig(
-            shape=self.shape,
-            w=self.w,
-            delta=self.delta,
-            nu=self.nu,
-            trials=self.trials,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
 class ValidationRow:
-    """Outcome of one case: simulated, exact and both bound values."""
+    """Outcome of one case: simulated, exact and both bound values.
+
+    The numbers stay NaN on a row whose bound precondition failed.
+    """
 
     case: ValidationCase
-    exact: float
-    frequency: float
-    ci_low: float
-    ci_high: float
-    serfling_bound: float
-    lemma2_bound: float
     passed: bool
+    exact: float = math.nan
+    frequency: float = math.nan
+    ci_low: float = math.nan
+    ci_high: float = math.nan
+    serfling_bound: float = math.nan
+    lemma2_bound: float = math.nan
     note: Optional[str] = None
 
 
@@ -197,44 +185,26 @@ def default_serfling_bound(
     return min(1.0, serfling_epe(shape, slack.nu) ** 2)
 
 
-def validate_bounds(
-    cases: Sequence[ValidationCase],
-    serfling_bound_fn: Optional[Callable] = None,
-    lemma2_bound_fn: Optional[Callable] = None,
-) -> List[ValidationRow]:
+def validate_bounds(cases: Sequence[ValidationCase]) -> List[ValidationRow]:
     """Check every case: exact value within CI and below both bounds.
 
     A row passes when the simulated CI contains the exact probability and
     the exact probability does not exceed either closed-form bound.  Cases
     where a bound precondition fails are reported as failed rows with a
     note rather than raised, so one bad grid entry cannot hide the rest.
+    The bounds are `default_serfling_bound` and `lemma2_ppe_bound`, looked
+    up in this module at call time; tests monkeypatch them.
     """
-    if serfling_bound_fn is None:
-        serfling_bound_fn = default_serfling_bound
-    if lemma2_bound_fn is None:
-        lemma2_bound_fn = lemma2_ppe_bound
     rows = []
     for case in cases:
         slack = SlackParams(nu=case.nu, xi=case.xi)
         try:
-            s_bound = serfling_bound_fn(case.shape, case.delta, slack)
-            l_bound = lemma2_bound_fn(case.shape, case.delta, slack)
+            s_bound = default_serfling_bound(case.shape, case.delta, slack)
+            l_bound = lemma2_ppe_bound(case.shape, case.delta, slack)
         except (BoundUnavailableError, ValueError) as exc:
-            rows.append(
-                ValidationRow(
-                    case=case,
-                    exact=math.nan,
-                    frequency=math.nan,
-                    ci_low=math.nan,
-                    ci_high=math.nan,
-                    serfling_bound=math.nan,
-                    lemma2_bound=math.nan,
-                    passed=False,
-                    note=str(exc),
-                )
-            )
+            rows.append(ValidationRow(case=case, passed=False, note=str(exc)))
             continue
-        report = run(case.sim())
+        report = run(case)
         passed = (
             report.exact <= s_bound
             and report.exact <= l_bound
@@ -243,13 +213,13 @@ def validate_bounds(
         rows.append(
             ValidationRow(
                 case=case,
+                passed=passed,
                 exact=report.exact,
                 frequency=report.frequency,
                 ci_low=report.ci_low,
                 ci_high=report.ci_high,
                 serfling_bound=s_bound,
                 lemma2_bound=l_bound,
-                passed=passed,
             )
         )
     return rows

@@ -1,6 +1,7 @@
 """Unit tests for the tail bounds, their kernels and the exact oracle."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -60,8 +61,24 @@ class TestShapeTypes:
         assert shape.n == 6
 
     def test_explicit_n_checked(self):
-        with pytest.raises(ValueError):
-            BlockShape(m=10, k=4, n=7)
+        # n is derived from m and k, never passed
+        with pytest.raises(TypeError):
+            BlockShape(m=10, k=4, n=6)
+
+    def test_replace_derives_n_again(self):
+        assert replace(BlockShape(m=10, k=4), k=5).n == 5
+
+    @pytest.mark.parametrize("m", [60.5, 60.0])
+    def test_non_integral_size_rejected(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            BlockShape(m=m, k=30)
+        with pytest.raises(ValueError, match="integer"):
+            BlockShape(m=60, k=m / 2)
+
+    def test_numpy_integer_accepted(self):
+        shape = BlockShape(m=np.int64(60), k=30)
+        assert shape.n == 30
+        assert serfling_epe(shape, 0.1) == serfling_epe(BlockShape(m=60, k=30), 0.1)
 
     def test_degenerate_sides_rejected(self):
         with pytest.raises(ValueError):

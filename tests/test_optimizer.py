@@ -11,11 +11,9 @@ from oracle_utils import single_term_threshold
 import finitekey.optimizer as optimizer
 from finitekey.bounds import BlockShape, SlackParams
 from finitekey.optimizer import (
-    KeyRateResult,
     _Model,
     min_block_length,
     optimize,
-    sweep,
 )
 from finitekey.security import ProtocolSettings, SecurityBudget, feasible
 
@@ -278,23 +276,8 @@ class TestMinBlockSearch:
 
 
 class TestSweep:
-    def test_ordering_and_shape(self):
-        rows = sweep([3100, 3200], 0.0451, BUDGET6, "both")
-        assert [(r.m, r.variant) for r in rows] == [
-            (3100, "lemma2"),
-            (3100, "serfling"),
-            (3200, "lemma2"),
-            (3200, "serfling"),
-        ]
-        assert all(isinstance(r, KeyRateResult) for r in rows)
-
-    def test_single_point_matches_optimize(self):
-        (row,) = sweep([3100], 0.0451, BUDGET6, "lemma2")
-        assert row == optimize(3100, 0.0451, BUDGET6, "lemma2")
-
     def test_key_length_nondecreasing_in_m(self):
         for variant in ("lemma2", "serfling"):
-            ms = list(range(2000, 20001, 500))
-            rows = sweep(ms, 0.0451, BUDGET6, variant)
-            ells = [r.ell for r in rows]
+            ms = range(2000, 20001, 500)
+            ells = [optimize(m, 0.0451, BUDGET6, variant).ell for m in ms]
             assert ells == sorted(ells), f"{variant}: {ells}"

@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo audit of the two closed-form bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracle_utils import enumeration_tables, urn_pe_errors
 
+import finitekey.simulator as simulator
 from finitekey.bounds import (
     BlockShape,
     SlackParams,
@@ -60,16 +62,7 @@ class TestRun:
         assert report.exact == 0.0
 
     def test_small_block_hand_value(self):
-        cfg = TIGHT_CASE.sim()
-        cfg = SimConfig(
-            shape=cfg.shape,
-            w=cfg.w,
-            delta=cfg.delta,
-            nu=cfg.nu,
-            trials=600_000,
-            seed=11,
-        )
-        report = run(cfg)
+        report = run(replace(TIGHT_CASE, trials=600_000, seed=11))
         assert abs(report.exact - 1.0 / 6.0) < 1e-15
         assert report.ci_low <= 1.0 / 6.0 <= report.ci_high
 
@@ -211,11 +204,12 @@ class TestValidateBounds:
         # exact value, which is what the corruption check below relies on
         assert row.serfling_bound < 2.0 * row.exact
 
-    def test_halved_bound_is_flagged(self):
+    def test_halved_bound_is_flagged(self, monkeypatch):
         def halved(shape, delta, slack):
             return 0.5 * default_serfling_bound(shape, delta, slack)
 
-        (row,) = validate_bounds([TIGHT_CASE], serfling_bound_fn=halved)
+        monkeypatch.setattr(simulator, "default_serfling_bound", halved)
+        (row,) = validate_bounds([TIGHT_CASE])
         assert not row.passed
         assert row.exact > row.serfling_bound
 
@@ -237,3 +231,17 @@ class TestValidateBounds:
         assert rows[0].note is not None
         assert math.isnan(rows[0].exact)
         assert rows[1].passed
+
+    def test_case_is_checked_when_built(self):
+        # a case is a SimConfig: more planted errors than bits never reaches
+        # validate_bounds, where it would abort the whole batch inside run
+        with pytest.raises(ValueError, match="w must lie in"):
+            ValidationCase(
+                shape=BlockShape(m=40, k=20),
+                w=41,
+                delta=0.05,
+                nu=0.35,
+                xi=0.12,
+                trials=100,
+                seed=1,
+            )
