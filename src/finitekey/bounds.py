@@ -92,12 +92,8 @@ class BlockShape:
     k: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.m), operator.index(self.k)
-        except TypeError:
-            raise ValueError(
-                f"m and k must be integers, got m={self.m!r}, k={self.k!r}"
-            ) from None
+        check_integer(self.m, "m")
+        check_integer(self.k, "k")
         if self.k < 1 or self.n < 1:
             raise ValueError(
                 f"need at least one PE bit and one key bit, got k={self.k}, n={self.n}"
@@ -326,16 +322,21 @@ def new_epe(shape: BlockShape, delta: float, slack: SlackParams) -> float:
     return math.sqrt(lemma2_ppe_bound(shape, delta, slack))
 
 
-def check_error_count(w, m: int) -> int:
-    """The block error count ``w`` as an int, checked to lie in ``[0, m]``.
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming it as ``name``.
 
     Any integer type is accepted (``np.int64(6)`` gives 6); a float, even
-    ``6.0``, raises ``ValueError``.
+    ``6.0``, is not.
     """
     try:
-        w = operator.index(w)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"w must be an integer, got {w!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_error_count(w, m: int) -> int:
+    """The block error count ``w`` as an int (see `check_integer`) in ``[0, m]``."""
+    w = check_integer(w, "w")
     if not 0 <= w <= m:
         raise ValueError(f"w must lie in [0, m], got w={w}, m={m}")
     return w

@@ -7,13 +7,16 @@ and the split ``xi`` for the point that maximises the extractable length
 alone once ``xi`` is chosen best: for the single-term bound ``xi`` plays no
 part, and for the two-term bound the best ``xi`` minimises the PE term,
 which is solved piece by piece of ``m_err = ceil(m (delta + xi))``.  The
-best ``nu`` is then a bracketed root of the length's derivative.  Over
-``k``, a zoom on the smooth envelope finds its peak, and a window of
+best ``nu`` is then a bracketed root of the length's derivative, and each
+``k`` stops its root search on its own, so its result does not depend on
+which other ``k`` share its batch.  Over ``k``, a zoom of `_K_POINTS` block
+sizes per round on the smooth envelope finds its peak, and a window of
 integers around the peak widens until the envelope at both of its ends
-falls short of the best length found.  This takes the envelope to have a
-single peak in ``k``.  The leading candidates are re-evaluated through the
-scalar `security` functions, so the reported result never rests on the
-vectorised path alone.
+falls short of the best length found.  For ``m <= 259`` the first round
+visits every ``k``, so the search is exhaustive; above that it takes the
+envelope to have a single peak in ``k``.  The leading candidates are
+re-evaluated through the scalar `security` functions, so the reported
+result never rests on the vectorised path alone.
 
 `min_block_length` inverts the search over ``m``: forward strides find the
 first grid point whose optimised ``ell`` reaches one, and a bisection inside
@@ -29,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    BlockShape, SlackParams, binary_entropy,
+    BlockShape, SlackParams, binary_entropy, check_integer,
     _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail,
     _sample_rate, _serfling_rate, _serfling_tail,
 )
@@ -46,9 +49,10 @@ __all__ = [
     "min_block_length",
 ]
 
-# Block sizes per zoom round over k, and log-spaced deviations that seed
-# the bracket of the best nu at each k.
-_K_POINTS = 17
+# Block sizes per zoom round over k (one root search covers them all, at
+# about the cost of one k), and log-spaced deviations that seed the bracket
+# of the best nu at each k.
+_K_POINTS = 129
 _NU_POINTS = 24
 # m_err pieces searched: the one holding the smooth optimum of xi and the
 # one before it (see _Model.best_piece); Newton steps for the best xi at
@@ -304,25 +308,36 @@ def _illinois(evaluate, a, b, fa, fb, live):
 
     ``evaluate(x)`` returns a tuple whose second item is the slope.  The
     Illinois variant of false position, vectorised, with a bisection step
-    where the false position is undefined.  Returns the last point and its
-    ``evaluate`` tuple; rows that are not ``live`` are evaluated but not
-    searched.
+    where the false position is undefined.  Each row stops on its own: it
+    keeps its point and ``evaluate`` tuple from the step where its bracket
+    meets `_ROOT_TOL` or its slope is exactly 0, so a row's result does not
+    depend on the other rows of its batch.  The loop ends when every row
+    has stopped.  Returns the points and their ``evaluate`` tuples; rows
+    that are not ``live`` are evaluated but not searched.
     """
     side = np.zeros(a.shape, dtype=int)
+    done = ~live
+    x = found = None
     for _ in range(_ROOT_STEPS):
         with np.errstate(all="ignore"):
-            x = b - fb * (b - a) / (fb - fa)
-        x = np.where(np.isfinite(x) & (x > a) & (x < b), x, 0.5 * (a + b))
-        found = evaluate(x)
-        fx = found[1]
+            step = b - fb * (b - a) / (fb - fa)
+        step = np.where(np.isfinite(step) & (step > a) & (step < b), step, 0.5 * (a + b))
+        at_step = evaluate(step)
+        if found is None:
+            x, found = step, at_step
+        else:
+            x = np.where(done, x, step)
+            found = tuple(np.where(done, old, new) for old, new in zip(found, at_step))
+        fx = at_step[1]
         up = fx > 0.0
-        a, fa = np.where(up, x, a), np.where(up, fx, fa)
-        b, fb = np.where(up, b, x), np.where(up, fb, fx)
+        a, fa = np.where(up, step, a), np.where(up, fx, fa)
+        b, fb = np.where(up, b, step), np.where(up, fb, fx)
         # halve the stale end after two moves on the same side
         fb = np.where(up & (side == 1), 0.5 * fb, fb)
         fa = np.where(~up & (side == -1), 0.5 * fa, fa)
         side = np.where(up, 1, -1)
-        if np.all((b - a <= _ROOT_TOL * b) | (fx == 0.0) | ~live):
+        done = done | (b - a <= _ROOT_TOL * b) | (fx == 0.0)
+        if done.all():
             break
     return x, found
 
@@ -331,16 +346,21 @@ def _search(model, half):
     """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= half``.
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
-    peak.  The envelope bounds the length ``gain - r`` from above, so a k
-    whose envelope falls short of the best length found cannot win; the
-    window of integers around the peak widens until the envelope at both
-    of its ends falls short.  The k outside the window are not visited:
-    this assumes that the envelope has a single peak in k, so that it
-    stays short beyond a window end where it is short.  The assumption is
-    not proven; tests/test_optimizer.py checks it against every k at block
-    sizes of the operating regime.  The two-term bound's pieces are searched
-    only at the k whose smooth length reaches the best piece length found.
-    Returns the rows of every k searched in its pieces, best first.
+    peak, one `_Model.best_nu` call on up to `_K_POINTS` block sizes per
+    round: one round up to ``m`` of about 16,500, two up to 20,000.  The
+    envelope bounds the length ``gain - r`` from above, so a k whose
+    envelope falls short of the best length found cannot win; the window
+    of integers around the peak widens until the envelope at both of its
+    ends falls short.  Where ``half <= _K_POINTS`` (``m <= 259``) the first
+    round visits every k and the search is exhaustive.  Above that the k
+    outside the window are not visited: this assumes that the envelope has
+    a single peak in k, so that it stays short beyond a window end where it
+    is short.  The assumption is not proven; tests/test_optimizer.py checks
+    it against every k at block sizes of the operating regime.  A k's row
+    does not depend on the batch it is searched in (see `_illinois`).  The
+    two-term bound's pieces are searched only at the k whose smooth length
+    reaches the best piece length found.  Returns the rows of every k
+    searched in its pieces, best first.
     """
     smooth, leak = {}, {}
 
@@ -426,12 +446,16 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     the smooth envelope, which bounds the length from above, and widens it
     until the envelope at both ends falls short of the best length found.
     Every ``k`` in the window whose envelope reaches that length is
-    searched.  No ``k`` outside the window can do better provided the
-    envelope has a single peak in ``k``; that is assumed, not proven (see
-    `_search`).  The leading candidates are re-evaluated with `max_ell_at`
-    and `feasible`.
-    Ties in ``ell`` go to the larger unrounded length.  Deterministic.
+    searched.  For ``m <= 259`` every ``k`` is visited, so the search is
+    exhaustive.  Above that, no ``k`` outside the window can do better
+    provided the envelope has a single peak in ``k``; that is assumed, not
+    proven (see `_search`).  The leading candidates are re-evaluated with
+    `max_ell_at` and `feasible`.  Ties in ``ell`` go to the larger unrounded
+    length.  Deterministic, and each ``k``'s result is the same whichever
+    other ``k`` it is searched with.  ``m`` is an integer of any integer
+    type; a float, even ``3100.0``, raises ``ValueError`` before any search.
     """
+    m = check_integer(m, "m")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if m < 10:
@@ -478,8 +502,10 @@ def min_block_length(
     ``m - 1`` (when it is in range) has none.  It is the smallest such
     ``m`` in the range when the optimised ``ell`` does not fall back to
     zero as ``m`` grows.  The search costs about the forward probes up to
-    the hit plus ``log2(stride)`` calls of `optimize`.
+    the hit plus ``log2(stride)`` calls of `optimize`.  ``m_lo`` and
+    ``m_hi`` are integers, checked as `optimize` checks ``m``.
     """
+    m_lo, m_hi = check_integer(m_lo, "m_lo"), check_integer(m_hi, "m_hi")
     if not 10 <= m_lo <= m_hi:
         raise ValueError(f"need 10 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
     stride = max(1, min(500, (m_hi - m_lo) // 128))

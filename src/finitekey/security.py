@@ -28,6 +28,7 @@ from .bounds import (
     SlackParams,
     _h2,
     binary_entropy,  # unused; the benchmark traces it here
+    check_integer,
     new_epe,
     serfling_epe,
     snap_floor,
@@ -56,7 +57,7 @@ def correctness_bits(s: int) -> int:
     Makes the correctness term ``2^-t`` at most one percent of the target
     budget ``10^-s``.
     """
-    if not (isinstance(s, int) and s >= 1):
+    if check_integer(s, "s") < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
     return math.ceil((s + 2) * math.log2(10.0))
 
@@ -109,14 +110,14 @@ def _ell_bound(n, h, r, t, headroom):
 class SecurityBudget:
     """Target failure budget ``eps_qkd = 10^-s`` and its derived constants.
 
-    ``s`` runs from 1 to 305: beyond that ``eps_correct = 2^-t`` is no
-    longer a normal double.
+    ``s`` is an integer of any integer type and runs from 1 to 305: beyond
+    that ``eps_correct = 2^-t`` is no longer a normal double.
     """
 
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.s, int) and self.s >= 1):
+        if check_integer(self.s, "s") < 1:
             raise ValueError(f"s must be a positive integer, got {self.s}")
         # a subnormal budget loses precision, and one that underflows to 0
         # leaves no headroom at all
@@ -150,10 +151,10 @@ class ProtocolSettings:
     """Fixed choices for one distillation attempt.
 
     ``shape`` splits the block, ``delta`` is the tolerated PE error rate and
-    ``ell`` the number of key bits to extract.  The error-correction leakage
-    ``r = ec_leakage(n, delta)`` is computed each time it is read, so it
-    can never go stale; the tag length ``t`` belongs to the
-    `SecurityBudget`.
+    ``ell`` the number of key bits to extract, an integer of any integer
+    type.  The error-correction leakage ``r = ec_leakage(n, delta)`` is
+    computed each time it is read, so it can never go stale; the tag
+    length ``t`` belongs to the `SecurityBudget`.
     """
 
     shape: BlockShape
@@ -163,7 +164,7 @@ class ProtocolSettings:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
-        if not 0 <= self.ell <= self.shape.n:
+        if not 0 <= check_integer(self.ell, "ell") <= self.shape.n:
             raise ValueError(
                 f"ell must lie in [0, n], got ell={self.ell}, n={self.shape.n}"
             )

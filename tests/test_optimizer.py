@@ -107,6 +107,51 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(3100, 0.0451, BUDGET6, "chernoff")
 
+    def test_non_integral_m_rejected_before_search(self, monkeypatch):
+        searches = count_root_searches(monkeypatch)
+        with pytest.raises(ValueError, match="integer"):
+            optimize(3100.0, 0.0451, BUDGET6, "lemma2")
+        assert searches == []
+        res = optimize(np.int64(3100), 0.0451, BUDGET6, "lemma2")
+        assert (res.m, res.ell) == (3100, 10)
+        assert type(res.m) is int
+
+
+def count_root_searches(monkeypatch):
+    """Record the ``k`` of each `_Model.best_nu` call from now on."""
+    searches = []
+    best_nu = _Model.best_nu
+
+    def counted(self, k, piece=None):
+        searches.append(np.asarray(k))
+        return best_nu(self, k, piece)
+
+    monkeypatch.setattr(_Model, "best_nu", counted)
+    return searches
+
+
+class TestRootSearch:
+    @pytest.mark.parametrize(
+        "m, s, variant",
+        [
+            (3100, 6, "lemma2"),
+            (4524, 6, "serfling"),
+            (6402, 10, "serfling"),
+            (4807, 10, "lemma2"),
+            (20000, 6, "lemma2"),
+        ],
+    )
+    def test_row_does_not_depend_on_its_batch(self, m, s, variant):
+        # each row stops where its own bracket converges, so the batch a k
+        # is searched in cannot move its result by a bit
+        model = _Model(m, 0.0451, SecurityBudget(s), variant)
+        ks = np.linspace(1, m // 2, 17).round()
+        batch = model.best_nu(ks)
+        for i in range(len(ks)):
+            alone = model.best_nu(ks[i:i + 1])
+            for column, single in zip(batch, alone):
+                assert column[i:i + 1].tobytes() == single.tobytes(), (ks[i], i)
+
 
 class TestKeylessInputs:
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
@@ -138,6 +183,9 @@ class TestSearchOverK:
             (4807, 10, "lemma2"),
             (6402, 10, "serfling"),
             (7000, 10, "serfling"),
+            # the zoom takes two rounds here
+            (20000, 6, "lemma2"),
+            (20000, 6, "serfling"),
         ],
     )
     def test_no_k_outside_the_window_wins(self, m, s, variant):
@@ -154,6 +202,15 @@ class TestSearchOverK:
             pieces = model.best_piece(ks[reach], xi[reach])[0]
             length[reach] = pieces - model.leakage(ks[reach])
         assert length.max() < res.ell + 1
+
+    @pytest.mark.parametrize("m", [20, 101, 259])
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_small_blocks_searched_exhaustively(self, monkeypatch, m, variant):
+        # up to m // 2 = 129 the first zoom round visits every k, so no
+        # single-peak assumption is needed there
+        searches = count_root_searches(monkeypatch)
+        optimize(m, 0.0451, BUDGET6, variant)
+        assert searches[0].tolist() == list(range(1, m // 2 + 1))
 
     @pytest.mark.parametrize(
         "m, s",
@@ -211,6 +268,13 @@ class TestMinBlockLength:
             min_block_length(0.0451, BUDGET6, "lemma2", m_lo=5, m_hi=100)
         with pytest.raises(ValueError):
             min_block_length(0.0451, BUDGET6, "lemma2", m_lo=500, m_hi=100)
+
+    def test_non_integral_range_rejected(self, monkeypatch):
+        searches = count_root_searches(monkeypatch)
+        for m_lo, m_hi in [(3000.0, 3100), (3000, 3100.0)]:
+            with pytest.raises(ValueError, match="integer"):
+                min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi)
+        assert searches == []
 
 
 def _grid(m_lo, m_hi):

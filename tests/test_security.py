@@ -46,6 +46,12 @@ class TestCorrectnessBits:
         with pytest.raises(ValueError):
             correctness_bits(2.5)
 
+    def test_integer_types(self):
+        # any integer type, as BlockShape takes; a float, even 6.0, is not
+        assert correctness_bits(np.int64(6)) == 27
+        with pytest.raises(ValueError, match="integer"):
+            correctness_bits(6.0)
+
 
 class TestEcLeakage:
     def test_reference_values(self):
@@ -75,6 +81,11 @@ class TestSecurityBudget:
             SecurityBudget(0)
         with pytest.raises(ValueError):
             SecurityBudget(6.0)
+
+    def test_numpy_integer_accepted(self):
+        budget = SecurityBudget(np.int64(6))
+        assert budget == SecurityBudget(6)
+        assert (budget.t, budget.eps_qkd) == (27, 1e-6)
 
     def test_largest_budget_exponent(self):
         # t = 1020 at s = 305; t = 1024 at s = 306 makes eps_correct subnormal
@@ -107,6 +118,17 @@ class TestProtocolSettings:
             ProtocolSettings(shape=REF_SHAPE, delta=0.5)
         with pytest.raises(ValueError):
             ProtocolSettings(shape=REF_SHAPE, delta=0.1, ell=1551)
+
+    @pytest.mark.parametrize("ell", [2.5, 2.0])
+    def test_non_integral_ell_rejected(self, ell):
+        # eps_pa would charge 2.5 bits
+        with pytest.raises(ValueError, match="integer"):
+            ProtocolSettings(shape=REF_SHAPE, delta=REF_DELTA, ell=ell)
+
+    def test_numpy_integer_ell_accepted(self):
+        budget = SecurityBudget(6)
+        st = ProtocolSettings(shape=REF_SHAPE, delta=REF_DELTA, ell=np.int64(6))
+        assert eps_pa(st, budget, 0.1141) == eps_pa(ref_settings(ell=6), budget, 0.1141)
 
 
 class TestEpsPa:
