@@ -1,75 +1,21 @@
-"""Finite-block security calculator for entanglement-based QKD."""
+"""Finite-block security calculator for entanglement-based QKD.
 
-from .bounds import (
-    BlockShape,
-    BoundUnavailableError,
-    SlackParams,
-    binary_entropy,
-    exact_joint_ppe,
-    hush_scovel_tail,
-    lemma2_ppe_bound,
-    lemma2_ppe_detail,
-    new_epe,
-    serfling_epe,
-    serfling_lower_tail,
-)
-from .optimizer import KeyRateResult, OptimizationPoint, min_block_length, optimize
-from .security import (
-    VARIANTS,
-    EpsilonBreakdown,
-    ProtocolSettings,
-    SecurityBudget,
-    correctness_bits,
-    ec_leakage,
-    eps_pa,
-    feasible,
-    max_ell_at,
-    stream_budget,
-)
-from .simulator import (
-    SimConfig,
-    SimReport,
-    ValidationCase,
-    ValidationRow,
-    default_validation_grid,
-    run,
-    validate_bounds,
-)
+The package exports what its four library modules export: their
+``__all__`` lists are the one list of public names.
+"""
+
+from . import bounds, optimizer, security, simulator
+from .bounds import *  # noqa: F401,F403
+from .optimizer import *  # noqa: F401,F403
+from .security import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockShape",
-    "BoundUnavailableError",
-    "SlackParams",
-    "binary_entropy",
-    "exact_joint_ppe",
-    "hush_scovel_tail",
-    "lemma2_ppe_bound",
-    "lemma2_ppe_detail",
-    "new_epe",
-    "serfling_epe",
-    "serfling_lower_tail",
-    "KeyRateResult",
-    "OptimizationPoint",
-    "min_block_length",
-    "optimize",
-    "VARIANTS",
-    "EpsilonBreakdown",
-    "ProtocolSettings",
-    "SecurityBudget",
-    "correctness_bits",
-    "ec_leakage",
-    "eps_pa",
-    "feasible",
-    "max_ell_at",
-    "stream_budget",
-    "SimConfig",
-    "SimReport",
-    "ValidationCase",
-    "ValidationRow",
-    "default_validation_grid",
-    "run",
-    "validate_bounds",
+    *bounds.__all__,
+    *optimizer.__all__,
+    *security.__all__,
+    *simulator.__all__,
     "__version__",
 ]

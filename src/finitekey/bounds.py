@@ -12,9 +12,10 @@ Two independent routes are provided:
 * Closed-form exponential bounds.  ``serfling_epe`` is the PE error function
   obtained from a single application of Serfling's inequality for sampling
   without replacement.  ``lemma2_ppe_bound`` is a sharper two-term bound that
-  splits the deviation ``nu`` into a sample-side part ``xi`` (handled by
-  ``serfling_lower_tail``) and a key-side part ``nu - xi`` (handled by the
-  Hush-Scovel hypergeometric tail, ``hush_scovel_tail``).
+  splits the deviation ``nu`` into a sample-side part ``xi`` (a Serfling
+  lower tail at the rate `_sample_rate`) and a key-side part ``nu - xi``
+  (the Hush-Scovel hypergeometric tail, `_hush_scovel_tail`, with the
+  factor of `_key_factor`).
 * An exact oracle.  ``exact_joint_ppe`` evaluates the same tail event
   exactly from the hypergeometric law.
 
@@ -41,8 +42,6 @@ __all__ = [
     "BoundUnavailableError",
     "binary_entropy",
     "serfling_epe",
-    "serfling_lower_tail",
-    "hush_scovel_tail",
     "lemma2_ppe_bound",
     "lemma2_ppe_detail",
     "new_epe",
@@ -174,7 +173,11 @@ def _serfling_rate(m, k, n):
 
 
 def _sample_rate(m, k, n):
-    """Rate ``2 m k / (n + 1)`` of `serfling_lower_tail`; unchecked."""
+    """Rate ``2 m k / (n + 1)`` of the two-term bound's sample term; unchecked.
+
+    With it, `_serfling_tail` bounds the chance that the PE error rate sits
+    ``xi`` or more below the error rate of the whole block.
+    """
     return 2.0 * m * k / (n + 1.0)
 
 
@@ -189,8 +192,24 @@ def _hush_scovel_factor(k, n, gamma, relaxed):
     return np.where(relaxed, gamma, sharp)
 
 
+def _key_factor(m, k, m_err, gamma):
+    """The two-term bound's Hush-Scovel factor at ``m_err`` errors, and its form.
+
+    ``gamma = _gamma_factor(m, m_err)``, which the caller already has.  The
+    relaxed (gamma only) form is taken while ``m_err <= m // 2``, where
+    gamma is still falling, and the sharp (max) form past it.  Returns
+    ``(factor, relaxed)``; unchecked.
+    """
+    relaxed = m_err <= m // 2
+    return _hush_scovel_factor(k, m - k, gamma, relaxed), relaxed
+
+
 def _hush_scovel_tail(c, n, dev):
     """``exp(-2 c ((n dev)^2 - 1))``, for ``(n dev)^2 > 1``; unchecked.
+
+    With ``c`` from `_hush_scovel_factor` at ``m_err``, it bounds the chance
+    that, with exactly ``m_err`` errors in the block, the key error rate
+    exceeds its expectation by ``dev`` or more.
 
     D. Hush and C. Scovel, Concentration of the hypergeometric distribution,
     Stat. Probab. Lett. 75 (2005) 127-132.
@@ -211,50 +230,6 @@ def serfling_epe(shape: BlockShape, nu: float) -> float:
     return float(_serfling_tail(_serfling_rate(shape.m, shape.k, shape.n), nu))
 
 
-def serfling_lower_tail(shape: BlockShape, xi: float) -> float:
-    """Probability bound for the PE sample undershooting the block rate by xi.
-
-    Returns ``exp(-2 m k xi^2 / (n + 1))``, the Serfling bound on the chance
-    that the observed PE error rate sits ``xi`` or more below the error rate
-    of the whole block.
-    """
-    if not (math.isfinite(xi) and xi > 0.0):
-        raise ValueError(f"xi must be positive and finite, got {xi}")
-    return float(_serfling_tail(_sample_rate(shape.m, shape.k, shape.n), xi))
-
-
-def hush_scovel_tail(
-    shape: BlockShape, m_err: int, dev: float, relaxed: bool = False
-) -> float:
-    """Hush-Scovel upper bound on the hypergeometric key-side tail.
-
-    Bounds the probability that, with exactly ``m_err`` errors in the block,
-    the key error rate exceeds its expectation by ``dev`` or more.  The sharp
-    form uses ``max(1/(n+1) + 1/(k+1), gamma)`` in the exponent, with the
-    curvature factor ``gamma = 1/(m_err + 1) + 1/(m - m_err + 1)``;
-    ``relaxed=True`` drops the first argument of the max, which can only
-    increase the returned value.
-
-    Raises
-    ------
-    BoundUnavailableError
-        If ``(n * dev)^2 <= 1``; the bound carries no information there and
-        callers must not mistake that for a valid value.
-    """
-    if not (math.isfinite(dev) and dev > 0.0):
-        raise ValueError(f"dev must be positive and finite, got {dev}")
-    if not 0 <= m_err <= shape.m:
-        raise ValueError(f"m_err must lie in [0, m], got m_err={m_err}, m={shape.m}")
-    if (shape.n * dev) ** 2 - 1.0 <= 0.0:
-        raise BoundUnavailableError(
-            f"hypergeometric tail bound needs (n*dev)^2 > 1, got "
-            f"n={shape.n}, dev={dev}"
-        )
-    gamma = _gamma_factor(shape.m, m_err)
-    factor = _hush_scovel_factor(shape.k, shape.n, gamma, relaxed)
-    return float(_hush_scovel_tail(factor, shape.n, dev))
-
-
 def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> dict:
     """Two-term PE failure bound, with its intermediate quantities.
 
@@ -263,10 +238,11 @@ def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> di
     ``delta + xi``.  Below the split, at most ``ceil(m (delta + xi)) - 1``
     errors are in play and the key-side tail is controlled by the Hush-Scovel
     bound at deviation ``nu - xi``; at or above it, the PE sample itself must
-    have undershot by ``xi``, which ``serfling_lower_tail`` controls.  The
-    Hush-Scovel factor is taken at ``m_err = ceil(m (delta + xi))`` in its
-    relaxed (gamma only) form while ``m_err <= m // 2``, where the gamma
-    factor is still decreasing; past that point the sharp (max) form is used.
+    have undershot by ``xi``, which Serfling's lower tail controls.  The
+    Hush-Scovel factor is taken at ``m_err = ceil(m (delta + xi))`` in the
+    form that `_key_factor` picks.  The kernels are unchecked: the checks
+    here keep ``m_err`` in ``[0, m]``, `SlackParams` keeps ``nu - xi``
+    positive, and so every term is defined.
 
     Returns
     -------
@@ -287,16 +263,16 @@ def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> di
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     if delta + slack.xi >= 1.0:
         raise ValueError(f"delta + xi must stay below 1, got {delta + slack.xi}")
+    m, k, n = shape.m, shape.k, shape.n
     nu_p = slack.nu_prime
-    if (shape.n * nu_p) ** 2 <= 1.0:
+    if (n * nu_p) ** 2 <= 1.0:
         raise BoundUnavailableError(
-            f"two-term bound needs (n*(nu - xi))^2 > 1, got n={shape.n}, "
-            f"nu-xi={nu_p}"
+            f"two-term bound needs (n*(nu - xi))^2 > 1, got n={n}, nu-xi={nu_p}"
         )
-    m_err = snap_ceil(shape.m * (delta + slack.xi))
-    alpha_form = m_err > shape.m // 2
-    key_term = hush_scovel_tail(shape, m_err, nu_p, relaxed=not alpha_form)
-    sample_term = serfling_lower_tail(shape, slack.xi)
+    m_err = snap_ceil(m * (delta + slack.xi))
+    factor, relaxed = _key_factor(m, k, m_err, _gamma_factor(m, m_err))
+    key_term = float(_hush_scovel_tail(factor, n, nu_p))
+    sample_term = float(_serfling_tail(_sample_rate(m, k, n), slack.xi))
     raw = sample_term + key_term
     return {
         "value": min(raw, 1.0),
@@ -305,7 +281,7 @@ def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> di
         "sample_term": sample_term,
         "key_term": key_term,
         "m_err": m_err,
-        "alpha_form": alpha_form,
+        "alpha_form": not relaxed,
     }
 
 

@@ -43,7 +43,6 @@ _SIMULATE_HEADER = [
     "m", "k", "n", "w", "delta", "nu", "trials", "seed",
     "bad_event_count", "frequency", "ci_low", "ci_high", "exact",
 ]
-_S_HELP = "budget exponent: eps_qkd = 10^-s, 1 <= s <= 305"
 
 
 class _UsageError(Exception):
@@ -101,6 +100,17 @@ def _parse_m_range(text: str):
     return start, stop, step
 
 
+def _parse_m_bounds(text: str):
+    """``start:stop`` of `_parse_m_range`; a step other than 1 is refused."""
+    start, stop, step = _parse_m_range(text)
+    if step != 1:
+        raise argparse.ArgumentTypeError(
+            f"minblock searches every m in start:stop, so the step must be 1, "
+            f"got {text!r}"
+        )
+    return start, stop
+
+
 def _keyrate_row(result):
     point = result.point
     bd = result.breakdown
@@ -143,7 +153,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_minblock(args) -> int:
-    start, stop, _ = args.m_range
+    start, stop = args.m_range
     budget = SecurityBudget(args.s)
     rows = []
     for var in _variants(args.variant):
@@ -205,46 +215,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keyrate", help="optimise one block size")
+    # options shared by several subcommands, each defined once
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument("--delta", type=float, default=0.0451)
+    search = argparse.ArgumentParser(add_help=False, parents=[rate])
+    search.add_argument("--s", type=int, default=6,
+                        help="budget exponent: eps_qkd = 10^-s, 1 <= s <= 305")
+    search.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=int, default=100_000)
+    sampling.add_argument("--seed", type=int, default=20260821)
+
+    p = sub.add_parser("keyrate", parents=[search], help="optimise one block size")
     p.add_argument("--m", type=int, required=True, help="block size")
-    p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_keyrate)
 
-    p = sub.add_parser("sweep", help="optimise a range of block sizes")
+    p = sub.add_parser("sweep", parents=[search], help="optimise a range of block sizes")
     p.add_argument("--m-range", type=_parse_m_range, required=True,
                    help="start:stop:step, stop inclusive")
-    p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("minblock", help="smallest block size with a positive key")
-    p.add_argument("--m-range", type=_parse_m_range, default=(1000, 20000, 1),
-                   help="search range start:stop (step ignored)")
-    p.add_argument("--delta", type=float, default=0.0451)
-    p.add_argument("--s", type=int, default=6, help=_S_HELP)
-    p.add_argument("--variant", choices=[*VARIANTS, "both"], default="both")
+    p = sub.add_parser("minblock", parents=[search],
+                       help="smallest block size with a positive key")
+    p.add_argument("--m-range", type=_parse_m_bounds, default=(1000, 20000),
+                   help="search range start:stop")
     _add_common(p)
     p.set_defaults(func=cmd_minblock)
 
-    p = sub.add_parser("validate", help="Monte Carlo audit of the PE bounds")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=20260821)
+    p = sub.add_parser("validate", parents=[sampling],
+                       help="Monte Carlo audit of the PE bounds")
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="one Monte Carlo bad-event estimate")
+    p = sub.add_parser("simulate", parents=[rate, sampling],
+                       help="one Monte Carlo bad-event estimate")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="PE sample size")
     p.add_argument("--w", type=int, required=True, help="errors planted in the block")
-    p.add_argument("--delta", type=float, default=0.0451)
     p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=20260821)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import (
     BlockShape, SlackParams, binary_entropy, check_integer,
-    _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail,
+    _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail, _key_factor,
     _sample_rate, _serfling_rate, _serfling_tail,
 )
 from .security import (
@@ -136,14 +136,14 @@ class _Model:
         return np.ceil(_leakage(self.m - k, self.h))
 
     def _factor(self, k, m_err, slope=False):
-        """Hush-Scovel factor at ``m_err`` errors, in lemma2_ppe_detail's form.
+        """Hush-Scovel factor at ``m_err`` errors, as `_key_factor` forms it.
 
         With ``slope``, also its derivative in xi when ``m_err = m (delta +
         xi)`` varies smoothly.
         """
         m = self.m
         gamma = _gamma_factor(m, m_err)
-        c = _hush_scovel_factor(k, m - k, gamma, m_err <= m // 2)
+        c = _key_factor(m, k, m_err, gamma)[0]
         if not slope:
             return c
         dgamma = m * (1.0 / (m - m_err + 1.0) ** 2 - 1.0 / (m_err + 1.0) ** 2)

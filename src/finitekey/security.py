@@ -39,7 +39,6 @@ __all__ = [
     "SecurityBudget",
     "ProtocolSettings",
     "EpsilonBreakdown",
-    "correctness_bits",
     "ec_leakage",
     "eps_pa",
     "feasible",
@@ -51,25 +50,17 @@ __all__ = [
 VARIANTS = ("lemma2", "serfling")
 
 
-def correctness_bits(s: int) -> int:
-    """Verification tag length ``t = ceil((s + 2) log2 10)``.
-
-    Makes the correctness term ``2^-t`` at most one percent of the target
-    budget ``10^-s``.
-    """
-    if check_integer(s, "s") < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    return math.ceil((s + 2) * math.log2(10.0))
-
-
 def _leakage(n, h):
     """Leakage ``1.19 h n`` before rounding up, for ``h = h2(delta)``; unchecked."""
     return 1.19 * h * n
 
 
 def ec_leakage(n: int, delta: float) -> int:
-    """Error-correction leakage model ``r = ceil(1.19 h2(delta) n)`` bits."""
-    if n < 1:
+    """Error-correction leakage model ``r = ceil(1.19 h2(delta) n)`` bits.
+
+    ``n`` is an integer of any integer type, as in `BlockShape`.
+    """
+    if check_integer(n, "n") < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
@@ -111,7 +102,9 @@ class SecurityBudget:
     """Target failure budget ``eps_qkd = 10^-s`` and its derived constants.
 
     ``s`` is an integer of any integer type and runs from 1 to 305: beyond
-    that ``eps_correct = 2^-t`` is no longer a normal double.
+    that ``eps_correct = 2^-t`` is no longer a normal double.  The
+    verification tag length ``t = ceil((s + 2) log2 10)`` makes the
+    correctness term ``2^-t`` at most one percent of ``eps_qkd``.
     """
 
     s: int
@@ -134,7 +127,7 @@ class SecurityBudget:
 
     @property
     def t(self) -> int:
-        return correctness_bits(self.s)
+        return math.ceil((self.s + 2) * math.log2(10.0))
 
     @property
     def eps_correct(self) -> float:

@@ -26,6 +26,7 @@ from .bounds import (
     BoundUnavailableError,
     SlackParams,
     check_error_count,
+    check_integer,
     exact_joint_ppe,
     lemma2_ppe_bound,
     max_passing_pe_errors,
@@ -55,7 +56,11 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation: block shape, planted errors and thresholds."""
+    """One simulation: block shape, planted errors and thresholds.
+
+    ``w``, ``trials`` and ``seed`` are integers of any integer type, stored
+    as ``int``; a float, even ``100.0``, raises ``ValueError``.
+    """
 
     shape: BlockShape
     w: int
@@ -70,6 +75,8 @@ class SimConfig:
             raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if not self.nu > 0.0:
             raise ValueError(f"nu must be positive, got {self.nu}")
+        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.seed < 0:

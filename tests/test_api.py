@@ -1,15 +1,41 @@
-"""The public names: every name that a module exports exists."""
+"""The public names: one list per module, and the package takes its names from them."""
 
 import importlib
 
+import pytest
+
 import finitekey
+
+LIBRARY = ("bounds", "optimizer", "security", "simulator")
 
 
 def test_every_exported_name_resolves():
-    for module in ("bounds", "security", "optimizer", "simulator", "cli"):
+    for module in (*LIBRARY, "cli"):
         mod = importlib.import_module(f"finitekey.{module}")
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"finitekey.{module}: {missing}"
     namespace = {}
     exec("from finitekey import *", namespace)
     assert not set(finitekey.__all__) - set(namespace)
+
+
+def test_package_exports_the_library_modules_names():
+    names = {"__version__"}
+    for module in LIBRARY:
+        names.update(importlib.import_module(f"finitekey.{module}").__all__)
+    assert set(finitekey.__all__) == names
+    assert len(finitekey.__all__) == len(names)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("bounds", "hush_scovel_tail"),
+        ("bounds", "serfling_lower_tail"),
+        ("security", "correctness_bits"),
+    ],
+)
+def test_deleted_names_are_gone(module, name):
+    # the two-term bound calls the kernels, and SecurityBudget.t owns t
+    assert not hasattr(importlib.import_module(f"finitekey.{module}"), name)
+    assert not hasattr(finitekey, name)

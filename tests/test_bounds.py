@@ -16,20 +16,19 @@ from finitekey.bounds import (
     _h2,
     _hush_scovel_factor,
     _hush_scovel_tail,
+    _key_factor,
     _sample_rate,
     _serfling_rate,
     _serfling_tail,
     _window_tail,
     binary_entropy,
     exact_joint_ppe,
-    hush_scovel_tail,
     lemma2_ppe_bound,
     lemma2_ppe_detail,
     max_passing_pe_errors,
     min_alarming_key_errors,
     new_epe,
     serfling_epe,
-    serfling_lower_tail,
     snap_ceil,
     snap_floor,
 )
@@ -167,17 +166,13 @@ class TestSerflingEpe:
 
 
 class TestSerflingLowerTail:
-    def test_reference_value(self):
-        got = serfling_lower_tail(REF_SHAPE, 0.0693)
-        assert rel_err(got, 1.1940677834177585e-13) < 1e-12
+    """The two-term bound's sample term: `_serfling_tail` at `_sample_rate`."""
 
     def test_decreasing_in_xi(self):
-        vals = [serfling_lower_tail(REF_SHAPE, xi) for xi in (0.01, 0.02, 0.05, 0.1)]
+        m, k, n = REF_SHAPE.m, REF_SHAPE.k, REF_SHAPE.n
+        xi = np.array([0.01, 0.02, 0.05, 0.1])
+        vals = _serfling_tail(_sample_rate(m, k, n), xi).tolist()
         assert vals == sorted(vals, reverse=True)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            serfling_lower_tail(REF_SHAPE, 0.0)
 
 
 class TestGammaFactor:
@@ -197,21 +192,26 @@ class TestGammaFactor:
             a = np.arange(m + 1)
             np.testing.assert_allclose(_gamma_factor(m, a), _gamma_factor(m, m - a))
 
-    def test_errors(self):
-        # the kernel is unchecked; the scalar bound rejects m_err outside [0, m]
-        shape = BlockShape(m=10, k=5)
-        with pytest.raises(ValueError):
-            hush_scovel_tail(shape, 11, 0.5)
-        with pytest.raises(ValueError):
-            hush_scovel_tail(shape, -1, 0.5)
+    @pytest.mark.parametrize("m", [10, 11, 3100, 3101])
+    def test_form_switches_past_half(self, m):
+        # gamma alone while m_err <= m // 2, the sharp max from m // 2 + 1 on
+        k = m // 3
+        sharp = 1.0 / (m - k + 1.0) + 1.0 / (k + 1.0)
+        for m_err in range(m + 1):
+            gamma = _gamma_factor(m, m_err)
+            factor, relaxed = _key_factor(m, k, m_err, gamma)
+            assert relaxed == (m_err <= m // 2)
+            assert factor == (gamma if relaxed else max(sharp, gamma))
+
+
+def _key_tail(shape, m_err, dev, relaxed):
+    """The Hush-Scovel key-side tail at ``m_err`` errors, from the kernels."""
+    gamma = _gamma_factor(shape.m, m_err)
+    factor = _hush_scovel_factor(shape.k, shape.n, gamma, relaxed)
+    return float(_hush_scovel_tail(factor, shape.n, dev))
 
 
 class TestHushScovelTail:
-    def test_reference_value(self):
-        dev = 0.1141 - 0.0693
-        got = hush_scovel_tail(REF_SHAPE, 355, dev, relaxed=True)
-        assert rel_err(got, 5.1612603951771043e-14) < 1e-12
-
     def test_relaxed_never_smaller(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -222,8 +222,8 @@ class TestHushScovelTail:
             dev = rng.uniform(1.5 / shape.n, 1.0) if shape.n > 1 else 1.9
             if (shape.n * dev) ** 2 <= 1.0:
                 continue
-            sharp = hush_scovel_tail(shape, m_err, dev, relaxed=False)
-            relaxed = hush_scovel_tail(shape, m_err, dev, relaxed=True)
+            sharp = _key_tail(shape, m_err, dev, relaxed=False)
+            relaxed = _key_tail(shape, m_err, dev, relaxed=True)
             assert relaxed >= sharp
 
     def test_sound_against_exact_tail(self):
@@ -239,18 +239,8 @@ class TestHushScovelTail:
                     j_lo = snap_ceil(n * (m_err / m + dev))
                     exact = float(frac_window_tail(m, m_err, n, j_lo))
                     for relaxed in (False, True):
-                        bound = hush_scovel_tail(shape, m_err, dev, relaxed=relaxed)
+                        bound = _key_tail(shape, m_err, dev, relaxed=relaxed)
                         assert exact <= bound + 1e-15
-
-    def test_unavailable(self):
-        with pytest.raises(BoundUnavailableError):
-            hush_scovel_tail(BlockShape(m=20, k=10), 5, 0.05)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            hush_scovel_tail(REF_SHAPE, 10, 0.0)
-        with pytest.raises(ValueError):
-            hush_scovel_tail(REF_SHAPE, 4000, 0.1)
 
 
 class TestKernels:
@@ -264,29 +254,35 @@ class TestKernels:
         nu = rng.uniform(0.005, 0.45, size=size)
         xi = nu * rng.uniform(0.02, 0.98, size=size)
         dev = nu - xi
-        m_err = rng.integers(0, m + 1)
         delta = rng.uniform(0.0, 0.5, size=size)
         mf, kf, nf = (v.astype(float) for v in (m, k, n))
         epe = _serfling_tail(_serfling_rate(mf, kf, nf), nu)
+        # the two-term bound's terms at its own m_err = ceil(m (delta + xi))
+        m_err = np.array([snap_ceil(v) for v in (mf * (delta + xi)).tolist()])
         lower = _serfling_tail(_sample_rate(mf, kf, nf), xi)
-        gamma = _gamma_factor(mf, m_err.astype(float))
-        sharp = _hush_scovel_tail(_hush_scovel_factor(kf, nf, gamma, False), nf, dev)
-        relaxed = _hush_scovel_tail(_hush_scovel_factor(kf, nf, gamma, True), nf, dev)
+        factor, relaxed = _key_factor(mf, kf, m_err, _gamma_factor(mf, m_err))
+        key = _hush_scovel_tail(factor, nf, dev)
         entropy = _h2(nu)
         leak = np.ceil(_leakage(nf, _h2(delta)))
         checked = 0
+        forms = set()
         for i in range(size):
             shape = BlockShape(m=int(m[i]), k=int(k[i]))
             assert epe[i] == serfling_epe(shape, float(nu[i]))
-            assert lower[i] == serfling_lower_tail(shape, float(xi[i]))
             assert entropy[i] == binary_entropy(float(nu[i]))
             assert leak[i] == ec_leakage(int(n[i]), float(delta[i]))
             if (n[i] * dev[i]) ** 2 > 1.0:
                 checked += 1
-                args = (shape, int(m_err[i]), float(dev[i]))
-                assert sharp[i] == hush_scovel_tail(*args, relaxed=False)
-                assert relaxed[i] == hush_scovel_tail(*args, relaxed=True)
+                slack = SlackParams(nu=float(nu[i]), xi=float(xi[i]))
+                d = lemma2_ppe_detail(shape, float(delta[i]), slack)
+                assert d["m_err"] == m_err[i]
+                assert d["alpha_form"] is not bool(relaxed[i])
+                assert d["sample_term"] == lower[i]
+                assert d["key_term"] == key[i]
+                forms.add(d["alpha_form"])
         assert checked > size // 2
+        # both forms of the factor occur where the bound is defined
+        assert forms == {False, True}
         # the leakage's kernel route agrees with binary_entropy, endpoints too
         for i, d in enumerate([*delta.tolist(), 0.0, 0.5]):
             ni = int(n[i % size])

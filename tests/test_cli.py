@@ -271,6 +271,14 @@ class TestUsageErrors:
     def test_bad_m_range(self, capsys):
         assert run_cli(["sweep", "--m-range", "500:100"], capsys)[0] == 2
 
+    def test_minblock_refuses_a_step(self, capsys):
+        # minblock searches every m; a step used to be accepted and ignored
+        code, out, err = run_cli(["minblock", "--m-range", "1000:2000:5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "step must be 1" in err
+        assert "Traceback" not in err
+
     def test_domain_error_reported_as_usage(self, capsys):
         code, _, err = run_cli(["keyrate", "--m", "5"], capsys)
         assert code == 2

@@ -12,7 +12,6 @@ from finitekey.security import (
     EpsilonBreakdown,
     ProtocolSettings,
     SecurityBudget,
-    correctness_bits,
     ec_leakage,
     eps_pa,
     feasible,
@@ -30,29 +29,6 @@ def ref_settings(ell=0, budget=None):
     return ProtocolSettings.for_budget(REF_SHAPE, REF_DELTA, budget, ell=ell)
 
 
-class TestCorrectnessBits:
-    def test_reference_values(self):
-        assert correctness_bits(6) == 27
-        assert correctness_bits(10) == 40
-
-    def test_budget_fraction(self):
-        # the correctness term stays within a percent of the target budget
-        for s in range(1, 15):
-            assert 2.0 ** (-correctness_bits(s)) <= 0.01 * 10.0 ** (-s)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            correctness_bits(0)
-        with pytest.raises(ValueError):
-            correctness_bits(2.5)
-
-    def test_integer_types(self):
-        # any integer type, as BlockShape takes; a float, even 6.0, is not
-        assert correctness_bits(np.int64(6)) == 27
-        with pytest.raises(ValueError, match="integer"):
-            correctness_bits(6.0)
-
-
 class TestEcLeakage:
     def test_reference_values(self):
         assert ec_leakage(1550, 0.0451) == 490
@@ -67,6 +43,13 @@ class TestEcLeakage:
         with pytest.raises(ValueError):
             ec_leakage(100, 0.6)
 
+    def test_block_length_must_be_an_integer(self):
+        # any integer type, as BlockShape takes; a float, even 1550.0, is not
+        assert ec_leakage(np.int64(1550), 0.0451) == 490
+        for n in (1550.5, 1550.0):
+            with pytest.raises(ValueError, match="integer"):
+                ec_leakage(n, 0.0451)
+
 
 class TestSecurityBudget:
     def test_derived_constants(self):
@@ -76,11 +59,18 @@ class TestSecurityBudget:
         assert b6.eps_correct == 2.0**-27
         assert SecurityBudget(10).t == 40
 
+    def test_budget_fraction(self):
+        # the correctness term stays within a percent of the target budget
+        for s in range(1, 15):
+            assert SecurityBudget(s).eps_correct <= 0.01 * 10.0 ** (-s)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             SecurityBudget(0)
-        with pytest.raises(ValueError):
-            SecurityBudget(6.0)
+        # any integer type, as BlockShape takes; a float, even 6.0, is not
+        for s in (6.0, 2.5):
+            with pytest.raises(ValueError, match="integer"):
+                SecurityBudget(s)
 
     def test_numpy_integer_accepted(self):
         budget = SecurityBudget(np.int64(6))

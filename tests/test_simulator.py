@@ -111,6 +111,20 @@ class TestRun:
         cfg = SimConfig(shape=shape, w=np.int64(6), delta=0.1, nu=0.3, trials=100, seed=0)
         assert cfg.w == 6 and type(cfg.w) is int
 
+    def test_trials_and_seed_must_be_integers(self):
+        # a float reached numpy's sampler and died there with a TypeError
+        shape = BlockShape(m=60, k=30)
+        bad = [{"trials": 2.5}, {"trials": 100.0}, {"seed": 1.5}]
+        for fields in bad:
+            kwargs = {"trials": 100, "seed": 0, **fields}
+            with pytest.raises(ValueError, match="integer"):
+                SimConfig(shape=shape, w=6, delta=0.1, nu=0.3, **kwargs)
+        cfg = SimConfig(
+            shape=shape, w=6, delta=0.1, nu=0.3, trials=np.int64(100), seed=np.int64(1)
+        )
+        assert (cfg.trials, cfg.seed) == (100, 1)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+
 
 def within(freq, p, trials, draws=1):
     """``freq`` within 5 standard errors plus one count of ``p``.
