@@ -29,6 +29,31 @@ def ref_settings(ell=0, budget=None):
     return ProtocolSettings.for_budget(REF_SHAPE, REF_DELTA, budget, ell=ell)
 
 
+class TestCorrectnessBits:
+    """The tag length t = ceil((s + 2) log2 10) that SecurityBudget derives."""
+
+    def test_reference_values(self):
+        assert SecurityBudget(6).t == 27
+        assert SecurityBudget(10).t == 40
+
+    def test_budget_fraction(self):
+        # the correctness term stays within a percent of the target budget
+        for s in range(1, 15):
+            assert 2.0 ** (-SecurityBudget(s).t) <= 0.01 * 10.0 ** (-s)
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            SecurityBudget(0)
+        with pytest.raises(ValueError):
+            SecurityBudget(2.5)
+
+    def test_integer_types(self):
+        # any integer type, as BlockShape takes; a float, even 6.0, is not
+        assert SecurityBudget(np.int64(6)).t == 27
+        with pytest.raises(ValueError, match="integer"):
+            SecurityBudget(6.0)
+
+
 class TestEcLeakage:
     def test_reference_values(self):
         assert ec_leakage(1550, 0.0451) == 490
@@ -59,18 +84,11 @@ class TestSecurityBudget:
         assert b6.eps_correct == 2.0**-27
         assert SecurityBudget(10).t == 40
 
-    def test_budget_fraction(self):
-        # the correctness term stays within a percent of the target budget
-        for s in range(1, 15):
-            assert SecurityBudget(s).eps_correct <= 0.01 * 10.0 ** (-s)
-
     def test_errors(self):
         with pytest.raises(ValueError):
             SecurityBudget(0)
-        # any integer type, as BlockShape takes; a float, even 6.0, is not
-        for s in (6.0, 2.5):
-            with pytest.raises(ValueError, match="integer"):
-                SecurityBudget(s)
+        with pytest.raises(ValueError):
+            SecurityBudget(6.0)
 
     def test_numpy_integer_accepted(self):
         budget = SecurityBudget(np.int64(6))
