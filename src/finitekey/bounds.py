@@ -50,6 +50,9 @@ __all__ = [
     "min_alarming_key_errors",
 ]
 
+# Block sizes stop below 2^53: every count up to there is exact in float64,
+# which `_window_tail` and the optimizer's float arrays rely on.
+_M_LIMIT = 2**53
 # Tolerance for recognising float products that should be integers, e.g.
 # 0.15 * 3100 = 464.99999999999994 must round to 465 before ceil/floor.
 _INT_SNAP_TOL = 1e-9
@@ -84,14 +87,15 @@ class BlockShape:
     """Partition of one sifted block: ``k`` PE bits, ``n = m - k`` key bits.
 
     ``m`` and ``k`` are integers of any integer type (``np.int64(60)`` is
-    accepted, ``60.0`` is not); ``n`` is derived, also by ``replace``.
+    accepted, ``60.0`` is not), and ``m < 2^53`` (see `_check_block_size`);
+    ``n`` is derived, also by ``replace``.
     """
 
     m: int
     k: int
 
     def __post_init__(self):
-        check_integer(self.m, "m")
+        _check_block_size(self.m, "m")
         check_integer(self.k, "k")
         if self.k < 1 or self.n < 1:
             raise ValueError(
@@ -308,6 +312,14 @@ def check_integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_block_size(m, name: str) -> int:
+    """The block size ``m`` as an int (see `check_integer`) below 2^53."""
+    m = check_integer(m, name)
+    if m >= _M_LIMIT:
+        raise ValueError(f"{name} must be below 2^53, got {m}")
+    return m
 
 
 def check_error_count(w, m: int) -> int:

@@ -7,8 +7,15 @@ audit of the bounds), ``simulate`` (one Monte Carlo case) and ``stream``
 row, written to stdout or to ``--output``; runs are deterministic, so a
 repeated invocation produces byte-identical output.
 
-A ``--config`` file supplies defaults as flat ``key=value`` lines (keys are
-the long flag names without the dashes); explicit flags override the file.
+Every option is parsed by argparse.  ``--config`` and ``--output`` come from
+one parent parser that each subcommand lists, and may stand before or after
+the subcommand.  A ``--config`` file supplies defaults as flat ``key=value``
+lines (keys are the long flag names without the dashes).  `main` finds
+``--config`` with that parent's ``parse_known_args``, so ``--config=FILE``
+and abbreviations such as ``--conf`` work as for any flag, and puts the
+file's flags right after the subcommand, ahead of every flag on the command
+line: explicit flags win wherever they stand.  A config file that cannot be
+read is a usage error.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a failing row, 2 on
 usage errors.
@@ -43,10 +50,6 @@ _SIMULATE_HEADER = [
     "m", "k", "n", "w", "delta", "nu", "trials", "seed",
     "bad_event_count", "frequency", "ci_low", "ci_high", "exact",
 ]
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _fmt(value) -> str:
@@ -200,22 +203,26 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--output", help="write output to this file instead of stdout")
-    sp.add_argument(
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes; `main` also reads ``--config`` with it."""
+    common = argparse.ArgumentParser(prog="finitekey", add_help=False)
+    common.add_argument("--output", help="write output to this file instead of stdout")
+    common.add_argument(
         "--config",
         help="file of key=value lines used as defaults for this command",
     )
+    return common
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finitekey",
         description="Finite-block security calculator for QKD key distillation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # options shared by several subcommands, each defined once
+    # options shared by several subcommands, each defined once; no subcommand
+    # lists a parent twice, since parents share their Action objects
     rate = argparse.ArgumentParser(add_help=False)
     rate.add_argument("--delta", type=float, default=0.0451)
     search = argparse.ArgumentParser(add_help=False, parents=[rate])
@@ -226,111 +233,86 @@ def _build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--trials", type=int, default=100_000)
     sampling.add_argument("--seed", type=int, default=20260821)
 
-    p = sub.add_parser("keyrate", parents=[search], help="optimise one block size")
+    p = sub.add_parser("keyrate", parents=[search, common],
+                       help="optimise one block size")
     p.add_argument("--m", type=int, required=True, help="block size")
-    _add_common(p)
     p.set_defaults(func=cmd_keyrate)
 
-    p = sub.add_parser("sweep", parents=[search], help="optimise a range of block sizes")
+    p = sub.add_parser("sweep", parents=[search, common],
+                       help="optimise a range of block sizes")
     p.add_argument("--m-range", type=_parse_m_range, required=True,
                    help="start:stop:step, stop inclusive")
-    _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("minblock", parents=[search],
+    p = sub.add_parser("minblock", parents=[search, common],
                        help="smallest block size with a positive key")
     p.add_argument("--m-range", type=_parse_m_bounds, default=(1000, 20000),
                    help="search range start:stop")
-    _add_common(p)
     p.set_defaults(func=cmd_minblock)
 
-    p = sub.add_parser("validate", parents=[sampling],
+    p = sub.add_parser("validate", parents=[sampling, common],
                        help="Monte Carlo audit of the PE bounds")
-    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", parents=[rate, sampling],
+    p = sub.add_parser("simulate", parents=[rate, sampling, common],
                        help="one Monte Carlo bad-event estimate")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="PE sample size")
     p.add_argument("--w", type=int, required=True, help="errors planted in the block")
     p.add_argument("--nu", type=float, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("stream", help="how many runs a stream failure budget funds")
+    p = sub.add_parser("stream", parents=[common],
+                       help="how many runs a stream failure budget funds")
     p.add_argument("--eps-stream", type=float, required=True)
     p.add_argument("--eps-qkd", type=float, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_stream)
 
     return parser
 
 
-def _apply_config(argv: List[str]) -> List[str]:
-    """Strip --config from argv and splice its contents in as leading flags.
+def _apply_config(path: str) -> List[str]:
+    """The flags that a config file of ``key=value`` lines stands for.
 
-    Injected flags come before the user's, so explicit flags win (argparse
-    keeps the last occurrence).  Unknown keys surface as unrecognised
-    arguments when the real parser runs.
+    Blank lines and ``#`` comments are skipped; ``key`` is a long flag name
+    without the dashes, with ``_`` read as ``-``.  Unknown keys surface as
+    unrecognised arguments when the parser runs.
     """
-    path = None
-    rest = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config requires a file path")
-            path = argv[i + 1]
-            i += 2
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(arg)
-            i += 1
-    if path is None:
-        return rest
-    if not rest:
-        raise _UsageError("--config requires a subcommand")
     try:
         with open(path) as handle:
-            lines = handle.readlines()
+            lines = handle.read().splitlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file: {exc}")
-    injected = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        raise ValueError(f"cannot read config file: {exc}") from None
+    flags = []
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
+        key, sep, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        if not key:
-            raise _UsageError(f"{path}:{lineno}: empty key")
-        injected.extend([f"--{key}", value.strip()])
-    return [rest[0]] + injected + rest[1:]
+        if not (sep and key):
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        flags.extend([f"--{key}", value.strip()])
+    return flags
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    common = _common_parser()
+    parser = _build_parser(common)
     try:
-        cooked = _apply_config(list(argv))
-    except _UsageError as exc:
-        print(parser.format_usage(), end="", file=sys.stderr)
-        print(f"finitekey: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(cooked)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return 2 if code not in (0,) else 0
-    try:
+        # The subcommand is the first argument that `common` leaves over.  It
+        # goes first and the config file's flags right after it, ahead of
+        # every flag on the command line, so explicit flags win (argparse
+        # keeps the last occurrence).
+        known, rest = common.parse_known_args(argv)
+        if rest:
+            at = argv.index(rest[0])
+            flags = [] if known.config is None else _apply_config(known.config)
+            argv = [argv[at], *flags, *argv[:at], *argv[at + 1 :]]
+        args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
     except (ValueError, OSError) as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"finitekey: error: {exc}", file=sys.stderr)

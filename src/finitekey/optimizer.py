@@ -25,6 +25,7 @@ that stride finds a block size with a key whose predecessor has none.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    BlockShape, SlackParams, binary_entropy, check_integer,
+    BlockShape, SlackParams, binary_entropy, _check_block_size,
     _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail, _key_factor,
     _sample_rate, _serfling_rate, _serfling_tail,
 )
@@ -453,9 +454,10 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     `max_ell_at` and `feasible`.  Ties in ``ell`` go to the larger unrounded
     length.  Deterministic, and each ``k``'s result is the same whichever
     other ``k`` it is searched with.  ``m`` is an integer of any integer
-    type; a float, even ``3100.0``, raises ``ValueError`` before any search.
+    type below 2^53; a float, even ``3100.0``, or a larger ``m`` raises
+    ``ValueError`` before any search.
     """
-    m = check_integer(m, "m")
+    m = _check_block_size(m, "m")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if m < 10:
@@ -503,15 +505,14 @@ def min_block_length(
     ``m`` in the range when the optimised ``ell`` does not fall back to
     zero as ``m`` grows.  The search costs about the forward probes up to
     the hit plus ``log2(stride)`` calls of `optimize`.  ``m_lo`` and
-    ``m_hi`` are integers, checked as `optimize` checks ``m``.
+    ``m_hi`` are integers, checked as `optimize` checks ``m``.  The forward
+    grid is lazy, so its size does not grow with the range.
     """
-    m_lo, m_hi = check_integer(m_lo, "m_lo"), check_integer(m_hi, "m_hi")
+    m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
     if not 10 <= m_lo <= m_hi:
         raise ValueError(f"need 10 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
     stride = max(1, min(500, (m_hi - m_lo) // 128))
-    grid = list(range(m_lo, m_hi + 1, stride))
-    if grid[-1] != m_hi:
-        grid.append(m_hi)
+    grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
     # bad has no key and good has one; m_lo - 1 stands for below the range
     bad = m_lo - 1
     for good in grid:

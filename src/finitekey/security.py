@@ -189,9 +189,12 @@ class EpsilonBreakdown:
     eps_correct: float
     eps_pe: float
     eps_pa: float
-    total: float
     variant: str
     reason: Optional[str] = None
+
+    @property
+    def total(self) -> float:
+        return self.eps_correct + 2.0 * self.eps_pe + self.eps_pa
 
 
 def eps_pa(settings: ProtocolSettings, budget: SecurityBudget, nu: float) -> float:
@@ -247,16 +250,14 @@ def feasible(
         except (BoundUnavailableError, ValueError) as exc:
             reason = str(exc)
         pa = eps_pa(settings, budget, slack.nu)
-    total = budget.eps_correct + 2.0 * pe + pa
     bd = EpsilonBreakdown(
         eps_correct=budget.eps_correct,
         eps_pe=pe,
         eps_pa=pa,
-        total=total,
         variant=variant,
         reason=reason,
     )
-    return bd, total <= budget.eps_qkd
+    return bd, bd.total <= budget.eps_qkd
 
 
 def max_ell_at(

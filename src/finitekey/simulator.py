@@ -98,9 +98,17 @@ class SimReport:
 
 @dataclass(frozen=True)
 class ValidationCase(SimConfig):
-    """One grid entry for `validate_bounds`: a `SimConfig` plus the split ``xi``."""
+    """One grid entry for `validate_bounds`: a `SimConfig` plus the split ``xi``.
+
+    ``nu`` and ``xi`` are checked as `SlackParams` checks them, when the case
+    is built, so a bad case never reaches `validate_bounds`.
+    """
 
     xi: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        SlackParams(nu=self.nu, xi=self.xi)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,13 @@ class TestShapeTypes:
         with pytest.raises(ValueError, match="integer"):
             BlockShape(m=60, k=m / 2)
 
+    def test_block_size_below_2_53(self):
+        # above 2^53 a count is no longer exact in float64
+        assert BlockShape(m=2**53 - 1, k=30).n == 2**53 - 31
+        for m in (2**53, 10**20):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                BlockShape(m=m, k=30)
+
     def test_numpy_integer_accepted(self):
         shape = BlockShape(m=np.int64(60), k=30)
         assert shape.n == 30

@@ -286,6 +286,25 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ["keyrate", "--m", "100000000000000000000"],
+            ["keyrate", "--m", "9223372036854775808"],
+            ["simulate", "--m", "100000000000000000000", "--k", "50", "--w", "3",
+             "--nu", "0.1", "--trials", "10"],
+            ["minblock", "--m-range", "1000:100000000000000000000"],
+        ],
+    )
+    def test_block_size_beyond_float64(self, capsys, argv):
+        # these crashed with a traceback inside numpy, or ran out of memory
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("finitekey: error: ") == 1
+        assert "must be below 2^53" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
         [["keyrate", "--m", "3100", "--s", "324"], ["minblock", "--s", "400"]],
     )
     def test_budget_exponent_out_of_range(self, capsys, argv):
@@ -339,3 +358,63 @@ class TestConfigFile:
         )
         assert code == 2
         assert "config" in err
+
+    def test_abbreviated_flag_reads_the_file(self, capsys, tmp_path):
+        # --conf used to be accepted by argparse and the file never read
+        cfg = tmp_path / "delta.cfg"
+        cfg.write_text("delta=0.03\n")
+        argv = ["keyrate", "--m", "3100", "--variant", "lemma2"]
+        _, from_config, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        code, from_conf, _ = run_cli(argv + ["--conf", str(cfg)], capsys)
+        assert code == 0
+        assert from_conf == from_config
+        _, rows = parse_csv(from_conf)
+        assert rows[0][2] == "218"
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["stream", "--config={cfg}"], "10\n"),
+            (["--config", "{cfg}", "stream"], "10\n"),
+            (["--conf={cfg}", "stream", "--eps-qkd", "3e-7"], "33\n"),
+        ],
+    )
+    def test_config_wherever_it_stands(self, capsys, tmp_path, argv, out):
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text("eps_stream=1e-5\neps_qkd=1e-6\n")
+        code, got, _ = run_cli([a.format(cfg=cfg) for a in argv], capsys)
+        assert (code, got) == (0, out)
+
+    @pytest.mark.parametrize("argv", [["stream", "--config"], ["--config"]])
+    def test_config_without_path(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("finitekey: error: ") == 1
+        assert "--config" in err
+
+    def test_output_before_subcommand(self, capsys, tmp_path):
+        path = tmp_path / "budget.txt"
+        argv = ["--output", str(path), "stream", "--eps-stream", "1e-5", "--eps-qkd", "1e-6"]
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (0, "")
+        assert path.read_text() == "10\n"
+
+
+class TestHelp:
+    def test_top_level_help(self, capsys):
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        assert "keyrate" in out
+
+    @pytest.mark.parametrize(
+        "command", ["keyrate", "sweep", "minblock", "validate", "simulate", "stream"]
+    )
+    def test_shared_options_listed_once(self, capsys, command):
+        # parents share their Action objects; a parent listed twice, or a
+        # conflict resolved by argparse, would show up here
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        options = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
+        for flag in ("--config", "--output"):
+            assert options.count(flag) == 1, (flag, options)

@@ -116,6 +116,14 @@ class TestOptimize:
         assert (res.m, res.ell) == (3100, 10)
         assert type(res.m) is int
 
+    def test_m_beyond_float64_rejected_before_search(self, monkeypatch):
+        # counts at or above 2^53 are not exact in the search's float arrays
+        searches = count_root_searches(monkeypatch)
+        for m in (2**53, 2**63, 10**20):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                optimize(m, 0.0451, BUDGET6, "lemma2")
+        assert searches == []
+
 
 def count_root_searches(monkeypatch):
     """Record the ``k`` of each `_Model.best_nu` call from now on."""
@@ -274,6 +282,12 @@ class TestMinBlockLength:
         for m_lo, m_hi in [(3000.0, 3100), (3000, 3100.0)]:
             with pytest.raises(ValueError, match="integer"):
                 min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi)
+        assert searches == []
+
+    def test_range_beyond_float64_rejected_before_search(self, monkeypatch):
+        searches = count_root_searches(monkeypatch)
+        with pytest.raises(ValueError, match="m_hi must be below 2\\^53"):
+            min_block_length(0.0451, BUDGET6, "lemma2", 1000, 10**20)
         assert searches == []
 
 

@@ -259,3 +259,13 @@ class TestValidateBounds:
                 trials=100,
                 seed=1,
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"xi": 0.5}, "xi must lie in"), ({"nu": 1.5}, "nu must lie in")],
+    )
+    def test_slack_is_checked_when_built(self, change, message):
+        # SlackParams used to reject these inside validate_bounds, outside its
+        # try, so one such case aborted the batch and the good cases got no row
+        with pytest.raises(ValueError, match=message):
+            replace(default_validation_grid()[0], **change)
