@@ -18,9 +18,16 @@ envelope to have a single peak in ``k``.  The leading candidates are
 re-evaluated through the scalar `security` functions, so the reported
 result never rests on the vectorised path alone.
 
-`min_block_length` inverts the search over ``m``: forward strides find the
-first grid point whose optimised ``ell`` reaches one, and a bisection inside
-that stride finds a block size with a key whose predecessor has none.
+The search over ``k`` is a generator (`_search`) that asks for the root
+searches it needs, and `_lock_step` runs the searches of several block
+sizes in lock step: each round, their requests share one root search, with
+one row per ``(m, k)``.  Since a row does not depend on its batch, a block
+size searched with others gets the rows it gets alone.  `optimize` is the
+driver on one block size.  `min_block_length` inverts the search over
+``m``: forward strides find the first grid point whose optimised ``ell``
+reaches one, and a bisection inside that stride finds a block size with a
+key whose predecessor has none.  It searches the block sizes it may probe
+in batches of `_BATCH`, and verifies only those it reads.
 """
 
 from __future__ import annotations
@@ -65,6 +72,11 @@ _ROOT_STEPS = 60
 _ROOT_TOL = 1e-9
 # Candidates re-evaluated through the scalar path.
 _VERIFY = 3
+# Block sizes searched in lock step: the levels of min_block_length's
+# bisection tree searched at once, and the batch they make, which is also
+# the batch of its forward scan and of a sweep.
+_DEPTH = 3
+_BATCH = 2**_DEPTH - 1
 _LOG2E = 1.0 / math.log(2.0)
 
 
@@ -107,7 +119,7 @@ class KeyRateResult:
 
 
 class _Model:
-    """The closed-form key length at one block size, vectorised over (k, nu).
+    """The closed-form key length, vectorised over rows of ``(m, k)`` and over nu.
 
     `gain` is ``ell + r`` before rounding: ``n (1 - h2(delta + nu)) - t +
     2 log2(2 (eps_qkd - 2^-t - 2 eps_pe))``, the largest length the budget
@@ -120,11 +132,13 @@ class _Model:
     smooth factor is never below the factor of the piece, and the smooth
     gain bounds every piece's gain from above.  Every formula of the model
     is a kernel of `bounds` or `security`, shared with the scalar API; only
-    the derivatives that steer the search are this class's own.
+    the derivatives that steer the search are this class's own.  Each row
+    has its own block size ``m``, and a row's result does not depend on the
+    other rows of its call; ``delta``, the budget and the variant are the
+    model's.
     """
 
-    def __init__(self, m: int, delta: float, budget: SecurityBudget, variant: str):
-        self.m = m
+    def __init__(self, delta: float, budget: SecurityBudget, variant: str):
         self.delta = delta
         self.two_term = variant == "lemma2"
         self.t = budget.t
@@ -132,17 +146,16 @@ class _Model:
         self.h = binary_entropy(delta)
         self.nu_hi = (0.5 - delta) * (1.0 - 1e-9)
 
-    def leakage(self, k):
-        """`ec_leakage` at PE sample sizes ``k``, without its validation."""
-        return np.ceil(_leakage(self.m - k, self.h))
+    def leakage(self, m, k):
+        """`ec_leakage` at block sizes ``m`` and PE sample sizes ``k``, unchecked."""
+        return np.ceil(_leakage(m - k, self.h))
 
-    def _factor(self, k, m_err, slope=False):
+    def _factor(self, m, k, m_err, slope=False):
         """Hush-Scovel factor at ``m_err`` errors, as `_key_factor` forms it.
 
         With ``slope``, also its derivative in xi when ``m_err = m (delta +
         xi)`` varies smoothly.
         """
-        m = self.m
         gamma = _gamma_factor(m, m_err)
         c = _key_factor(m, k, m_err, gamma)[0]
         if not slope:
@@ -150,7 +163,7 @@ class _Model:
         dgamma = m * (1.0 / (m - m_err + 1.0) ** 2 - 1.0 / (m_err + 1.0) ** 2)
         return c, np.where(c == gamma, dgamma, 0.0)
 
-    def _split(self, k, nu, piece):
+    def _split(self, m, k, nu, piece):
         """Best xi at ``(k, nu)``; returns ``(eps_pe^2, its d/dnu, xi)``.
 
         With ``c`` the Hush-Scovel factor, ``eps_pe^2 = exp(-a xi^2) +
@@ -162,18 +175,18 @@ class _Model:
         charged the piece's factor, which is never smaller than the truth
         there.
         """
-        m, delta = self.m, self.delta
+        delta = self.delta
         n = m - k
         a = _sample_rate(m, k, n)
         xi_max = nu - 1.0 / n
         fixed = piece is not None
-        c = self._factor(k, piece if fixed else m * (delta + 0.5 * nu))
+        c = self._factor(m, k, piece if fixed else m * (delta + 0.5 * nu))
         root = np.sqrt(2.0 * c) * n
         xi = np.minimum(np.maximum(nu * root / (np.sqrt(a) + root), 1e-9), xi_max)
         dc = 0.0
         for _ in range(_SPLIT_STEPS):
             if not fixed:
-                c, dc = self._factor(k, m * (delta + xi), slope=True)
+                c, dc = self._factor(m, k, m * (delta + xi), slope=True)
             b = 2.0 * c * n * n
             u = nu - xi
             q = (n * u) ** 2 - 1.0
@@ -183,7 +196,7 @@ class _Model:
         if fixed:
             xi = np.minimum(np.maximum(xi, (piece - 1.0) / m - delta), piece / m - delta)
         else:
-            c = self._factor(k, m * (delta + xi))
+            c = self._factor(m, k, m * (delta + xi))
         u = nu - xi
         key = _hush_scovel_tail(c, n, u)
         tail = _serfling_tail(a, xi)
@@ -192,7 +205,7 @@ class _Model:
         p = np.where((xi > 0.0) & (n * u > 1.0), tail + key, np.nan)
         return p, -4.0 * c * n * n * u * key, xi
 
-    def gain(self, k, nu, piece=None):
+    def gain(self, m, k, nu, piece=None):
         """``(gain, slope, xi, headroom)``; gain is -inf without headroom.
 
         The headroom is ``eps_qkd - 2^-t - 2 eps_pe``, or -inf where the
@@ -201,14 +214,14 @@ class _Model:
         vanishes; it is +inf where the gain is -inf, which points a bracket
         towards larger deviations.
         """
-        n = self.m - k
+        n = m - k
         with np.errstate(all="ignore"):
             if self.two_term:
-                p, dp, xi = self._split(k, nu, piece)
+                p, dp, xi = self._split(m, k, nu, piece)
                 pe = np.sqrt(np.minimum(p, 1.0))
                 dp_pe = np.where(pe > 0.0, dp / pe, 0.0)
             else:
-                rate = _serfling_rate(self.m, k, n)
+                rate = _serfling_rate(m, k, n)
                 pe = _serfling_tail(rate, nu)
                 dp_pe = -4.0 * rate * nu * pe
                 xi = np.zeros(pe.shape)
@@ -223,24 +236,23 @@ class _Model:
             )
         return g, dg, xi, room
 
-    def _edge(self, k):
+    def _edge(self, m, k):
         """A deviation below which no point has headroom.
 
         Headroom needs each exponential term of ``eps_pe^2`` below
         ``(room/2)^2``; the smallest nu that allows this, with the largest
         Hush-Scovel factor, is returned.
         """
-        m = self.m
         n = m - k
         need = 2.0 * math.log(2.0 / self.room)
         if not self.two_term:
             return np.sqrt(0.5 * need / _serfling_rate(m, k, n))
-        gamma = _gamma_factor(m, math.floor(m * self.delta))
+        gamma = _gamma_factor(m, np.floor(m * self.delta))
         c_max = _hush_scovel_factor(k, n, gamma, False)
         sample = np.sqrt(need / _sample_rate(m, k, n))
         return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
 
-    def _seed(self, k, piece):
+    def _seed(self, m, k, piece):
         """A log grid over nu above `_edge`: the best point and a bracket.
 
         Returns ``(a, b, slope(a), slope(b), best)`` with ``best`` the
@@ -249,11 +261,11 @@ class _Model:
         which is the interior maximum; the gain can rise again towards
         ``nu = 1/2 - delta``, and the grid's best point covers that end.
         """
-        lo = np.minimum(self._edge(k), 0.99 * self.nu_hi)
+        lo = np.minimum(self._edge(m, k), 0.99 * self.nu_hi)
         steps = np.linspace(0.0, 1.0, _NU_POINTS)
         grid = lo[:, None] * (self.nu_hi / lo[:, None]) ** steps
         column = None if piece is None else piece[:, None]
-        g, dg, xi, room = self.gain(k[:, None], grid, column)
+        g, dg, xi, room = self.gain(m[:, None], k[:, None], grid, column)
         rows = np.arange(len(k))
         i = _argbest(g, room)
         down = np.argmax(dg < 0.0, axis=1)
@@ -261,17 +273,19 @@ class _Model:
         best = (g[rows, i], grid[rows, i], xi[rows, i], room[rows, i])
         return grid[rows, left], grid[rows, down], dg[rows, left], dg[rows, down], best
 
-    def best_nu(self, k, piece=None):
-        """Best nu at each k: `_seed` brackets the maximum, a root search polishes it.
+    def best_nu(self, m, k, piece=None):
+        """Best nu at each row ``(m, k)``: `_seed` brackets it, a root search polishes it.
 
-        Returns ``(gain, nu, xi, headroom)`` arrays; where nothing has
-        headroom, the point with the most headroom.
+        ``m`` is one block size or one per row.  Returns ``(gain, nu, xi,
+        headroom)`` arrays; where nothing has headroom, the point with the
+        most headroom.
         """
         k = np.asarray(k, dtype=float)
-        a, b, fa, fb, best = self._seed(k, piece)
+        m = np.broadcast_to(np.asarray(m, dtype=float), k.shape)
+        a, b, fa, fb, best = self._seed(m, k, piece)
         live = (fa > 0.0) & (fb < 0.0) & (b > a)
         if live.any():
-            nu, found = _illinois(lambda x: self.gain(k, x, piece), a, b, fa, fb, live)
+            nu, found = _illinois(lambda x: self.gain(m, k, x, piece), a, b, fa, fb, live)
             better = live & (found[0] > best[0])
             best = tuple(
                 np.where(better, f, old)
@@ -279,19 +293,22 @@ class _Model:
             )
         return best
 
-    def best_piece(self, k, xi):
+    def best_piece(self, m, k, xi):
         """Best ``(gain, nu, xi, headroom)`` over the pieces around ``xi``.
 
-        ``xi`` is the smooth optimum at each k.  The smooth gain,
+        ``xi`` is the smooth optimum at each row ``(m, k)``, and ``m`` is
+        one block size or one per row; one `best_nu` call searches every
+        row's pieces.  The smooth gain,
         maximised over nu, is unimodal in xi, bounds every piece's gain
         and meets it at the piece's right end.  A piece after the one
         holding the smooth optimum lies where the smooth gain falls, so it
         stays below that piece's right end; the best piece is the one
         holding the optimum or the one before it.
         """
-        j = np.ceil(self.m * (self.delta + xi)) + np.array(_PIECES)[:, None]
+        m = np.broadcast_to(np.asarray(m, dtype=float), np.shape(k))
+        j = np.ceil(m * (self.delta + xi)) + np.array(_PIECES)[:, None]
         width = len(_PIECES)
-        rows = self.best_nu(np.tile(k, width), j.ravel())
+        rows = self.best_nu(np.tile(m, width), np.tile(k, width), j.ravel())
         g, nus, xis, room = (v.reshape(width, -1) for v in rows)
         i = _argbest(g.T, room.T)[None]
         return tuple(np.take_along_axis(v, i, axis=0)[0] for v in (g, nus, xis, room))
@@ -343,51 +360,58 @@ def _illinois(evaluate, a, b, fa, fb, live):
     return x, found
 
 
-def _search(model, half):
-    """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= half``.
+def _search(model, m):
+    """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= m // 2``.
+
+    A generator: each root search it needs is a request ``(ks, xi)`` that
+    it yields, and the caller sends back the rows of those ``k`` at block
+    size ``m``: `_Model.best_nu`'s smooth rows when ``xi`` is None, else
+    `_Model.best_piece`'s rows around the smooth ``xi``.  `_lock_step`
+    answers the requests of many block sizes at once.  The search returns
+    (as ``StopIteration.value``) the rows of every k searched in its
+    pieces, best first.
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
-    peak, one `_Model.best_nu` call on up to `_K_POINTS` block sizes per
-    round: one round up to ``m`` of about 16,500, two up to 20,000.  The
-    envelope bounds the length ``gain - r`` from above, so a k whose
-    envelope falls short of the best length found cannot win; the window
-    of integers around the peak widens until the envelope at both of its
-    ends falls short.  Where ``half <= _K_POINTS`` (``m <= 259``) the first
-    round visits every k and the search is exhaustive.  Above that the k
-    outside the window are not visited: this assumes that the envelope has
-    a single peak in k, so that it stays short beyond a window end where it
-    is short.  The assumption is not proven; tests/test_optimizer.py checks
-    it against every k at block sizes of the operating regime.  A k's row
-    does not depend on the batch it is searched in (see `_illinois`).  The
+    peak, one root search on up to `_K_POINTS` block sizes per round: one
+    round up to ``m`` of about 16,500, two up to 20,000.  The envelope
+    bounds the length ``gain - r`` from above, so a k whose envelope falls
+    short of the best length found cannot win; the window of integers
+    around the peak widens until the envelope at both of its ends falls
+    short.  Where ``m // 2 <= _K_POINTS`` (``m <= 259``) the first round
+    visits every k and the search is exhaustive.  Above that the k outside
+    the window are not visited: this assumes that the envelope has a single
+    peak in k, so that it stays short beyond a window end where it is
+    short.  The assumption is not proven; tests/test_optimizer.py checks it
+    against every k at block sizes of the operating regime.  A k's row does
+    not depend on the batch it is searched in (see `_illinois`).  The
     two-term bound's pieces are searched only at the k whose smooth length
-    reaches the best piece length found.  Returns the rows of every k
-    searched in its pieces, best first.
+    reaches the best piece length found.
     """
+    half = m // 2
     smooth, leak = {}, {}
 
     def visit(ks):
         new = sorted(set(int(k) for k in ks) - smooth.keys())
         if not new:
             return
-        rows = model.best_nu(np.array(new, dtype=float))
-        for idx, k in enumerate(new):
-            smooth[k] = tuple(float(col[idx]) for col in rows)
-        leak.update(zip(new, model.leakage(np.array(new)).tolist()))
+        rows = yield new, None
+        smooth.update(zip(new, zip(*(col.tolist() for col in rows))))
+        leak.update(zip(new, model.leakage(m, np.array(new)).tolist()))
 
     def envelope(k):
-        return smooth[k][0] - _leakage(model.m - k, model.h)
+        return smooth[k][0] - _leakage(m - k, model.h)
 
     lo, hi = 1, half
     while True:
         ks = np.unique(np.round(np.linspace(lo, hi, _K_POINTS)).astype(int))
-        visit(ks)
+        yield from visit(ks)
         i = int(np.argmax([envelope(int(k)) for k in ks]))
         new_lo, new_hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
         done = new_hi - new_lo <= _K_POINTS or (new_lo, new_hi) == (lo, hi)
         lo, hi = new_lo, new_hi
         if done:
             break
-    visit(range(lo, hi + 1))
+    yield from visit(range(lo, hi + 1))
 
     exact = {}
 
@@ -398,7 +422,7 @@ def _search(model, half):
             return
         rows = [np.array([smooth[k][i] for k in new]) for i in range(4)]
         if model.two_term:
-            rows = model.best_piece(np.array(new, dtype=float), rows[2])
+            rows = yield new, rows[2]
         for idx, k in enumerate(new):
             exact[k] = (float(rows[0][idx]) - leak[k], k) + tuple(
                 float(col[idx]) for col in rows[1:]
@@ -411,9 +435,9 @@ def _search(model, half):
     while True:
         # the smooth lengths bound the piece lengths: refine the leaders
         order = sorted(smooth, key=length, reverse=True)
-        refine(order[:1])
+        yield from refine(order[:1])
         target = max(row[0] for row in exact.values())
-        refine([k for k in order if length(k) >= target])
+        yield from refine([k for k in order if length(k) >= target])
         target = max(row[0] for row in exact.values())
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
@@ -426,9 +450,101 @@ def _search(model, half):
             hi = min(half, hi + width)
         if not grow:
             break
-        visit(grow)
+        yield from visit(grow)
         width *= 2
     return sorted(exact.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
+
+
+def _lock_step(delta, budget, variant, ms):
+    """`_search`'s rows at each block size of ``ms``, searched in lock step.
+
+    Each round, every search still running yields one request.  The round's
+    smooth requests share one `_Model.best_nu` call and its piece requests
+    one `_Model.best_piece` call, so a round costs at most two root
+    searches however many block sizes it serves.  A row does not depend on
+    its batch, so each block size gets the rows it would get alone.
+    """
+    model = _Model(delta, budget, variant)
+    searches = [_search(model, m) for m in ms]
+    replies = [None] * len(ms)
+    results = [None] * len(ms)
+    running = range(len(ms))
+    while running:
+        asks = {}
+        for i in running:
+            try:
+                ks, xi = searches[i].send(replies[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                asks.setdefault(xi is None, []).append((i, ks, xi))
+        running = []
+        for smooth, group in asks.items():
+            m = np.concatenate([np.full(len(ks), ms[i], dtype=float) for i, ks, _ in group])
+            k = np.array([k for _, ks, _ in group for k in ks], dtype=float)
+            if smooth:
+                rows = model.best_nu(m, k)
+            else:
+                rows = model.best_piece(m, k, np.concatenate([xi for _, _, xi in group]))
+            end = 0
+            for i, ks, _ in group:
+                start, end = end, end + len(ks)
+                replies[i] = tuple(col[start:end] for col in rows)
+                running.append(i)
+    return results
+
+
+def _check_search(delta: float, variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+
+
+def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
+    """The result at block size ``m`` from its `_search` rows.
+
+    The leading `_VERIFY` candidates are re-evaluated with `max_ell_at`
+    and `feasible`; ties in ``ell`` go to the larger unrounded length.
+    """
+    best = None
+    for length, k, nu, xi, room in rows[:_VERIFY]:
+        if room == -math.inf:
+            continue
+        settings = ProtocolSettings(shape=BlockShape(m=m, k=k), delta=delta)
+        slack = SlackParams(nu=nu, xi=xi)
+        ell = max_ell_at(settings, budget, slack, variant)
+        bd, ok = feasible(replace(settings, ell=ell), budget, slack, variant)
+        if best is None or (ok, ell) > best[0]:
+            best = ((ok, ell), k, nu, xi, bd)
+    if best is None:
+        return KeyRateResult(
+            m=m, variant=variant, ell=0, point=None, breakdown=None, feasible=False
+        )
+    (ok, ell), k, nu, xi, bd = best
+    point = OptimizationPoint(alpha=ell / m, beta=k / m, nu=nu, xi=xi)
+    return KeyRateResult(
+        m=m, variant=variant, ell=ell, point=point, breakdown=bd, feasible=ok
+    )
+
+
+def _optimize_each(ms, delta, budget, variant):
+    """`optimize` at each block size of ``ms``, yielded in order.
+
+    The block sizes are searched in lock step, `_BATCH` at a time, so the
+    rows of one root search stay bounded however many block sizes there
+    are.  Each batch is checked before it is searched.
+    """
+    _check_search(delta, variant)
+    ms = iter(ms)
+    while True:
+        batch = [_check_block_size(m, "m") for m in itertools.islice(ms, _BATCH)]
+        if not batch:
+            return
+        if min(batch) < 10:
+            raise ValueError(f"m must be at least 10, got {min(batch)}")
+        for m, rows in zip(batch, _lock_step(delta, budget, variant, batch)):
+            yield _verify(m, delta, budget, variant, rows)
 
 
 def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyRateResult:
@@ -450,41 +566,23 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     searched.  For ``m <= 259`` every ``k`` is visited, so the search is
     exhaustive.  Above that, no ``k`` outside the window can do better
     provided the envelope has a single peak in ``k``; that is assumed, not
-    proven (see `_search`).  The leading candidates are re-evaluated with
-    `max_ell_at` and `feasible`.  Ties in ``ell`` go to the larger unrounded
-    length.  Deterministic, and each ``k``'s result is the same whichever
-    other ``k`` it is searched with.  ``m`` is an integer of any integer
-    type below 2^53; a float, even ``3100.0``, or a larger ``m`` raises
-    ``ValueError`` before any search.
+    proven (see `_search`).  The search is the lock-step driver
+    (`_lock_step`) on the one block size ``m``; the leading candidates are
+    then re-evaluated with `max_ell_at` and `feasible`.  Ties in ``ell`` go
+    to the larger unrounded length.  Deterministic, and each ``k``'s result
+    is the same whichever other ``k`` or block sizes it is searched with.
+    ``m`` is an integer of any integer type below 2^53; a float, even
+    ``3100.0``, or a larger ``m`` raises ``ValueError`` before any search.
     """
-    m = _check_block_size(m, "m")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if m < 10:
-        raise ValueError(f"m must be at least 10, got {m}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    return next(_optimize_each([m], delta, budget, variant))
 
-    model = _Model(m, delta, budget, variant)
-    best = None
-    for length, k, nu, xi, room in _search(model, m // 2)[:_VERIFY]:
-        if room == -math.inf:
-            continue
-        settings = ProtocolSettings(shape=BlockShape(m=m, k=k), delta=delta)
-        slack = SlackParams(nu=nu, xi=xi)
-        ell = max_ell_at(settings, budget, slack, variant)
-        bd, ok = feasible(replace(settings, ell=ell), budget, slack, variant)
-        if best is None or (ok, ell) > best[0]:
-            best = ((ok, ell), k, nu, xi, bd)
-    if best is None:
-        return KeyRateResult(
-            m=m, variant=variant, ell=0, point=None, breakdown=None, feasible=False
-        )
-    (ok, ell), k, nu, xi, bd = best
-    point = OptimizationPoint(alpha=ell / m, beta=k / m, nu=nu, xi=xi)
-    return KeyRateResult(
-        m=m, variant=variant, ell=ell, point=point, breakdown=bd, feasible=ok
-    )
+
+def _tree(bad, good, depth):
+    """The midpoints that the next ``depth`` bisection steps in ``(bad, good)`` can probe."""
+    if depth == 0 or good - bad <= 1:
+        return []
+    mid = (bad + good) // 2
+    return [mid, *_tree(bad, mid, depth - 1), *_tree(mid, good, depth - 1)]
 
 
 def min_block_length(
@@ -503,29 +601,53 @@ def min_block_length(
     result is guaranteed only locally: the returned ``m`` has a key, and
     ``m - 1`` (when it is in range) has none.  It is the smallest such
     ``m`` in the range when the optimised ``ell`` does not fall back to
-    zero as ``m`` grows.  The search costs about the forward probes up to
-    the hit plus ``log2(stride)`` calls of `optimize`.  ``m_lo`` and
-    ``m_hi`` are integers, checked as `optimize` checks ``m``.  The forward
-    grid is lazy, so its size does not grow with the range.
+    zero as ``m`` grows.
+
+    The block sizes are searched in batches, in lock step (`_lock_step`).
+    The forward scan searches the next `_BATCH` grid points at once, and
+    the bisection the midpoints of the next `_DEPTH` levels of its decision
+    tree, `_BATCH` of them.  Each batch is then read in order, as a
+    sequential scan or bisection would read it, and only the block sizes
+    read are verified as `optimize` verifies them; so the result is the
+    one the sequential search returns.  The search costs about the forward
+    probes up to the hit over `_BATCH` plus ``log2(stride)`` over `_DEPTH`
+    batches, each a few rounds of root searches.  ``m_lo`` and ``m_hi`` are
+    integers, checked as `optimize` checks ``m``.  The forward grid is
+    lazy, so its size does not grow with the range.
     """
     m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
     if not 10 <= m_lo <= m_hi:
         raise ValueError(f"need 10 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
+    _check_search(delta, variant)
+
+    def search(batch):
+        return dict(zip(batch, _lock_step(delta, budget, variant, batch)))
+
+    def keyed(m, rows):
+        return _verify(m, delta, budget, variant, rows[m]).ell >= 1
+
     stride = max(1, min(500, (m_hi - m_lo) // 128))
     grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
     # bad has no key and good has one; m_lo - 1 stands for below the range
-    bad = m_lo - 1
-    for good in grid:
-        if optimize(good, delta, budget, variant).ell >= 1:
-            break
-        bad = good
-    else:
-        return None
+    bad, good = m_lo - 1, None
+    while good is None:
+        batch = list(itertools.islice(grid, _BATCH))
+        if not batch:
+            return None
+        rows = search(batch)
+        for m in batch:
+            if keyed(m, rows):
+                good = m
+                break
+            bad = m
     while good - bad > 1:
-        mid = (bad + good) // 2
-        if optimize(mid, delta, budget, variant).ell >= 1:
-            good = mid
-        else:
-            bad = mid
+        rows = search(_tree(bad, good, _DEPTH))
+        for _ in range(_DEPTH):
+            if good - bad <= 1:
+                break
+            mid = (bad + good) // 2
+            if keyed(mid, rows):
+                good = mid
+            else:
+                bad = mid
     return good
-

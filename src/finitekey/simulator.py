@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import (
     BlockShape,
@@ -134,8 +133,11 @@ def _confidence_interval(count: int, trials: int):
 
     Normal approximation with continuity correction; exact Clopper-Pearson
     when the count (or its complement) is small enough that the normal shape
-    cannot be trusted.
+    cannot be trusted.  scipy is imported here, not at start-up: only the
+    audit needs it.
     """
+    from scipy.special import betaincinv
+
     p = count / trials
     if count < _EXACT_CI_COUNT or trials - count < _EXACT_CI_COUNT:
         lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.005))

@@ -13,6 +13,7 @@ import finitekey
 import finitekey.simulator as simulator
 from finitekey.bounds import BlockShape
 from finitekey.cli import main
+from finitekey.optimizer import _Model
 from finitekey.simulator import SimConfig, run
 
 KEYRATE_HEADER = [
@@ -244,21 +245,36 @@ class TestStream:
         assert "overflows" in err
 
 
+# Runs the CLI on argv (sys.argv[1]) with stdout discarded, then prints the
+# exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import finitekey.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = finitekey.cli.main(sys.argv[1].split())
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 class TestImport:
     def test_no_scipy_stats(self):
-        # scipy.stats took most of the CLI's start-up time, for one quantile
+        # scipy took most of the CLI's start-up time; only the Monte Carlo
+        # audit needs it, for the Clopper-Pearson limits
         src = str(Path(finitekey.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        probe = (
-            "import sys, finitekey.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
-        ).stdout
-        assert out.strip() == "[]"
+        for argv in [
+            "--help",
+            "keyrate --m 800",
+            "sweep --m-range 600:800:100 --variant lemma2",
+            "minblock --m-range 3000:3050 --variant lemma2",
+            "stream --eps-stream 1e-6 --eps-qkd 1e-5",
+        ]:
+            out = subprocess.run(
+                [sys.executable, "-c", _SCIPY_PROBE, argv], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            assert out.strip() == "0 []", argv
 
 
 class TestUsageErrors:
@@ -278,6 +294,22 @@ class TestUsageErrors:
         assert out == ""
         assert "step must be 1" in err
         assert "Traceback" not in err
+
+    def test_sweep_stop_beyond_float64_rejected_before_search(self, capsys, monkeypatch):
+        # the first two block sizes were searched in full before the third
+        # was refused, and nothing was written
+        searches = []
+        monkeypatch.setattr(
+            _Model, "best_nu", lambda self, m, k, piece=None: searches.append(k)
+        )
+        code, out, err = run_cli(
+            ["sweep", "--m-range", "9007199254739000:9007199254741000:1000"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("finitekey: error: ") == 1
+        assert "must be below 2^53" in err
+        assert searches == []
 
     def test_domain_error_reported_as_usage(self, capsys):
         code, _, err = run_cli(["keyrate", "--m", "5"], capsys)

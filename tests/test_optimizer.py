@@ -130,9 +130,9 @@ def count_root_searches(monkeypatch):
     searches = []
     best_nu = _Model.best_nu
 
-    def counted(self, k, piece=None):
+    def counted(self, m, k, piece=None):
         searches.append(np.asarray(k))
-        return best_nu(self, k, piece)
+        return best_nu(self, m, k, piece)
 
     monkeypatch.setattr(_Model, "best_nu", counted)
     return searches
@@ -147,18 +147,35 @@ class TestRootSearch:
             (6402, 10, "serfling"),
             (4807, 10, "lemma2"),
             (20000, 6, "lemma2"),
+            # rows of different block sizes in one batch
+            pytest.param((3100, 4807, 20000), 10, "lemma2", id="mixed-10-lemma2"),
+            pytest.param((3100, 4807, 20000), 6, "serfling", id="mixed-6-serfling"),
         ],
     )
     def test_row_does_not_depend_on_its_batch(self, m, s, variant):
         # each row stops where its own bracket converges, so the batch a k
         # is searched in cannot move its result by a bit
-        model = _Model(m, 0.0451, SecurityBudget(s), variant)
-        ks = np.linspace(1, m // 2, 17).round()
-        batch = model.best_nu(ks)
+        model = _Model(0.0451, SecurityBudget(s), variant)
+        ms = np.atleast_1d(m)
+        ks = np.concatenate([np.linspace(1, size // 2, 17).round() for size in ms])
+        ms = np.repeat(ms, 17)
+        batch = model.best_nu(ms, ks)
         for i in range(len(ks)):
-            alone = model.best_nu(ks[i:i + 1])
+            alone = model.best_nu(ms[i:i + 1], ks[i:i + 1])
             for column, single in zip(batch, alone):
-                assert column[i:i + 1].tobytes() == single.tobytes(), (ks[i], i)
+                assert column[i:i + 1].tobytes() == single.tobytes(), (ms[i], ks[i], i)
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_lock_step_matches_each_search_alone(self, monkeypatch, variant):
+        # block sizes that take different numbers of rounds share root
+        # searches, and each gets the rows it gets alone
+        ms = [20000, 259, 4807, 3100, 20]
+        searches = count_root_searches(monkeypatch)
+        together = optimizer._lock_step(0.0451, BUDGET10, variant, ms)
+        shared = len(searches)
+        alone = [optimizer._lock_step(0.0451, BUDGET10, variant, [m]) for m in ms]
+        assert together == [rows for (rows,) in alone]
+        assert shared < len(searches) - shared
 
 
 class TestKeylessInputs:
@@ -199,16 +216,16 @@ class TestSearchOverK:
     def test_no_k_outside_the_window_wins(self, m, s, variant):
         budget = SecurityBudget(s)
         res = optimize(m, 0.0451, budget, variant)
-        model = _Model(m, 0.0451, budget, variant)
+        model = _Model(0.0451, budget, variant)
         ks = np.arange(1, m // 2 + 1, dtype=float)
-        gain, _, xi, _ = model.best_nu(ks)
-        length = gain - model.leakage(ks)
+        gain, _, xi, _ = model.best_nu(m, ks)
+        length = gain - model.leakage(m, ks)
         # the smooth length bounds each two-term piece's: where it reaches
         # one bit more than optimize found, the pieces decide
         reach = length >= res.ell + 1
         if model.two_term and reach.any():
-            pieces = model.best_piece(ks[reach], xi[reach])[0]
-            length[reach] = pieces - model.leakage(ks[reach])
+            pieces = model.best_piece(m, ks[reach], xi[reach])[0]
+            length[reach] = pieces - model.leakage(m, ks[reach])
         assert length.max() < res.ell + 1
 
     @pytest.mark.parametrize("m", [20, 101, 259])
@@ -300,19 +317,61 @@ def _grid(m_lo, m_hi):
     return stride, grid
 
 
+def sequential_search(m_lo, m_hi, keyed):
+    """The forward scan and bisection read one block size at a time.
+
+    Returns the result and the block sizes read, in order.
+    """
+    _, grid = _grid(m_lo, m_hi)
+    read = []
+    bad = m_lo - 1
+    for good in grid:
+        read.append(good)
+        if keyed(good):
+            break
+        bad = good
+    else:
+        return None, read
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        read.append(mid)
+        if keyed(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, read
+
+
 class TestMinBlockSearch:
-    """The search over m against a step oracle standing in for `optimize`."""
+    """The search over m against a step oracle.
+
+    The oracle stands in for both halves of a probe: the batched search
+    (`optimizer._lock_step`), which records each batch of block sizes, and
+    the read of one block size (`optimizer._verify`), which records it in
+    ``calls`` and says whether it has a key.
+    """
 
     @staticmethod
     def search(monkeypatch, m_lo, m_hi, keyed):
-        calls = []
+        calls, batches = [], []
 
-        def oracle(m, delta, budget, variant):
+        def lock_step(delta, budget, variant, ms):
+            batches.append(list(ms))
+            return list(ms)  # each block size's rows stand in as the size itself
+
+        def read(m, delta, budget, variant, rows):
+            assert rows == m  # the rows of m, from a batch already searched
             calls.append(m)
             return SimpleNamespace(ell=int(keyed(m)))
 
-        monkeypatch.setattr(optimizer, "optimize", oracle)
-        return min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi), calls
+        monkeypatch.setattr(optimizer, "_lock_step", lock_step)
+        monkeypatch.setattr(optimizer, "_verify", read)
+        got = min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi)
+        for batch in batches:
+            assert 1 <= len(batch) <= 7
+            assert len(set(batch)) == len(batch)
+            assert all(m_lo <= m <= m_hi for m in batch)
+        return got, calls, batches
 
     @pytest.mark.parametrize(
         "m_lo, m_hi, threshold",
@@ -329,17 +388,23 @@ class TestMinBlockSearch:
         ],
     )
     def test_step(self, monkeypatch, m_lo, m_hi, threshold):
-        got, calls = self.search(monkeypatch, m_lo, m_hi, lambda m: m >= threshold)
+        got, calls, batches = self.search(
+            monkeypatch, m_lo, m_hi, lambda m: m >= threshold
+        )
         stride, grid = _grid(m_lo, m_hi)
         if threshold > m_hi:
             assert got is None
             assert calls == grid
+            assert len(batches) == math.ceil(len(grid) / 7)
             return
         assert got == threshold
         if threshold == m_lo:
             assert calls == [m_lo]
         forward = sum(1 for g in grid if g < threshold) + 1
         assert len(calls) <= forward + math.ceil(math.log2(stride))
+        # seven grid points per batch, three bisection steps per batch
+        steps = math.ceil(math.log2(stride))
+        assert len(batches) <= math.ceil(forward / 7) + math.ceil(steps / 3)
 
     @pytest.mark.parametrize("island", [2950, 2998])
     def test_island_below_threshold(self, monkeypatch, island):
@@ -347,10 +412,23 @@ class TestMinBlockSearch:
         def keyed(m):
             return m >= 3000 or m == island
 
-        got, _ = self.search(monkeypatch, 1000, 20000, keyed)
+        got, _, _ = self.search(monkeypatch, 1000, 20000, keyed)
         assert keyed(got)
         assert got == 1000 or not keyed(got - 1)
         assert not any(keyed(g) for g in _grid(1000, 20000)[1] if g < got)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_non_monotone_key_matches_sequential_search(self, monkeypatch, seed):
+        # keyed block sizes scattered at random, islands everywhere: the
+        # batches must read what the sequential search reads and return
+        # what it returns
+        rng = np.random.default_rng(seed)
+        m_lo = int(rng.integers(10, 3000))
+        m_hi = m_lo + int(rng.integers(0, 30000))
+        density = float(rng.choice([0.003, 0.01, 0.1, 0.5]))
+        keyed = set((m_lo + np.flatnonzero(rng.random(m_hi - m_lo + 1) < density)).tolist())
+        got, calls, _ = self.search(monkeypatch, m_lo, m_hi, keyed.__contains__)
+        assert (got, calls) == sequential_search(m_lo, m_hi, keyed.__contains__)
 
 
 class TestSweep:
