@@ -112,20 +112,18 @@ class SlackParams:
     """Deviation budget ``nu`` and its split point ``xi``.
 
     ``nu`` is the total tolerated gap between the PE estimate and the key
-    error rate.  ``xi`` is the part charged to the PE sample itself; the
-    remainder ``nu_prime = nu - xi`` is charged to the key.  The two-term
-    bound requires ``0 < xi < nu``.  The single-term Serfling route never
-    looks at ``xi``, so ``xi = 0`` is accepted for that use.
+    error rate, checked by `check_deviation` (``0 < nu <= 1``).  ``xi`` is
+    the part charged to the PE sample itself; the remainder ``nu_prime = nu
+    - xi`` is charged to the key.  The two-term bound requires ``0 < xi <
+    nu``.  The single-term Serfling route never looks at ``xi``, so ``xi =
+    0`` is accepted for that use.
     """
 
     nu: float
     xi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and math.isfinite(self.xi)):
-            raise ValueError("nu and xi must be finite")
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+        check_deviation(self.nu)
         if not 0.0 <= self.xi < self.nu:
             raise ValueError(f"xi must lie in [0, nu), got xi={self.xi}, nu={self.nu}")
 
@@ -229,8 +227,7 @@ def serfling_epe(shape: BlockShape, nu: float) -> float:
     sample passes at rate ``delta`` while the key error rate still exceeds
     ``delta + nu``.
     """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    check_deviation(nu)
     return float(_serfling_tail(_serfling_rate(shape.m, shape.k, shape.n), nu))
 
 
@@ -263,8 +260,8 @@ def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> di
     """
     if slack.xi <= 0.0:
         raise ValueError("the two-term bound requires xi > 0")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    check_rate(delta)
+    # xi > 0, so this also refuses delta = 1
     if delta + slack.xi >= 1.0:
         raise ValueError(f"delta + xi must stay below 1, got {delta + slack.xi}")
     m, k, n = shape.m, shape.k, shape.n
@@ -322,6 +319,21 @@ def _check_block_size(m, name: str) -> int:
     return m
 
 
+def check_deviation(nu) -> None:
+    """``ValueError`` unless the deviation ``nu`` lies in ``(0, 1]``.
+
+    NaN and infinities fail the comparison, so no finiteness test is needed.
+    """
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+
+
+def check_rate(delta) -> None:
+    """``ValueError`` unless the error rate ``delta`` lies in ``[0, 1]``."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+
+
 def check_error_count(w, m: int) -> int:
     """The block error count ``w`` as an int (see `check_integer`) in ``[0, m]``."""
     w = check_integer(w, "w")
@@ -332,8 +344,7 @@ def check_error_count(w, m: int) -> int:
 
 def max_passing_pe_errors(shape: BlockShape, delta: float) -> int:
     """Largest PE error count that still passes the rate-``delta`` test."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    check_rate(delta)
     return min(snap_floor(delta * shape.k), shape.k)
 
 
@@ -342,10 +353,8 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
 
     May exceed ``n``, in which case the alarm event is empty.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    check_rate(delta)
+    check_deviation(nu)
     return snap_ceil((delta + nu) * shape.n)
 
 

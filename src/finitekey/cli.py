@@ -118,22 +118,10 @@ def _parse_m_bounds(text: str):
 
 
 def _keyrate_row(result):
-    point = result.point
-    bd = result.breakdown
-    return [
-        result.m,
-        result.variant,
-        result.ell,
-        point.alpha if point else None,
-        point.beta if point else None,
-        point.nu if point else None,
-        point.xi if point else None,
-        bd.eps_correct if bd else None,
-        bd.eps_pe if bd else None,
-        bd.eps_pa if bd else None,
-        bd.total if bd else None,
-        result.feasible,
-    ]
+    point, bd = result.point, result.breakdown
+    knobs = (point.alpha, point.beta, point.nu, point.xi) if point else (None,) * 4
+    terms = (bd.eps_correct, bd.eps_pe, bd.eps_pa, bd.total) if bd else (None,) * 4
+    return [result.m, result.variant, result.ell, *knobs, *terms, result.feasible]
 
 
 def _keyrate_rows(args, m_values):

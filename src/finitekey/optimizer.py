@@ -12,11 +12,12 @@ best ``nu`` is then a bracketed root of the length's derivative, and each
 which other ``k`` share its batch.  Over ``k``, a zoom of `_K_POINTS` block
 sizes per round on the smooth envelope finds its peak, and a window of
 integers around the peak widens until the envelope at both of its ends
-falls short of the best length found.  For ``m <= 259`` the first round
-visits every ``k``, so the search is exhaustive; above that it takes the
-envelope to have a single peak in ``k``.  The leading candidates are
-re-evaluated through the scalar `security` functions, so the reported
-result never rests on the vectorised path alone.
+falls short of the best length found.  For ``m <= 261`` no zoom round
+runs and the first root search visits every ``k``, so the search is
+exhaustive; above that it takes the envelope to have a single peak in
+``k``.  The leading candidates are re-evaluated through the scalar
+`security` functions, so the reported result never rests on the
+vectorised path alone.
 
 The search over ``k`` is a generator (`_search`) that asks for the root
 searches it needs, and `_lock_step` runs the searches of several block
@@ -45,8 +46,8 @@ from .bounds import (
     _sample_rate, _serfling_rate, _serfling_tail,
 )
 from .security import (
-    VARIANTS, EpsilonBreakdown, ProtocolSettings, SecurityBudget,
-    feasible, max_ell_at, _ell_bound, _headroom, _leakage,
+    EpsilonBreakdown, ProtocolSettings, SecurityBudget, check_protocol_rate,
+    check_variant, feasible, max_ell_at, _ell_bound, _headroom, _leakage,
 )
 from .security import ec_leakage  # unused; the benchmark traces it here
 
@@ -82,7 +83,10 @@ _LOG2E = 1.0 / math.log(2.0)
 
 @dataclass(frozen=True)
 class OptimizationPoint:
-    """One parameter point: key fraction ``alpha = ell/m`` plus the knobs."""
+    """One parameter point: key fraction ``alpha = ell/m`` plus the knobs.
+
+    ``(nu, xi)`` is checked as `SlackParams` checks it.
+    """
 
     alpha: float
     beta: float
@@ -94,10 +98,7 @@ class OptimizationPoint:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not 0.0 <= self.xi < self.nu:
-            raise ValueError(f"xi must lie in [0, nu), got {self.xi}")
+        SlackParams(nu=self.nu, xi=self.xi)
 
 
 @dataclass(frozen=True)
@@ -373,19 +374,22 @@ def _search(model, m):
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
     peak, one root search on up to `_K_POINTS` block sizes per round: one
-    round up to ``m`` of about 16,500, two up to 20,000.  The envelope
-    bounds the length ``gain - r`` from above, so a k whose envelope falls
-    short of the best length found cannot win; the window of integers
-    around the peak widens until the envelope at both of its ends falls
-    short.  Where ``m // 2 <= _K_POINTS`` (``m <= 259``) the first round
-    visits every k and the search is exhaustive.  Above that the k outside
-    the window are not visited: this assumes that the envelope has a single
-    peak in k, so that it stays short beyond a window end where it is
-    short.  The assumption is not proven; tests/test_optimizer.py checks it
-    against every k at block sizes of the operating regime.  A k's row does
-    not depend on the batch it is searched in (see `_illinois`).  The
-    two-term bound's pieces are searched only at the k whose smooth length
-    reaches the best piece length found.
+    round up to ``m`` of about 16,500, two up to 20,000.  Each round
+    narrows ``[lo, hi]`` to the neighbours of the envelope's peak, and once
+    at most ``_K_POINTS + 1`` integers are left they are all visited.  The
+    envelope bounds the length ``gain - r`` from above, so a k whose
+    envelope falls short of the best length found cannot win; the window
+    of integers around the peak widens until the envelope at both of its
+    ends falls short.  Where ``m // 2 <= _K_POINTS + 1`` (``m <= 261``) no
+    zoom round runs: the first root search visits every k and the search
+    is exhaustive.  Above that the k outside the window are not visited:
+    this assumes that the envelope has a single peak in k, so that it
+    stays short beyond a window end where it is short.  The assumption is
+    not proven; tests/test_optimizer.py checks it against every k at block
+    sizes of the operating regime.  A k's row does not depend on the batch
+    it is searched in (see `_illinois`).  The two-term bound's pieces are
+    searched only at the k whose smooth length reaches the best piece
+    length found.
     """
     half = m // 2
     smooth, leak = {}, {}
@@ -402,15 +406,11 @@ def _search(model, m):
         return smooth[k][0] - _leakage(m - k, model.h)
 
     lo, hi = 1, half
-    while True:
+    while hi - lo > _K_POINTS:
         ks = np.unique(np.round(np.linspace(lo, hi, _K_POINTS)).astype(int))
         yield from visit(ks)
         i = int(np.argmax([envelope(int(k)) for k in ks]))
-        new_lo, new_hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
-        done = new_hi - new_lo <= _K_POINTS or (new_lo, new_hi) == (lo, hi)
-        lo, hi = new_lo, new_hi
-        if done:
-            break
+        lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
     yield from visit(range(lo, hi + 1))
 
     exact = {}
@@ -495,10 +495,8 @@ def _lock_step(delta, budget, variant, ms):
 
 
 def _check_search(delta: float, variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
+    check_variant(variant)
+    check_protocol_rate(delta)
 
 
 def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
@@ -563,7 +561,7 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     the smooth envelope, which bounds the length from above, and widens it
     until the envelope at both ends falls short of the best length found.
     Every ``k`` in the window whose envelope reaches that length is
-    searched.  For ``m <= 259`` every ``k`` is visited, so the search is
+    searched.  For ``m <= 261`` every ``k`` is visited, so the search is
     exhaustive.  Above that, no ``k`` outside the window can do better
     provided the envelope has a single peak in ``k``; that is assumed, not
     proven (see `_search`).  The search is the lock-step driver

@@ -16,7 +16,6 @@ preconditions, and `max_ell_at` inverts it for the largest extractable
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -24,10 +23,10 @@ import numpy as np
 
 from .bounds import (
     BlockShape,
-    BoundUnavailableError,
     SlackParams,
     _h2,
     binary_entropy,  # unused; the benchmark traces it here
+    check_deviation,
     check_integer,
     new_epe,
     serfling_epe,
@@ -48,6 +47,18 @@ __all__ = [
 
 # Recognised PE bound variants, in canonical (reporting) order.
 VARIANTS = ("lemma2", "serfling")
+
+
+def check_variant(variant: str) -> None:
+    """``ValueError`` unless ``variant`` is one of `VARIANTS`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+
+
+def check_protocol_rate(delta: float) -> None:
+    """``ValueError`` unless the tolerated error rate lies in ``(0, 1/2)``."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
 
 
 def _leakage(n, h):
@@ -101,24 +112,26 @@ def _ell_bound(n, h, r, t, headroom):
 class SecurityBudget:
     """Target failure budget ``eps_qkd = 10^-s`` and its derived constants.
 
-    ``s`` is an integer of any integer type and runs from 1 to 305: beyond
-    that ``eps_correct = 2^-t`` is no longer a normal double.  The
-    verification tag length ``t = ceil((s + 2) log2 10)`` makes the
-    correctness term ``2^-t`` at most one percent of ``eps_qkd``.
+    It owns the rule on the budget exponent: ``s`` is an integer of any
+    integer type with ``1 <= s <= 305``, compared as an integer before
+    anything is computed from it.  The verification tag length ``t =
+    ceil((s + 2) log2 10)`` makes the correctness term ``2^-t`` at most one
+    percent of ``eps_qkd``.
     """
 
     s: int
 
     def __post_init__(self):
-        if check_integer(self.s, "s") < 1:
-            raise ValueError(f"s must be a positive integer, got {self.s}")
-        # a subnormal budget loses precision, and one that underflows to 0
-        # leaves no headroom at all
-        if min(self.eps_qkd, self.eps_correct) < sys.float_info.min:
+        s = check_integer(self.s, "s")
+        if s < 1:
+            raise ValueError(f"s must be a positive integer, got {s}")
+        # t is 1020 at s = 305 and 1024 at s = 306, where eps_correct = 2^-t
+        # is subnormal: a subnormal budget loses precision, and one that
+        # underflows to 0 leaves no headroom at all
+        if s > 305:
             raise ValueError(
-                f"s must be at most 305, got {self.s}: eps_qkd = 10^-s and "
-                f"eps_correct = 2^-t must not fall below the smallest normal "
-                f"float, {sys.float_info.min:.4g}"
+                f"s must be at most 305, got {s}: beyond it eps_correct = 2^-t "
+                f"is no longer a normal float"
             )
 
     @property
@@ -143,11 +156,12 @@ class SecurityBudget:
 class ProtocolSettings:
     """Fixed choices for one distillation attempt.
 
-    ``shape`` splits the block, ``delta`` is the tolerated PE error rate and
-    ``ell`` the number of key bits to extract, an integer of any integer
-    type.  The error-correction leakage ``r = ec_leakage(n, delta)`` is
-    computed each time it is read, so it can never go stale; the tag
-    length ``t`` belongs to the `SecurityBudget`.
+    ``shape`` splits the block, ``delta`` is the tolerated PE error rate, in
+    ``(0, 1/2)`` (`check_protocol_rate`), and ``ell`` the number of key bits
+    to extract, an integer of any integer type.  The error-correction
+    leakage ``r = ec_leakage(n, delta)`` is computed each time it is read,
+    so it can never go stale; the tag length ``t`` belongs to the
+    `SecurityBudget`.
     """
 
     shape: BlockShape
@@ -155,8 +169,7 @@ class ProtocolSettings:
     ell: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
+        check_protocol_rate(self.delta)
         if not 0 <= check_integer(self.ell, "ell") <= self.shape.n:
             raise ValueError(
                 f"ell must lie in [0, n], got ell={self.ell}, n={self.shape.n}"
@@ -207,8 +220,7 @@ def eps_pa(settings: ProtocolSettings, budget: SecurityBudget, nu: float) -> flo
     + nu`` must stay below 1/2: beyond it ``1 - h2`` grows again, and the
     term would credit entropy that an error rate that high does not leave.
     """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    check_deviation(nu)
     q = settings.delta + nu
     if q >= 0.5:
         raise ValueError(f"delta + nu must stay below 1/2, got {q}")
@@ -234,8 +246,7 @@ def feasible(
     grids hit them routinely; the breakdown then carries ``eps_pe = inf`` and
     a ``reason``.  This is the one place that checks those preconditions.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    check_variant(variant)
     pe = pa = math.inf
     reason = None
     q = settings.delta + slack.nu
@@ -247,7 +258,7 @@ def feasible(
                 pe = serfling_epe(settings.shape, slack.nu)
             else:
                 pe = new_epe(settings.shape, settings.delta, slack)
-        except (BoundUnavailableError, ValueError) as exc:
+        except ValueError as exc:
             reason = str(exc)
         pa = eps_pa(settings, budget, slack.nu)
     bd = EpsilonBreakdown(

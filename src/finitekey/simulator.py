@@ -22,10 +22,11 @@ import numpy as np
 
 from .bounds import (
     BlockShape,
-    BoundUnavailableError,
     SlackParams,
+    check_deviation,
     check_error_count,
     check_integer,
+    check_rate,
     exact_joint_ppe,
     lemma2_ppe_bound,
     max_passing_pe_errors,
@@ -58,7 +59,10 @@ class SimConfig:
     """One simulation: block shape, planted errors and thresholds.
 
     ``w``, ``trials`` and ``seed`` are integers of any integer type, stored
-    as ``int``; a float, even ``100.0``, raises ``ValueError``.
+    as ``int``; a float, even ``100.0``, raises ``ValueError``.  ``delta``
+    and ``nu`` are checked by the rules of `bounds`, `check_rate` (``0 <=
+    delta <= 1``) and `check_deviation` (``0 < nu <= 1``), when the config
+    is built.
     """
 
     shape: BlockShape
@@ -70,10 +74,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "w", check_error_count(self.w, self.shape.m))
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-        if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        check_rate(self.delta)
+        check_deviation(self.nu)
         object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
         object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         if self.trials < 1:
@@ -218,7 +220,7 @@ def validate_bounds(cases: Sequence[ValidationCase]) -> List[ValidationRow]:
         try:
             s_bound = default_serfling_bound(case.shape, case.delta, slack)
             l_bound = lemma2_ppe_bound(case.shape, case.delta, slack)
-        except (BoundUnavailableError, ValueError) as exc:
+        except ValueError as exc:
             rows.append(ValidationRow(case=case, passed=False, note=str(exc)))
             continue
         report = run(case)

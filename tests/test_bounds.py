@@ -40,6 +40,8 @@ from finitekey.security import (
     ec_leakage,
     eps_pa,
 )
+from finitekey.optimizer import OptimizationPoint
+from finitekey.simulator import SimConfig
 
 from oracle_utils import frac_window_tail, loop_window_tail, mp_window_tail
 
@@ -102,6 +104,29 @@ class TestShapeTypes:
         with pytest.raises(ValueError):
             SlackParams(nu=math.nan)
         assert SlackParams(nu=0.2, xi=0.05).nu_prime == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("nu", [1.5, 1e308, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda nu: SlackParams(nu=nu),
+            lambda nu: serfling_epe(REF_SHAPE, nu),
+            lambda nu: min_alarming_key_errors(REF_SHAPE, REF_DELTA, nu),
+            lambda nu: exact_joint_ppe(REF_SHAPE, REF_DELTA, nu, 155),
+            lambda nu: eps_pa(ProtocolSettings(REF_SHAPE, REF_DELTA), SecurityBudget(6), nu),
+            lambda nu: SimConfig(REF_SHAPE, w=155, delta=REF_DELTA, nu=nu, trials=10, seed=0),
+            lambda nu: OptimizationPoint(alpha=0.0, beta=0.5, nu=nu, xi=0.0),
+        ],
+        ids=[
+            "SlackParams", "serfling_epe", "min_alarming_key_errors",
+            "exact_joint_ppe", "eps_pa", "SimConfig", "OptimizationPoint",
+        ],
+    )
+    def test_deviation_rule(self, build, nu):
+        # one rule, 0 < nu <= 1, checked before any arithmetic: nu = 1e308
+        # reached SimConfig's run, where (delta + nu) n overflowed
+        with pytest.raises(ValueError, match=r"nu must lie in \(0, 1\], got"):
+            build(nu)
 
 
 class TestSnapHelpers:

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,17 +65,27 @@ class TestKeyrate:
         assert first == second
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expected",
         [
-            ["keyrate", "--m", "11", "--delta", "0.1"],
-            ["keyrate", "--m", "3100", "--delta", "0.4999", "--variant", "lemma2"],
+            (
+                ["keyrate", "--m", "11", "--delta", "0.1"],
+                [
+                    "11,lemma2,0,0,0.363636,0.4,0.0818182,7.45058e-09,0.980465,1,2.96093,false",
+                    "11,serfling,0,0,0.454545,0.4,0,7.45058e-09,0.695144,1,2.39029,false",
+                ],
+            ),
+            # no point has headroom, so the row has no point and no breakdown
+            (
+                ["keyrate", "--m", "3100", "--delta", "0.4999", "--variant", "lemma2"],
+                ["3100,lemma2,0,,,,,,,,,false"],
+            ),
         ],
+        ids=["argv0", "argv1"],
     )
-    def test_keyless_inputs_print_a_row(self, capsys, argv):
+    def test_keyless_inputs_print_a_row(self, capsys, argv, expected):
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
-        _, rows = parse_csv(out)
-        assert rows and all(r[2] == "0" and r[-1] == "false" for r in rows)
+        assert out.splitlines()[1:] == expected
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "rates.csv"
@@ -346,6 +357,52 @@ class TestUsageErrors:
         assert out == ""
         assert "finitekey: error: s must be at most 305" in err
         assert "Traceback" not in err
+
+
+# Each subcommand with small, valid values, and the numeric options that the
+# domain sweep below sets in turn.  --trials stays small: the simulator
+# spawns one seed per 65,536 trials before its first draw.
+_SWEEP_BASE = {
+    "keyrate": (["keyrate", "--m", "3100"], ["--m", "--delta", "--s"]),
+    "sweep": (["sweep", "--m-range", "1000:1010"], ["--delta", "--s"]),
+    "minblock": (["minblock", "--m-range", "1000:1010"], ["--delta", "--s"]),
+    "validate": (["validate", "--trials", "10"], ["--trials", "--seed"]),
+    "simulate": (
+        ["simulate", "--m", "100", "--k", "50", "--w", "10", "--nu", "0.1",
+         "--trials", "10"],
+        ["--m", "--k", "--w", "--nu", "--delta", "--trials", "--seed"],
+    ),
+    "stream": (
+        ["stream", "--eps-stream", "1e-4", "--eps-qkd", "1e-5"],
+        ["--eps-stream", "--eps-qkd"],
+    ),
+}
+_HUGE = "1" + "0" * 400
+_SWEEP_VALUES = ["nan", "inf", "-inf", "1e308", _HUGE, "-1"]
+_SWEEP_CASES = [
+    pytest.param(
+        command, option, value,
+        id=f"{command}{option}={'10^400' if value == _HUGE else value}",
+    )
+    for command, (_, options) in _SWEEP_BASE.items()
+    for option in options
+    for value in _SWEEP_VALUES
+    # a huge trial count is valid input whose cost is its size
+    if not (option == "--trials" and value == _HUGE)
+]
+
+
+class TestDomainSweep:
+    @pytest.mark.parametrize("command, option, value", _SWEEP_CASES)
+    def test_out_of_domain_values_exit_cleanly(self, capsys, command, option, value):
+        # the last occurrence of an option wins, so this overrides the base value
+        argv = _SWEEP_BASE[command][0] + [f"{option}={value}"]
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            # ours reads "finitekey: error:", argparse's names the subcommand
+            assert len(re.findall(r"^finitekey(?: \w+)?: error: ", err, re.M)) == 1, err
 
 
 class TestConfigFile:

@@ -228,11 +228,11 @@ class TestSearchOverK:
             length[reach] = pieces - model.leakage(m, ks[reach])
         assert length.max() < res.ell + 1
 
-    @pytest.mark.parametrize("m", [20, 101, 259])
+    @pytest.mark.parametrize("m", [20, 101, 259, 261])
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
     def test_small_blocks_searched_exhaustively(self, monkeypatch, m, variant):
-        # up to m // 2 = 129 the first zoom round visits every k, so no
-        # single-peak assumption is needed there
+        # up to m // 2 = 130 no zoom round runs: the first root search
+        # visits every k, so no single-peak assumption is needed there
         searches = count_root_searches(monkeypatch)
         optimize(m, 0.0451, BUDGET6, variant)
         assert searches[0].tolist() == list(range(1, m // 2 + 1))

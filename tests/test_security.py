@@ -100,6 +100,9 @@ class TestSecurityBudget:
         assert SecurityBudget(305).eps_correct == 2.0**-1020
         with pytest.raises(ValueError, match="at most 305"):
             SecurityBudget(306)
+        # compared as an integer: 10.0 ** -s overflowed here
+        with pytest.raises(ValueError, match="at most 305"):
+            SecurityBudget(10**400)
 
 
 class TestProtocolSettings:
