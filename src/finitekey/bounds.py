@@ -358,35 +358,127 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
     return snap_ceil((delta + nu) * shape.n)
 
 
-# Terms per numpy block in `_window_tail`.  A run's range is as long as
-# min(w, n), but its ratios are evaluated one block at a time, and the run
-# stops in the block where its terms underflow to 0.0.
+# Terms per numpy block in `_run`.  A run's range is as long as min(w, n),
+# but its ratios are evaluated one block at a time, so memory grows with the
+# terms and stretches kept, not with the range.  The run stops in the block
+# where its product underflows to 0.0.
 _BLOCK = 4096
+# Products per `np.multiply.accumulate` call once they may be subnormal.  A
+# subnormal product cost over ten times a normal one on x86-64, so they are
+# formed a few at a time, and the run stops forming them soon after they
+# reach 5e-324.
+_PIECE = 128
+# The smallest normal and the smallest subnormal float64.
+_TINY = 2.0**-1022
+_LEAST = 2.0**-1074
 
 
-def _run(ratio, js: range) -> list:
+def _run(ratio, js: range):
     """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
 
-    The run ends before its first product that is exactly 0.0.  ``ratio``
-    is evaluated on float64 arrays of ``j``, one block of at most `_BLOCK`
-    terms at a time.  The product carried in from the previous block is
-    folded into the block's first ratio, which is the same as prepending it,
-    so ``np.multiply.accumulate`` forms every product left to right exactly
-    as a scalar loop would.
+    Every ratio lies in ``(0, 1]``, as the oracle's do on runs that lead
+    away from the mode, so the products never increase.  The run ends
+    before its first product that is exactly 0.0.  Returns ``(terms,
+    stretches)``: the list ``terms`` holds the products up to the first
+    stall, and ``stretches`` the rest, one ``(value, count)`` pair per
+    stretch of ``count`` equal products.  A stall is a subnormal product
+    that the next one repeats, because ``fl(t q)`` rounds back to ``t``.  So
+    every normal product is in ``terms``, and every product in
+    ``stretches`` is subnormal.
+
+    ``ratio`` is evaluated on float64 arrays of ``j``, one block of at most
+    `_BLOCK` terms at a time.  The product carried in from the previous
+    block or call is folded into the next ratio, which is the same as
+    prepending it, so ``np.multiply.accumulate`` forms every product left to
+    right exactly as a scalar loop would.  In a block that starts with a
+    normal product, one call forms the products up to where a lower bound
+    from the ratios' logs says they may turn subnormal, and later calls
+    `_PIECE` products each.  Where a call ends changes no product, only the
+    time taken.
+
+    Once the product is 5e-324, the rest of the run is one stretch, and no
+    product is formed: ``fl(5e-324 q)`` stays 5e-324 while ``q > 1/2``, and
+    is 0.0 from the first ``q <= 1/2`` on (``2^-1075`` ties to even, 0.0).
+    So the stretch ends at the first such ratio.
     """
-    terms = []
+    terms, stretches = [], []
     t = 1.0
     for b in range(0, len(js), _BLOCK):
         block = js[b : b + _BLOCK]
         r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
-        r[0] *= t
-        np.multiply.accumulate(r, out=r)
-        if r[-1] == 0.0:  # every ratio is positive, so 0.0 ends a prefix of nonzeros
-            terms += r[: np.count_nonzero(r)].tolist()
+        start = end = 0
+        if t >= _TINY and r.size > _PIECE:
+            # the whole block if the logs put its last product above the
+            # normal floor, else a lower bound on where the products cross
+            # it: each ratio is at least the last of its group of eight
+            logs, floor = np.log2(r), -1022.0 - math.log2(t)
+            if logs.sum() >= floor:
+                end = r.size
+            else:
+                end = 8 * np.count_nonzero(np.cumsum(logs[7::8]) >= floor / 8.0)
+        while start < r.size and t > _LEAST:
+            end = min(max(end, start + _PIECE), r.size)
+            r[start] *= t
+            np.multiply.accumulate(r[start:end], out=r[start:end])
+            t = float(r[end - 1])
+            start = end
+        products = r[: np.count_nonzero(r[:start])]  # the products before 0.0
+        if not stretches:  # the products up to the first stall stay terms
+            cut = products.size
+            if cut and products[-1] < _TINY:
+                same = products[1:] == products[:-1]
+                stalls = np.flatnonzero(same & (products[1:] < _TINY))
+                cut = stalls[0] if stalls.size else cut
+            terms += products[:cut].tolist()
+            products = products[cut:]
+        if products.size:
+            firsts = np.flatnonzero(products[1:] != products[:-1]) + 1
+            values = products[np.concatenate(([0], firsts))].tolist()
+            counts = np.diff(firsts, prepend=0, append=products.size).tolist()
+            _extend(stretches, values, counts)
+        if t == _LEAST:
+            low = np.flatnonzero(r[start:] <= 0.5)
+            count = int(low[0] if low.size else r.size - start)
+            if count:
+                _extend(stretches, [t], [count])
+            if low.size:
+                break
+        elif t == 0.0:
             break
-        terms += r.tolist()
-        t = terms[-1]
-    return terms
+    return terms, stretches
+
+
+def _extend(stretches: list, values: list, counts: list) -> None:
+    """Append stretches, merging the first with the last one if equal."""
+    if stretches and stretches[-1][0] == values[0]:
+        stretches[-1] = (values[0], stretches[-1][1] + counts[0])
+        values, counts = values[1:], counts[1:]
+    stretches += zip(values, counts)
+
+
+def _summands(run, start: int = 0, stop: int = _M_LIMIT) -> list:
+    """Summands for terms ``start`` to ``stop - 1`` of a `_run` result.
+
+    The terms are listed as they are, and the part of each stretch inside
+    the slice as the one float ``value * part``.  A subnormal is an integer
+    multiple ``a`` of 2^-1074, so ``value * part`` is exact while ``a part
+    < 2^53``.  The oracle's stretches stay far below that: at ``m = 1e9``,
+    ``w = 0.3 m`` and ``k = m/2``, every stretch of two or more terms has
+    ``a <= 94`` and ``a count <= 2.1e7``.  The exact sum of
+    the summands is then the exact sum of the terms, so `math.fsum`, which
+    rounds that sum once, returns the same float for either list.
+    """
+    terms, stretches = run
+    out = terms[start:stop]
+    first = len(terms)
+    for value, count in stretches:
+        end = first + count
+        if start <= first and end <= stop:
+            out.append(value * count)
+        elif start < end and first < stop:
+            out.append(value * (min(end, stop) - max(first, start)))
+        first = end
+    return out
 
 
 def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
@@ -399,10 +491,13 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
 
     One run goes up from the mode to ``hi`` and one down to ``lo``.  Each
     ends at its first term that underflows to exactly 0.0, which is left
-    out, so memory grows with the terms kept, not with ``min(w, n)``.  A
-    term at the smallest subnormal only reaches 0.0 once a ratio falls
-    below 1/2, so a run can keep many subnormal terms: at ``m = 1e6``,
-    ``w = 0.05 m`` and ``k = m/2``, 3,878 of each run's 7,974.
+    out.  A term at the smallest subnormal only reaches 0.0 once a ratio
+    falls below 1/2, so a run can hold many subnormal terms: at ``m = 1e6``,
+    ``w = 0.05 m`` and ``k = m/2``, 3,878 of each run's 7,974, 3,776 of
+    them exactly 5e-324.  `_run` keeps each stretch of equal subnormal
+    terms as one ``(value, count)`` pair, and `_summands` hands `math.fsum`
+    one float per stretch, so memory and summing grow with the distinct
+    terms, not with the number of terms.
 
     `_run` forms each run in numpy blocks of `_BLOCK` terms.  The values are
     bit-identical to a scalar loop that multiplies Python ratios one by one,
@@ -410,7 +505,8 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     float64, so each product of two of them is rounded once, as Python
     rounds the exact integer product when it divides it by a float, and the
     running product is formed in the same order.  The three sums are
-    `math.fsum` over the same lists as that loop's.
+    `math.fsum` over summands whose exact sums are those of that loop's
+    lists, so they are the same floats.
     """
     k = m - n
     lo = max(0, w - k)
@@ -431,11 +527,12 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
         lambda j: (j * (k - w + j)) / ((w - j + 1.0) * (n - j + 1)),
         range(mode, lo, -1),
     )
-    total = math.fsum([1.0] + up + down)
+    up_all = _summands(up)
+    total = math.fsum([1.0] + up_all + _summands(down))
     if j_lo <= mode:
-        tail = math.fsum([1.0] + up + down[: mode - j_lo])
+        tail = math.fsum([1.0] + up_all + _summands(down, stop=mode - j_lo))
     else:
-        tail = math.fsum(up[j_lo - mode - 1 :])
+        tail = math.fsum(_summands(up, j_lo - mode - 1))
     return tail / total
 
 

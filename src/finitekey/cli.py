@@ -18,7 +18,10 @@ line: explicit flags win wherever they stand.  A config file that cannot be
 read is a usage error.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a failing row, 2 on
-usage errors.
+usage errors.  A usage error, whether argparse or the library refuses the
+input, prints the subcommand's usage and ``finitekey <subcommand>: error:``;
+only errors found before a subcommand is chosen (``--config`` without a
+path, or a config file that cannot be read) print the top-level ones.
 """
 
 from __future__ import annotations
@@ -201,7 +204,10 @@ def cmd_stream(args) -> int:
 
 def _common_parser() -> argparse.ArgumentParser:
     """The options every subcommand takes; `main` also reads ``--config`` with it."""
-    common = argparse.ArgumentParser(prog="finitekey", add_help=False)
+    # its refusals are raised, for `main` to report with the top-level usage
+    common = argparse.ArgumentParser(
+        prog="finitekey", add_help=False, exit_on_error=False
+    )
     common.add_argument("--output", help="write output to this file instead of stdout")
     common.add_argument(
         "--config",
@@ -262,6 +268,8 @@ def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--eps-qkd", type=float, required=True)
     p.set_defaults(func=cmd_stream)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -293,24 +301,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     common = _common_parser()
     parser = _build_parser(common)
+    # every refusal goes through argparse's `error`, which exits with status 2
     try:
-        # The subcommand is the first argument that `common` leaves over.  It
-        # goes first and the config file's flags right after it, ahead of
-        # every flag on the command line, so explicit flags win (argparse
-        # keeps the last occurrence).
-        known, rest = common.parse_known_args(argv)
-        if rest:
-            at = argv.index(rest[0])
-            flags = [] if known.config is None else _apply_config(known.config)
-            argv = [argv[at], *flags, *argv[:at], *argv[at + 1 :]]
+        try:
+            # The subcommand is the first argument that `common` leaves over.
+            # It goes first and the config file's flags right after it, ahead
+            # of every flag on the command line, so explicit flags win
+            # (argparse keeps the last occurrence).
+            known, rest = common.parse_known_args(argv)
+            if rest:
+                at = argv.index(rest[0])
+                flags = [] if known.config is None else _apply_config(known.config)
+                argv = [argv[at], *flags, *argv[:at], *argv[at + 1 :]]
+        except (argparse.ArgumentError, ValueError) as exc:
+            parser.error(str(exc))
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            args.subparser.error(str(exc))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    except (ValueError, OSError) as exc:
-        print(parser.format_usage(), end="", file=sys.stderr)
-        print(f"finitekey: error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

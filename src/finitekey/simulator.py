@@ -167,21 +167,21 @@ def run(config: SimConfig) -> SimReport:
     """Estimate the joint bad-event probability at fixed error count ``w``.
 
     Deterministic for a given config: the trials are split into chunks of
-    ``_CHUNK`` (the last one shorter), and chunk ``i`` draws from child
-    ``i`` of ``SeedSequence(seed).spawn``, so the streams depend on the seed
-    and the trial count alone.  When the key side cannot hold enough errors
-    to alarm, no draw is made and the count is 0.
+    ``_CHUNK`` (the last one shorter), and chunk ``i`` draws from
+    ``SeedSequence(seed, spawn_key=(i,))``, which is child ``i`` of
+    ``SeedSequence(seed).spawn``; so the streams depend on the seed and the
+    trial count alone.  Each chunk's seed is made when the chunk runs, so
+    memory does not grow with the trial count.  When the key side cannot
+    hold enough errors to alarm, no draw is made and the count is 0.
     """
     shape = config.shape
     pe_max = max_passing_pe_errors(shape, config.delta)
     key_min = min_alarming_key_errors(shape, config.delta, config.nu)
-    n_chunks = (config.trials + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(config.seed).spawn(n_chunks)
     bad = 0
     if key_min <= shape.n:
-        for i, child in enumerate(children):
-            size = min(_CHUNK, config.trials - i * _CHUNK)
-            rng = np.random.default_rng(child)
+        for i, first in enumerate(range(0, config.trials, _CHUNK)):
+            size = min(_CHUNK, config.trials - first)
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
             bad += _count_bad(rng, size, shape, config.w, pe_max, key_min)
     freq = bad / config.trials
     ci_low, ci_high = _confidence_interval(bad, config.trials)

@@ -514,6 +514,24 @@ class TestWindowTail:
         for case in cases:
             assert _window_tail(*case) == loop_window_tail(*case), case
 
+    # m = 1e7, k = m/2, w = m/20: each run keeps 13,279 terms, then stalls at
+    # 4, 3, 2 and 1 times 5e-324 over terms 13,279..15,836, ..21,598, ..33,961
+    # and ..79,588 (mode 250,000).  The up-run slices start inside the first,
+    # second and last stretch; the down-run slices end inside the second and
+    # third.  Each case costs the loop about 0.1 s.
+    DEEP_CASES = (
+        (10**7, 500_000, 5_000_000, 250_001 + 15_000),
+        (10**7, 500_000, 5_000_000, 250_001 + 20_000),
+        (10**7, 500_000, 5_000_000, 250_001 + 50_000),
+        (10**7, 500_000, 5_000_000, 250_000 - 18_000),
+        (10**7, 500_000, 5_000_000, 250_000 - 25_000),
+    )
+
+    def test_deep_tails_match_loop_reference(self):
+        # past m = 1e6 the products stall at several subnormal levels
+        for case in self.DEEP_CASES:
+            assert _window_tail(*case) == loop_window_tail(*case), case
+
     def test_edge_cases_reach_both_run_ends(self):
         # the edge list puts the mode at lo and at hi of a nontrivial range
         at_lo = at_hi = False
@@ -531,9 +549,40 @@ class TestWindowTail:
             sizes.append(j.size)
             return np.full(j.size, 0.5)
 
-        terms = finitekey.bounds._run(half, range(10**7))
-        assert len(terms) == 1074 and terms[-1] == 2.0**-1074
+        terms, stretches = finitekey.bounds._run(half, range(10**7))
+        # 2^-1, ..., 2^-1074 are all distinct, so no stretch forms
+        assert len(terms) == 1074 and terms[-1] == 2.0**-1074 and stretches == []
         assert sizes == [finitekey.bounds._BLOCK]
+
+    # Constant ratios stall at one subnormal level each: 0.7 at 5e-324, and
+    # 0.9, 0.99 and 0.999 at 5, 49 and 499 times it.  The falling ratios
+    # stall at 4, 3, 2 and 1 times 5e-324 before a ratio of 1/2 ends the
+    # run.  Small first ratios start some runs deep in the subnormal range.
+    SYNTHETIC_RATIOS = (
+        np.full(1100, 0.5),
+        np.full(3000, 0.7),
+        np.concatenate(([2.0**-1000], np.full(999, 0.9))),
+        np.concatenate(([2.0**-1060], np.full(999, 0.99))),
+        np.concatenate(([2.0**-1060], np.full(3999, 0.999))),
+        np.concatenate(([2.0**-1050], 1.0 - np.arange(1, 1100) / 2000.0)),
+    )
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096])
+    def test_stretches_expand_to_loop_products(self, monkeypatch, block):
+        monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
+        for qs in self.SYNTHETIC_RATIOS:
+            want, t = [], 1.0
+            for q in qs.tolist():
+                t *= q
+                if t == 0.0:
+                    break
+                want.append(t)
+            terms, stretches = finitekey.bounds._run(
+                lambda j: qs[j.astype(int)], range(qs.size)
+            )
+            assert terms + [v for v, c in stretches for _ in range(c)] == want
+            assert all(0.0 < v < 2.0**-1022 and c > 0 for v, c in stretches)
+            assert all(a[0] != b[0] for a, b in zip(stretches, stretches[1:]))
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_block_ends_match_loop_reference(self, monkeypatch, block):

@@ -318,14 +318,16 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert err.count("finitekey: error: ") == 1
+        assert err.count("finitekey sweep: error: ") == 1
         assert "must be below 2^53" in err
         assert searches == []
 
     def test_domain_error_reported_as_usage(self, capsys):
+        # the library's refusal used to print the top-level usage line
         code, _, err = run_cli(["keyrate", "--m", "5"], capsys)
         assert code == 2
-        assert "error" in err
+        assert err.startswith("usage: finitekey keyrate ")
+        assert "\nfinitekey keyrate: error: m must be at least 10" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -342,7 +344,7 @@ class TestUsageErrors:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err.count("finitekey: error: ") == 1
+        assert err.count(f"finitekey {argv[0]}: error: ") == 1
         assert "must be below 2^53" in err
         assert "Traceback" not in err
 
@@ -355,13 +357,12 @@ class TestUsageErrors:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "finitekey: error: s must be at most 305" in err
+        assert f"finitekey {argv[0]}: error: s must be at most 305" in err
         assert "Traceback" not in err
 
 
 # Each subcommand with small, valid values, and the numeric options that the
-# domain sweep below sets in turn.  --trials stays small: the simulator
-# spawns one seed per 65,536 trials before its first draw.
+# domain sweep below sets in turn.
 _SWEEP_BASE = {
     "keyrate": (["keyrate", "--m", "3100"], ["--m", "--delta", "--s"]),
     "sweep": (["sweep", "--m-range", "1000:1010"], ["--delta", "--s"]),
@@ -401,8 +402,10 @@ class TestDomainSweep:
         assert code in (0, 2)
         assert "Traceback" not in err
         if code == 2:
-            # ours reads "finitekey: error:", argparse's names the subcommand
-            assert len(re.findall(r"^finitekey(?: \w+)?: error: ", err, re.M)) == 1, err
+            # argparse's refusals and the library's read the same
+            assert err.startswith(f"usage: finitekey {command} "), err
+            assert len(re.findall(r"^finitekey\b.*: error: ", err, re.M)) == 1, err
+            assert f"\nfinitekey {command}: error: " in err, err
 
 
 class TestConfigFile:
@@ -446,7 +449,9 @@ class TestConfigFile:
             capsys,
         )
         assert code == 2
-        assert "config" in err
+        # found before the subcommand is chosen, so the top-level form
+        assert err.startswith("usage: finitekey [-h] ")
+        assert "\nfinitekey: error: cannot read config file" in err
 
     def test_abbreviated_flag_reads_the_file(self, capsys, tmp_path):
         # --conf used to be accepted by argparse and the file never read
@@ -476,9 +481,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("argv", [["stream", "--config"], ["--config"]])
     def test_config_without_path(self, capsys, argv):
+        # refused before the subcommand is chosen, so the top-level usage;
+        # it was the usage of --config and --output alone
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
+        assert err.startswith("usage: finitekey [-h] ")
         assert err.count("finitekey: error: ") == 1
         assert "--config" in err
 

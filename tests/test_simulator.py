@@ -125,6 +125,42 @@ class TestRun:
         assert (cfg.trials, cfg.seed) == (100, 1)
         assert type(cfg.trials) is int and type(cfg.seed) is int
 
+    def test_chunk_streams_are_spawned_children(self):
+        # chunk i draws from child i of SeedSequence(seed).spawn
+        cfg = SimConfig(
+            shape=BlockShape(m=60, k=30), w=12, delta=0.1, nu=0.3,
+            trials=3 * simulator._CHUNK + 5, seed=9,
+        )
+        pe_max = max_passing_pe_errors(cfg.shape, cfg.delta)
+        key_min = min_alarming_key_errors(cfg.shape, cfg.delta, cfg.nu)
+        children = np.random.SeedSequence(cfg.seed).spawn(4)
+        sizes = [simulator._CHUNK] * 3 + [5]
+        bad = sum(
+            simulator._count_bad(
+                np.random.default_rng(child), size, cfg.shape, cfg.w, pe_max, key_min
+            )
+            for child, size in zip(children, sizes)
+        )
+        assert run(cfg).bad_event_count == bad
+
+    def test_huge_trial_count_starts_drawing_at_once(self, monkeypatch):
+        # 10^12 trials are 15 million chunks; making all their seeds before
+        # the first draw ran out of memory
+        class FirstChunk(Exception):
+            pass
+
+        def first_chunk(rng, size, *args):
+            raise FirstChunk(size)
+
+        monkeypatch.setattr(simulator, "_count_bad", first_chunk)
+        cfg = SimConfig(
+            shape=BlockShape(m=100, k=50), w=10, delta=0.05, nu=0.1,
+            trials=10**12, seed=1,
+        )
+        with pytest.raises(FirstChunk) as caught:
+            run(cfg)
+        assert caught.value.args == (simulator._CHUNK,)
+
 
 def within(freq, p, trials, draws=1):
     """``freq`` within 5 standard errors plus one count of ``p``.
