@@ -7,17 +7,17 @@ and the split ``xi`` for the point that maximises the extractable length
 alone once ``xi`` is chosen best: for the single-term bound ``xi`` plays no
 part, and for the two-term bound the best ``xi`` minimises the PE term,
 which is solved piece by piece of ``m_err = ceil(m (delta + xi))``.  The
-best ``nu`` is then a bracketed root of the length's derivative, and each
-``k`` stops its root search on its own, so its result does not depend on
-which other ``k`` share its batch.  Over ``k``, a zoom of `_K_POINTS` block
-sizes per round on the smooth envelope finds its peak, and a window of
-integers around the peak widens until the envelope at both of its ends
-falls short of the best length found.  For ``m <= 261`` no zoom round
-runs and the first root search visits every ``k``, so the search is
-exhaustive; above that it takes the envelope to have a single peak in
-``k``.  The leading candidates are re-evaluated through the scalar
-`security` functions, so the reported result never rests on the
-vectorised path alone.
+best ``nu`` is then a bracketed root of the length's derivative, found by
+Chandrupatla's method (`_chandrupatla`), and each ``k`` stops its root
+search on its own, so its result does not depend on which other ``k``
+share its batch.  Over ``k``, a zoom of `_K_POINTS` block sizes per
+round on the smooth envelope finds its peak, and a window of integers
+around the peak widens until the envelope at both of its ends falls short
+of the best length found.  For ``m <= 261`` no zoom round runs and the
+first root search visits every ``k``, so the search is exhaustive; above
+that it takes the envelope to have a single peak in ``k``.  The leading
+candidates are re-evaluated through the scalar `security` functions, so
+the reported result never rests on the vectorised path alone.
 
 The search over ``k`` is a generator (`_search`) that asks for the root
 searches it needs, and `_lock_step` runs the searches of several block
@@ -277,16 +277,17 @@ class _Model:
     def best_nu(self, m, k, piece=None):
         """Best nu at each row ``(m, k)``: `_seed` brackets it, a root search polishes it.
 
-        ``m`` is one block size or one per row.  Returns ``(gain, nu, xi,
-        headroom)`` arrays; where nothing has headroom, the point with the
-        most headroom.
+        The root search is Chandrupatla's method (`_chandrupatla`) on the
+        slope inside the bracket.  ``m`` is one block size or one per row.
+        Returns ``(gain, nu, xi, headroom)`` arrays; where nothing has
+        headroom, the point with the most headroom.
         """
         k = np.asarray(k, dtype=float)
         m = np.broadcast_to(np.asarray(m, dtype=float), k.shape)
         a, b, fa, fb, best = self._seed(m, k, piece)
         live = (fa > 0.0) & (fb < 0.0) & (b > a)
         if live.any():
-            nu, found = _illinois(lambda x: self.gain(m, k, x, piece), a, b, fa, fb, live)
+            nu, found = _chandrupatla(lambda x: self.gain(m, k, x, piece), a, b, fa, fb, live)
             better = live & (found[0] > best[0])
             best = tuple(
                 np.where(better, f, old)
@@ -322,42 +323,57 @@ def _argbest(g, room):
     return np.where(np.isfinite(top), np.argmax(g, axis=1), by_room)
 
 
-def _illinois(evaluate, a, b, fa, fb, live):
+def _chandrupatla(evaluate, a, b, fa, fb, live):
     """Root of the slope in ``[a, b]`` where ``slope(a) > 0 > slope(b)``.
 
-    ``evaluate(x)`` returns a tuple whose second item is the slope.  The
-    Illinois variant of false position, vectorised, with a bisection step
-    where the false position is undefined.  Each row stops on its own: it
-    keeps its point and ``evaluate`` tuple from the step where its bracket
-    meets `_ROOT_TOL` or its slope is exactly 0, so a row's result does not
-    depend on the other rows of its batch.  The loop ends when every row
-    has stopped.  Returns the points and their ``evaluate`` tuples; rows
-    that are not ``live`` are evaluated but not searched.
+    ``evaluate(x)`` returns a tuple whose second item is the slope.
+    Chandrupatla's method, vectorised (T. R. Chandrupatla, Adv. Eng. Softw.
+    28 (1997) 145-149): each step is an inverse quadratic interpolation
+    through the bracket's ends and the end it last dropped, or a bisection
+    where that is not finite or fails Chandrupatla's validity test, and it
+    keeps at least half the tolerance from both ends, so a step next to the
+    root closes the bracket.  Each row stops on its own: it keeps its point
+    and ``evaluate`` tuple from the step where its bracket is at most
+    `_ROOT_TOL` times its upper end or its slope is exactly 0, so a row's
+    result does not depend on the other rows of its batch.  The loop ends
+    when every row has stopped.  Returns the points and their ``evaluate``
+    tuples; rows that are not ``live`` are evaluated but not searched.
     """
-    side = np.zeros(a.shape, dtype=int)
+    # x1 is the newest point, x2 the other end of the bracket and x3 the
+    # end dropped at the last step
+    x1, x2, f1, f2 = a, b, fa, fb
+    t = 0.5
     done = ~live
     x = found = None
     for _ in range(_ROOT_STEPS):
-        with np.errstate(all="ignore"):
-            step = b - fb * (b - a) / (fb - fa)
-        step = np.where(np.isfinite(step) & (step > a) & (step < b), step, 0.5 * (a + b))
+        step = x1 + t * (x2 - x1)
         at_step = evaluate(step)
         if found is None:
             x, found = step, at_step
         else:
             x = np.where(done, x, step)
             found = tuple(np.where(done, old, new) for old, new in zip(found, at_step))
-        fx = at_step[1]
-        up = fx > 0.0
-        a, fa = np.where(up, step, a), np.where(up, fx, fa)
-        b, fb = np.where(up, b, step), np.where(up, fb, fx)
-        # halve the stale end after two moves on the same side
-        fb = np.where(up & (side == 1), 0.5 * fb, fb)
-        fa = np.where(~up & (side == -1), 0.5 * fa, fa)
-        side = np.where(up, 1, -1)
-        done = done | (b - a <= _ROOT_TOL * b) | (fx == 0.0)
+        ft = at_step[1]
+        same = (ft > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = step, ft
+        width = np.abs(x2 - x1)
+        tol = _ROOT_TOL * np.maximum(x1, x2)
+        done = done | (width <= tol) | (ft == 0.0)
         if done.all():
             break
+        with np.errstate(all="ignore"):
+            # Chandrupatla's test: the inverse quadratic through the three
+            # points is monotone across the bracket where phi^2 < xi and
+            # (1 - phi)^2 < 1 - xi
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+            quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
+            edge = np.where(done, 0.0, 0.5 * tol / width)
+        t = np.clip(np.where(quadratic, t, 0.5), edge, 1.0 - edge)
     return x, found
 
 
@@ -387,20 +403,22 @@ def _search(model, m):
     stays short beyond a window end where it is short.  The assumption is
     not proven; tests/test_optimizer.py checks it against every k at block
     sizes of the operating regime.  A k's row does not depend on the batch
-    it is searched in (see `_illinois`).  The two-term bound's pieces are
-    searched only at the k whose smooth length reaches the best piece
-    length found.
+    it is searched in (see `_chandrupatla`), so a zoom round asks again for
+    its ends, which the round before visited, and reads its envelope from
+    one array.  The two-term bound's pieces are searched only at the k
+    whose smooth length reaches the best piece length found.
     """
     half = m // 2
     smooth, leak = {}, {}
 
+    def record(ks, rows):
+        smooth.update(zip(ks, zip(*(col.tolist() for col in rows))))
+        leak.update(zip(ks, model.leakage(m, np.array(ks)).tolist()))
+
     def visit(ks):
         new = sorted(set(int(k) for k in ks) - smooth.keys())
-        if not new:
-            return
-        rows = yield new, None
-        smooth.update(zip(new, zip(*(col.tolist() for col in rows))))
-        leak.update(zip(new, model.leakage(m, np.array(new)).tolist()))
+        if new:
+            record(new, (yield new, None))
 
     def envelope(k):
         return smooth[k][0] - _leakage(m - k, model.h)
@@ -408,8 +426,9 @@ def _search(model, m):
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
         ks = np.unique(np.round(np.linspace(lo, hi, _K_POINTS)).astype(int))
-        yield from visit(ks)
-        i = int(np.argmax([envelope(int(k)) for k in ks]))
+        rows = yield ks.tolist(), None
+        record(ks.tolist(), rows)
+        i = int(np.argmax(rows[0] - _leakage(m - ks, model.h)))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
     yield from visit(range(lo, hi + 1))
 

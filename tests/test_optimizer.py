@@ -138,7 +138,81 @@ def count_root_searches(monkeypatch):
     return searches
 
 
+def count_root_evaluations(monkeypatch):
+    """Count the slope evaluations (`_Model.gain` calls) of root searches from now on."""
+    count = [0]
+    search = optimizer._chandrupatla
+
+    def counted(evaluate, *bracket):
+        def tally(x):
+            count[0] += 1
+            return evaluate(x)
+        return search(tally, *bracket)
+
+    monkeypatch.setattr(optimizer, "_chandrupatla", counted)
+    return count
+
+
+# Analytic slopes with known roots, as (slope, root, bracket): a linear one;
+# a steep one-sided one, like the gain's where the PE tail is exponential;
+# one that is +inf below 0.08, like the gain's below the headroom edge; and
+# one whose root is the bracket's midpoint, the first step.
+SLOPES = {
+    "linear": (lambda x: 0.3 - x, 0.3, (0.01, 0.45)),
+    "steep": (lambda x: np.expm1(-200.0 * (x - 0.1)), 0.1, (0.01, 0.4)),
+    "no-headroom": (
+        lambda x: np.where(x < 0.08, np.inf, np.log(0.1 / x)), 0.1, (0.02, 0.44)
+    ),
+    "zero-first": (lambda x: 1.0 - x, 1.0, (0.5, 1.5)),
+}
+
+
+def root_search(names):
+    """`_chandrupatla` on one row per slope of ``names``: ``(x, found, steps)``."""
+    slopes = [SLOPES[name][0] for name in names]
+    steps = []
+
+    def evaluate(x):
+        steps.append(1)
+        slope = np.array([float(f(v)) for f, v in zip(slopes, x)])
+        return -x, slope
+
+    a, b = (np.array([SLOPES[name][2][i] for name in names]) for i in range(2))
+    fa, fb = evaluate(a)[1], evaluate(b)[1]
+    steps.clear()
+    live = np.ones(len(names), dtype=bool)
+    x, found = optimizer._chandrupatla(evaluate, a, b, fa, fb, live)
+    return x, found, len(steps)
+
+
 class TestRootSearch:
+    @pytest.mark.parametrize("name", sorted(SLOPES))
+    def test_root_within_tolerance(self, name):
+        x, (_, slope), steps = root_search([name])
+        root = SLOPES[name][1]
+        assert math.isclose(x[0], root, rel_tol=optimizer._ROOT_TOL), (x[0], root)
+        assert steps < optimizer._ROOT_STEPS
+        if name == "zero-first":
+            assert steps == 1 and slope[0] == 0.0
+
+    def test_rows_of_analytic_slopes_do_not_depend_on_their_batch(self):
+        names = sorted(SLOPES)
+        x, found, _ = root_search(names)
+        for i, name in enumerate(names):
+            x1, found1, _ = root_search([name])
+            assert x[i:i + 1].tobytes() == x1.tobytes(), name
+            for column, single in zip(found, found1):
+                assert column[i:i + 1].tobytes() == single.tobytes(), name
+
+    def test_gain_evaluations_do_not_grow(self, monkeypatch):
+        # the Illinois search that this one replaced made 412 evaluations
+        count = count_root_evaluations(monkeypatch)
+        for variant in ("lemma2", "serfling"):
+            for m in (2151, 11105, 19686):
+                optimize(m, 0.0451, BUDGET6, variant)
+        assert count[0] <= 277
+
+
     @pytest.mark.parametrize(
         "m, s, variant",
         [
