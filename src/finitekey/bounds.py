@@ -59,17 +59,20 @@ _INT_SNAP_TOL = 1e-9
 
 
 def snap_ceil(x):
-    """Ceiling that first snaps values within 1e-9 of an integer."""
+    """Ceiling that first snaps values within 1e-9 of a nonzero integer.
+
+    A positive value never snaps to 0, so a tiny positive count rounds up to 1.
+    """
     r = round(x)
-    if abs(x - r) <= _INT_SNAP_TOL:
+    if r != 0 and abs(x - r) <= _INT_SNAP_TOL:
         return int(r)
     return math.ceil(x)
 
 
 def snap_floor(x):
-    """Floor that first snaps values within 1e-9 of an integer."""
+    """Floor that first snaps values within 1e-9 of a nonzero integer."""
     r = round(x)
-    if abs(x - r) <= _INT_SNAP_TOL:
+    if r != 0 and abs(x - r) <= _INT_SNAP_TOL:
         return int(r)
     return math.floor(x)
 

@@ -19,16 +19,20 @@ that it takes the envelope to have a single peak in ``k``.  The leading
 candidates are re-evaluated through the scalar `security` functions, so
 the reported result never rests on the vectorised path alone.
 
-The search over ``k`` is a generator (`_search`) that asks for the root
-searches it needs, and `_lock_step` runs the searches of several block
-sizes in lock step: each round, their requests share one root search, with
-one row per ``(m, k)``.  Since a row does not depend on its batch, a block
-size searched with others gets the rows it gets alone.  `optimize` is the
-driver on one block size.  `min_block_length` inverts the search over
-``m``: forward strides find the first grid point whose optimised ``ell``
-reaches one, and a bisection inside that stride finds a block size with a
-key whose predecessor has none.  It searches the block sizes it may probe
-in batches of `_BATCH`, and verifies only those it reads.
+Each layer has one job.  `_Model.best_nu` is the root search over nu at
+rows of ``(m, k)``, with one ``m_err`` piece per row or none for the
+smooth gain.  `_search` is the search over ``k`` at one block size: a
+generator that yields the rows it needs searched and keeps the better of
+the two pieces of each ``k`` it refines.  `_lock_step` answers the
+requests of several block sizes with one `best_nu` call per kind and
+round; a row does not depend on its batch, so each block size gets the
+rows it gets alone.  `_optimize_each` is the one loop that batches block
+sizes, `_BATCH` at a time, and the one place that checks a search's
+input; `optimize` runs it on one block size.  `min_block_length` inverts
+the search over ``m``: its forward scan reads `_optimize_each`'s results
+up to the first grid point with a key, and a bisection inside that
+stride searches the midpoints of its next `_DEPTH` levels in lock step.
+Each result is verified only when it is read.
 """
 
 from __future__ import annotations
@@ -64,8 +68,7 @@ __all__ = [
 _K_POINTS = 129
 _NU_POINTS = 24
 # m_err pieces searched: the one holding the smooth optimum of xi and the
-# one before it (see _Model.best_piece); Newton steps for the best xi at
-# one (k, nu).
+# one before it (see _Model); Newton steps for the best xi at one (k, nu).
 _PIECES = (-1, 0)
 _SPLIT_STEPS = 5
 # Bracketed root search for the best nu: iteration cap and tolerance.
@@ -75,7 +78,7 @@ _ROOT_TOL = 1e-9
 _VERIFY = 3
 # Block sizes searched in lock step: the levels of min_block_length's
 # bisection tree searched at once, and the batch they make, which is also
-# the batch of its forward scan and of a sweep.
+# the batch of _optimize_each.
 _DEPTH = 3
 _BATCH = 2**_DEPTH - 1
 _LOG2E = 1.0 / math.log(2.0)
@@ -131,12 +134,17 @@ class _Model:
     Hush-Scovel factor taken as a smooth function of ``xi`` when it is not.
     Where ``m_err <= m/2`` the factor falls as ``m_err`` grows, so the
     smooth factor is never below the factor of the piece, and the smooth
-    gain bounds every piece's gain from above.  Every formula of the model
-    is a kernel of `bounds` or `security`, shared with the scalar API; only
-    the derivatives that steer the search are this class's own.  Each row
-    has its own block size ``m``, and a row's result does not depend on the
-    other rows of its call; ``delta``, the budget and the variant are the
-    model's.
+    gain bounds every piece's gain from above.  Maximised over nu, the
+    smooth gain is unimodal in xi and meets each piece's gain at the
+    piece's right end, so a piece after the one holding the smooth optimum
+    stays below that piece's right end: the best piece is the one holding
+    the optimum or the one before it (`_PIECES`).  Every formula of the
+    model is a kernel of `bounds` or `security`, shared with the scalar
+    API; only the derivatives that steer the search are this class's own.
+    Each row has its own block size ``m``, and a row's result does not
+    depend on the other rows of its call; ``delta``, the budget and the
+    variant are the model's.  The model searches nu at given rows; which
+    rows and pieces to search is `_search`'s choice.
     """
 
     def __init__(self, delta: float, budget: SecurityBudget, variant: str):
@@ -278,7 +286,8 @@ class _Model:
         """Best nu at each row ``(m, k)``: `_seed` brackets it, a root search polishes it.
 
         The root search is Chandrupatla's method (`_chandrupatla`) on the
-        slope inside the bracket.  ``m`` is one block size or one per row.
+        slope inside the bracket.  ``m`` is one block size or one per row,
+        and ``piece`` is None for the smooth gain or one ``m_err`` per row.
         Returns ``(gain, nu, xi, headroom)`` arrays; where nothing has
         headroom, the point with the most headroom.
         """
@@ -294,26 +303,6 @@ class _Model:
                 for f, old in zip((found[0], nu, found[2], found[3]), best)
             )
         return best
-
-    def best_piece(self, m, k, xi):
-        """Best ``(gain, nu, xi, headroom)`` over the pieces around ``xi``.
-
-        ``xi`` is the smooth optimum at each row ``(m, k)``, and ``m`` is
-        one block size or one per row; one `best_nu` call searches every
-        row's pieces.  The smooth gain,
-        maximised over nu, is unimodal in xi, bounds every piece's gain
-        and meets it at the piece's right end.  A piece after the one
-        holding the smooth optimum lies where the smooth gain falls, so it
-        stays below that piece's right end; the best piece is the one
-        holding the optimum or the one before it.
-        """
-        m = np.broadcast_to(np.asarray(m, dtype=float), np.shape(k))
-        j = np.ceil(m * (self.delta + xi)) + np.array(_PIECES)[:, None]
-        width = len(_PIECES)
-        rows = self.best_nu(np.tile(m, width), np.tile(k, width), j.ravel())
-        g, nus, xis, room = (v.reshape(width, -1) for v in rows)
-        i = _argbest(g.T, room.T)[None]
-        return tuple(np.take_along_axis(v, i, axis=0)[0] for v in (g, nus, xis, room))
 
 
 def _argbest(g, room):
@@ -380,13 +369,12 @@ def _chandrupatla(evaluate, a, b, fa, fb, live):
 def _search(model, m):
     """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= m // 2``.
 
-    A generator: each root search it needs is a request ``(ks, xi)`` that
-    it yields, and the caller sends back the rows of those ``k`` at block
-    size ``m``: `_Model.best_nu`'s smooth rows when ``xi`` is None, else
-    `_Model.best_piece`'s rows around the smooth ``xi``.  `_lock_step`
-    answers the requests of many block sizes at once.  The search returns
-    (as ``StopIteration.value``) the rows of every k searched in its
-    pieces, best first.
+    A generator: each root search it needs is a request ``(ks, pieces)``
+    that it yields, and the caller sends back `_Model.best_nu`'s rows of
+    those ``k`` at block size ``m``, with ``pieces`` as its ``piece``:
+    None for smooth rows.  `_lock_step` answers the requests of many block
+    sizes at once.  The search returns (as ``StopIteration.value``) the
+    rows of every k searched in its pieces, best first.
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
     peak, one root search on up to `_K_POINTS` block sizes per round: one
@@ -394,34 +382,59 @@ def _search(model, m):
     narrows ``[lo, hi]`` to the neighbours of the envelope's peak, and once
     at most ``_K_POINTS + 1`` integers are left they are all visited.  The
     envelope bounds the length ``gain - r`` from above, so a k whose
-    envelope falls short of the best length found cannot win; the window
-    of integers around the peak widens until the envelope at both of its
-    ends falls short.  Where ``m // 2 <= _K_POINTS + 1`` (``m <= 261``) no
-    zoom round runs: the first root search visits every k and the search
-    is exhaustive.  Above that the k outside the window are not visited:
-    this assumes that the envelope has a single peak in k, so that it
-    stays short beyond a window end where it is short.  The assumption is
-    not proven; tests/test_optimizer.py checks it against every k at block
-    sizes of the operating regime.  A k's row does not depend on the batch
-    it is searched in (see `_chandrupatla`), so a zoom round asks again for
-    its ends, which the round before visited, and reads its envelope from
-    one array.  The two-term bound's pieces are searched only at the k
-    whose smooth length reaches the best piece length found.
+    envelope falls short of the best length found cannot win; each end of
+    the window of integers around the peak moves out, by a width that
+    doubles each step, while the envelope there reaches that length, and
+    the window is visited again (only its new k are searched).  Where
+    ``m // 2 <= _K_POINTS + 1`` (``m <= 261``) no zoom round runs: the
+    first root search visits every k and the search is exhaustive.  Above
+    that the k outside the window are not visited: this assumes that the
+    envelope has a single peak in k, so that it stays short beyond a
+    window end where it is short.  The assumption is not proven;
+    tests/test_optimizer.py checks it against every k at block sizes of
+    the operating regime.  A k's row does not depend on the batch it is
+    searched in (see `_chandrupatla`), so a zoom round asks again for its
+    ends, which the round before visited, and reads its envelope from one
+    array.  The two-term bound's pieces are searched only at the k whose
+    smooth length reaches the best piece length found: both pieces of
+    `_PIECES` around the smooth optimum of xi, of which the better is kept.
+    The bookkeeping is sparse in k (dicts of the k searched), since ``m``
+    may be as large as 2^53 - 1.
     """
     half = m // 2
-    smooth, leak = {}, {}
+    smooth, leak, exact = {}, {}, {}
 
     def record(ks, rows):
         smooth.update(zip(ks, zip(*(col.tolist() for col in rows))))
         leak.update(zip(ks, model.leakage(m, np.array(ks)).tolist()))
 
     def visit(ks):
-        new = sorted(set(int(k) for k in ks) - smooth.keys())
+        new = sorted(set(ks) - smooth.keys())
         if new:
             record(new, (yield new, None))
 
+    def refine(ks):
+        """Piece rows for the k in ``ks`` that have none yet; returns the best length."""
+        new = [k for k in ks if k not in exact]
+        if new:
+            rows = [np.array([smooth[k][i] for k in new]) for i in range(4)]
+            if model.two_term:
+                pieces = np.ceil(m * (model.delta + rows[2])) + np.array(_PIECES)[:, None]
+                reply = yield new * len(_PIECES), pieces.ravel()
+                rows = [col.reshape(len(_PIECES), -1) for col in reply]
+                best = _argbest(rows[0].T, rows[3].T)
+                rows = [col[best, np.arange(len(new))] for col in rows]
+            for idx, k in enumerate(new):
+                exact[k] = (float(rows[0][idx]) - leak[k], k) + tuple(
+                    float(col[idx]) for col in rows[1:]
+                )
+        return max(row[0] for row in exact.values())
+
     def envelope(k):
         return smooth[k][0] - _leakage(m - k, model.h)
+
+    def length(k):
+        return smooth[k][0] - leak[k]
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
@@ -430,58 +443,35 @@ def _search(model, m):
         record(ks.tolist(), rows)
         i = int(np.argmax(rows[0] - _leakage(m - ks, model.h)))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
-    yield from visit(range(lo, hi + 1))
-
-    exact = {}
-
-    def refine(ks):
-        """Piece rows for the k in ``ks`` that have none yet."""
-        new = [k for k in ks if k not in exact]
-        if not new:
-            return
-        rows = [np.array([smooth[k][i] for k in new]) for i in range(4)]
-        if model.two_term:
-            rows = yield new, rows[2]
-        for idx, k in enumerate(new):
-            exact[k] = (float(rows[0][idx]) - leak[k], k) + tuple(
-                float(col[idx]) for col in rows[1:]
-            )
-
-    def length(k):
-        return smooth[k][0] - leak[k]
 
     width = hi - lo + 1
     while True:
+        yield from visit(range(lo, hi + 1))
         # the smooth lengths bound the piece lengths: refine the leaders
         order = sorted(smooth, key=length, reverse=True)
-        yield from refine(order[:1])
-        target = max(row[0] for row in exact.values())
-        yield from refine([k for k in order if length(k) >= target])
-        target = max(row[0] for row in exact.values())
+        target = yield from refine(order[:1])
+        target = yield from refine([k for k in order if length(k) >= target])
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
-        grow = []
-        if lo > 1 and envelope(lo) >= target:
-            grow.extend(range(max(1, lo - width), lo))
-            lo = max(1, lo - width)
-        if hi < half and envelope(hi) >= target:
-            grow.extend(range(hi + 1, min(half, hi + width) + 1))
-            hi = min(half, hi + width)
-        if not grow:
+        ends = (
+            max(1, lo - width) if envelope(lo) >= target else lo,
+            min(half, hi + width) if envelope(hi) >= target else hi,
+        )
+        if ends == (lo, hi):
             break
-        yield from visit(grow)
-        width *= 2
+        (lo, hi), width = ends, 2 * width
     return sorted(exact.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
 
 
 def _lock_step(delta, budget, variant, ms):
     """`_search`'s rows at each block size of ``ms``, searched in lock step.
 
-    Each round, every search still running yields one request.  The round's
-    smooth requests share one `_Model.best_nu` call and its piece requests
-    one `_Model.best_piece` call, so a round costs at most two root
-    searches however many block sizes it serves.  A row does not depend on
-    its batch, so each block size gets the rows it would get alone.
+    Each round, every search still running yields one request.  The
+    round's smooth requests share one `_Model.best_nu` call and its piece
+    requests another, so a round costs at most two root searches however
+    many block sizes it serves.  A row does not depend on its batch, so
+    each block size gets the rows it would get alone.  The block sizes are
+    taken as checked (see `_optimize_each`).
     """
     model = _Model(delta, budget, variant)
     searches = [_search(model, m) for m in ms]
@@ -492,30 +482,23 @@ def _lock_step(delta, budget, variant, ms):
         asks = {}
         for i in running:
             try:
-                ks, xi = searches[i].send(replies[i])
+                ks, pieces = searches[i].send(replies[i])
             except StopIteration as stop:
                 results[i] = stop.value
             else:
-                asks.setdefault(xi is None, []).append((i, ks, xi))
+                asks.setdefault(pieces is None, []).append((i, ks, pieces))
         running = []
         for smooth, group in asks.items():
             m = np.concatenate([np.full(len(ks), ms[i], dtype=float) for i, ks, _ in group])
             k = np.array([k for _, ks, _ in group for k in ks], dtype=float)
-            if smooth:
-                rows = model.best_nu(m, k)
-            else:
-                rows = model.best_piece(m, k, np.concatenate([xi for _, _, xi in group]))
+            pieces = None if smooth else np.concatenate([p for _, _, p in group])
+            rows = model.best_nu(m, k, pieces)
             end = 0
             for i, ks, _ in group:
                 start, end = end, end + len(ks)
                 replies[i] = tuple(col[start:end] for col in rows)
                 running.append(i)
     return results
-
-
-def _check_search(delta: float, variant: str) -> None:
-    check_variant(variant)
-    check_protocol_rate(delta)
 
 
 def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
@@ -548,16 +531,17 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
 def _optimize_each(ms, delta, budget, variant):
     """`optimize` at each block size of ``ms``, yielded in order.
 
-    The block sizes are searched in lock step, `_BATCH` at a time, so the
-    rows of one root search stay bounded however many block sizes there
-    are.  Each batch is checked before it is searched.
+    The one loop that batches block sizes: they are searched in lock step,
+    `_BATCH` at a time, so the rows of one root search stay bounded however
+    many block sizes there are, and each result is verified only when it
+    is read.  It is also the one place that checks a search's input: the
+    variant and ``delta`` before the first batch, and each batch's block
+    sizes (integers below 2^53, at least 10) before it is searched.
     """
-    _check_search(delta, variant)
+    check_variant(variant)
+    check_protocol_rate(delta)
     ms = iter(ms)
-    while True:
-        batch = [_check_block_size(m, "m") for m in itertools.islice(ms, _BATCH)]
-        if not batch:
-            return
+    while batch := [_check_block_size(m, "m") for m in itertools.islice(ms, _BATCH)]:
         if min(batch) < 10:
             raise ValueError(f"m must be at least 10, got {min(batch)}")
         for m, rows in zip(batch, _lock_step(delta, budget, variant, batch)):
@@ -620,50 +604,40 @@ def min_block_length(
     ``m`` in the range when the optimised ``ell`` does not fall back to
     zero as ``m`` grows.
 
-    The block sizes are searched in batches, in lock step (`_lock_step`).
-    The forward scan searches the next `_BATCH` grid points at once, and
-    the bisection the midpoints of the next `_DEPTH` levels of its decision
-    tree, `_BATCH` of them.  Each batch is then read in order, as a
-    sequential scan or bisection would read it, and only the block sizes
-    read are verified as `optimize` verifies them; so the result is the
-    one the sequential search returns.  The search costs about the forward
-    probes up to the hit over `_BATCH` plus ``log2(stride)`` over `_DEPTH`
-    batches, each a few rounds of root searches.  ``m_lo`` and ``m_hi`` are
-    integers, checked as `optimize` checks ``m``.  The forward grid is
-    lazy, so its size does not grow with the range.
+    The forward scan reads `_optimize_each`'s results along the grid, so it
+    searches `_BATCH` grid points at once and checks the input as
+    `optimize` does.  The bisection searches the midpoints of the next
+    `_DEPTH` levels of its decision tree, `_BATCH` of them, in lock step
+    (`_lock_step`).  Each batch is read in order, as a sequential scan or
+    bisection would read it, and only the block sizes read are verified as
+    `optimize` verifies them; so the result is the one the sequential
+    search returns.  The search costs about the forward probes up to the
+    hit over `_BATCH` plus ``log2(stride)`` over `_DEPTH` batches, each a
+    few rounds of root searches.  ``m_lo`` and ``m_hi`` are integers below
+    2^53 with ``m_lo <= m_hi``.  The forward grid is lazy, so its size
+    does not grow with the range.
     """
     m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
-    if not 10 <= m_lo <= m_hi:
-        raise ValueError(f"need 10 <= m_lo <= m_hi, got [{m_lo}, {m_hi}]")
-    _check_search(delta, variant)
-
-    def search(batch):
-        return dict(zip(batch, _lock_step(delta, budget, variant, batch)))
-
-    def keyed(m, rows):
-        return _verify(m, delta, budget, variant, rows[m]).ell >= 1
-
+    if m_lo > m_hi:
+        raise ValueError(f"need m_lo <= m_hi, got [{m_lo}, {m_hi}]")
     stride = max(1, min(500, (m_hi - m_lo) // 128))
-    grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
+    ms, grid = itertools.tee(itertools.chain(range(m_lo, m_hi, stride), [m_hi]))
     # bad has no key and good has one; m_lo - 1 stands for below the range
-    bad, good = m_lo - 1, None
-    while good is None:
-        batch = list(itertools.islice(grid, _BATCH))
-        if not batch:
-            return None
-        rows = search(batch)
-        for m in batch:
-            if keyed(m, rows):
-                good = m
-                break
-            bad = m
+    bad = m_lo - 1
+    for good, result in zip(ms, _optimize_each(grid, delta, budget, variant)):
+        if result.ell >= 1:
+            break
+        bad = good
+    else:
+        return None
     while good - bad > 1:
-        rows = search(_tree(bad, good, _DEPTH))
+        batch = _tree(bad, good, _DEPTH)
+        rows = dict(zip(batch, _lock_step(delta, budget, variant, batch)))
         for _ in range(_DEPTH):
             if good - bad <= 1:
                 break
             mid = (bad + good) // 2
-            if keyed(mid, rows):
+            if _verify(mid, delta, budget, variant, rows[mid]).ell >= 1:
                 good = mid
             else:
                 bad = mid

@@ -143,6 +143,12 @@ class TestSnapHelpers:
         assert snap_floor(-1.5) == -2
         assert snap_ceil(-1.5) == -1
 
+    def test_positive_value_never_snaps_to_zero(self):
+        # 1e-12 is within the tolerance of 0, but a positive count needs one
+        assert snap_ceil(1e-12) == 1
+        assert snap_floor(1e-12) == 0
+        assert snap_ceil(0.0) == snap_floor(0.0) == 0
+
 
 class TestBinaryEntropy:
     def test_reference_value(self):
@@ -394,6 +400,13 @@ class TestThresholds:
         assert min_alarming_key_errors(shape, 0.0, 1.0) == 15
         # above-n thresholds are representable; the event is just empty
         assert min_alarming_key_errors(shape, 0.9, 0.9) == 27
+
+    def test_tiny_positive_key_threshold_is_one(self):
+        # n (delta + nu) = 5e-10 is within the snap tolerance of 0, but the
+        # alarm needs one key error: a key with none is not a bad event
+        shape = BlockShape(m=1000, k=500)
+        assert min_alarming_key_errors(shape, 0.0, 1e-12) == 1
+        assert exact_joint_ppe(shape, 0.0, 1e-12, 0) == 0.0
 
 
 def _limits(m, w, n):

@@ -223,6 +223,18 @@ class TestSimulate:
         assert row[9] == f"{report.frequency:.6g}"
         assert row[12] == f"{report.exact:.6g}"
 
+    def test_no_errors_no_bad_event(self, capsys):
+        # a deviation of 1e-300 puts the alarm at one key error, so no trial
+        # with w = 0 is a bad event
+        code, out, _ = run_cli(
+            ["simulate", "--m", "10", "--k", "1", "--w", "0", "--delta", "0",
+             "--nu", "1e-300", "--trials", "5"],
+            capsys,
+        )
+        assert code == 0
+        (row,) = parse_csv(out)[1]
+        assert (row[8], row[12]) == ("0", "0")
+
 
 class TestStream:
     def test_budget_value(self, capsys):
@@ -323,11 +335,15 @@ class TestUsageErrors:
         assert searches == []
 
     def test_domain_error_reported_as_usage(self, capsys):
-        # the library's refusal used to print the top-level usage line
-        code, _, err = run_cli(["keyrate", "--m", "5"], capsys)
-        assert code == 2
-        assert err.startswith("usage: finitekey keyrate ")
-        assert "\nfinitekey keyrate: error: m must be at least 10" in err
+        # the library's refusal used to print the top-level usage line; the
+        # rule on m has one owner, so every command reports it in its words
+        for argv in (["keyrate", "--m", "5"], ["sweep", "--m-range", "5:20"],
+                     ["minblock", "--m-range", "5:100"]):
+            code, _, err = run_cli(argv, capsys)
+            command = argv[0]
+            assert code == 2
+            assert err.startswith(f"usage: finitekey {command} ")
+            assert err.endswith(f"\nfinitekey {command}: error: m must be at least 10, got 5\n")
 
     @pytest.mark.parametrize(
         "argv",

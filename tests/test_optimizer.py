@@ -1,6 +1,7 @@
 """Tests for the parameter search and block-length threshold scan."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -116,6 +117,19 @@ class TestOptimize:
         assert (res.m, res.ell) == (3100, 10)
         assert type(res.m) is int
 
+    @pytest.mark.parametrize("m", [2**53 - 1, 10**12])
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_largest_block_sizes_in_little_memory(self, m, variant):
+        # the search over k is sparse: a table per k would need m/2 entries
+        tracemalloc.start()
+        try:
+            res = optimize(m, 0.0451, BUDGET6, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.feasible and res.ell >= 1
+        assert peak < 16 * 2**20
+
     def test_m_beyond_float64_rejected_before_search(self, monkeypatch):
         # counts at or above 2^53 are not exact in the search's float arrays
         searches = count_root_searches(monkeypatch)
@@ -212,6 +226,19 @@ class TestRootSearch:
                 optimize(m, 0.0451, BUDGET6, variant)
         assert count[0] <= 277
 
+    def test_root_searches_do_not_grow(self, monkeypatch):
+        # a round is one root search whatever its rows: 41 for these eight
+        # calls, and 22, 19, 21 and 21 for the four min_block_length calls
+        searches = count_root_searches(monkeypatch)
+        for variant in ("lemma2", "serfling"):
+            for m in (2151, 11105, 18251, 19686):
+                optimize(m, 0.0451, BUDGET6, variant)
+        assert len(searches) <= 41
+        searches.clear()
+        for budget in (BUDGET6, BUDGET10):
+            for variant in ("lemma2", "serfling"):
+                min_block_length(0.0451, budget, variant, 1000, 20000)
+        assert len(searches) <= 83
 
     @pytest.mark.parametrize(
         "m, s, variant",
@@ -298,8 +325,10 @@ class TestSearchOverK:
         # one bit more than optimize found, the pieces decide
         reach = length >= res.ell + 1
         if model.two_term and reach.any():
-            pieces = model.best_piece(m, ks[reach], xi[reach])[0]
-            length[reach] = pieces - model.leakage(m, ks[reach])
+            width = len(optimizer._PIECES)
+            pieces = np.ceil(m * (0.0451 + xi[reach])) + np.array(optimizer._PIECES)[:, None]
+            gains = model.best_nu(m, np.tile(ks[reach], width), pieces.ravel())[0]
+            length[reach] = gains.reshape(width, -1).max(axis=0) - model.leakage(m, ks[reach])
         assert length.max() < res.ell + 1
 
     @pytest.mark.parametrize("m", [20, 101, 259, 261])
