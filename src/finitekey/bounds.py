@@ -476,9 +476,7 @@ def _summands(run, start: int = 0, stop: int = _M_LIMIT) -> list:
     first = len(terms)
     for value, count in stretches:
         end = first + count
-        if start <= first and end <= stop:
-            out.append(value * count)
-        elif start < end and first < stop:
+        if start < end and first < stop:
             out.append(value * (min(end, stop) - max(first, start)))
         first = end
     return out

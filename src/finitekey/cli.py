@@ -15,7 +15,9 @@ lines (keys are the long flag names without the dashes).  `main` finds
 and abbreviations such as ``--conf`` work as for any flag, and puts the
 file's flags right after the subcommand, ahead of every flag on the command
 line: explicit flags win wherever they stand.  A config file that cannot be
-read is a usage error.
+read is a usage error, and so is one with a key that argparse reads as
+``--config`` (``config`` or an abbreviation such as ``conf``), whose file
+would never be read.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a failing row, 2 on
 usage errors.  A usage error, whether argparse or the library refuses the
@@ -109,17 +111,6 @@ def _parse_m_range(text: str):
     return start, stop, step
 
 
-def _parse_m_bounds(text: str):
-    """``start:stop`` of `_parse_m_range`; a step other than 1 is refused."""
-    start, stop, step = _parse_m_range(text)
-    if step != 1:
-        raise ValueError(
-            f"minblock searches every m in start:stop, so the step must be 1, "
-            f"got {text!r}"
-        )
-    return start, stop
-
-
 def _keyrate_row(result):
     point, bd = result.point, result.breakdown
     knobs = (point.alpha, point.beta, point.nu, point.xi) if point else (None,) * 4
@@ -155,7 +146,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_minblock(args) -> int:
-    start, stop = _parse_m_bounds(args.m_range)
+    start, stop, step = _parse_m_range(args.m_range)
+    if step != 1:
+        raise ValueError(
+            f"minblock searches every m in start:stop, so the step must be 1, "
+            f"got {args.m_range!r}"
+        )
     budget = SecurityBudget(args.s)
     rows = []
     for var in _variants(args.variant):
@@ -312,6 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if rest:
                 at = argv.index(rest[0])
                 flags = [] if known.config is None else _apply_config(known.config)
+                if common.parse_known_args(flags)[0].config is not None:
+                    raise ValueError(f"{known.config}: a config file cannot set --config")
                 argv = [argv[at], *flags, *argv[:at], *argv[at + 1 :]]
         except (argparse.ArgumentError, ValueError) as exc:
             parser.error(str(exc))

@@ -398,55 +398,54 @@ def _search(model, m):
     array.  The two-term bound's pieces are searched only at the k whose
     smooth length reaches the best piece length found: both pieces of
     `_PIECES` around the smooth optimum of xi, of which the better is kept.
-    The bookkeeping is sparse in k (dicts of the k searched), since ``m``
-    may be as large as 2^53 - 1.
+    The bookkeeping is two dicts, sparse in k since ``m`` may be as large as
+    2^53 - 1: ``smooth`` keeps one record per k visited, its smooth row and
+    its leakage, and ``exact`` the best piece row per k refined (the smooth
+    row itself for the single-term bound).
     """
     half = m // 2
-    smooth, leak, exact = {}, {}, {}
-
-    def record(ks, rows):
-        smooth.update(zip(ks, zip(*(col.tolist() for col in rows))))
-        leak.update(zip(ks, model.leakage(m, np.array(ks)).tolist()))
+    smooth, exact = {}, {}
 
     def visit(ks):
-        new = sorted(set(ks) - smooth.keys())
-        if new:
-            record(new, (yield new, None))
+        """Searches and records the smooth rows of ``ks``, if any; returns them."""
+        if ks:
+            rows = yield ks, None
+            leak = model.leakage(m, np.array(ks)).tolist()
+            smooth.update(zip(ks, zip(*(col.tolist() for col in rows), leak)))
+            return rows
 
     def refine(ks):
         """Piece rows for the k in ``ks`` that have none yet; returns the best length."""
         new = [k for k in ks if k not in exact]
-        if new:
-            rows = [np.array([smooth[k][i] for k in new]) for i in range(4)]
-            if model.two_term:
-                pieces = np.ceil(m * (model.delta + rows[2])) + np.array(_PIECES)[:, None]
-                reply = yield new * len(_PIECES), pieces.ravel()
-                rows = [col.reshape(len(_PIECES), -1) for col in reply]
-                best = _argbest(rows[0].T, rows[3].T)
-                rows = [col[best, np.arange(len(new))] for col in rows]
-            for idx, k in enumerate(new):
-                exact[k] = (float(rows[0][idx]) - leak[k], k) + tuple(
-                    float(col[idx]) for col in rows[1:]
-                )
+        if new and model.two_term:
+            xi = np.array([smooth[k][2] for k in new])
+            pieces = np.ceil(m * (model.delta + xi)) + np.array(_PIECES)[:, None]
+            reply = yield new * len(_PIECES), pieces.ravel()
+            cols = [col.reshape(len(_PIECES), -1) for col in reply]
+            best = _argbest(cols[0].T, cols[3].T)
+            rows = zip(*(col[best, np.arange(len(new))].tolist() for col in cols))
+        else:
+            rows = (smooth[k][:4] for k in new)
+        for k, (gain, nu, xi, room) in zip(new, rows):
+            exact[k] = (gain - smooth[k][4], k, nu, xi, room)
         return max(row[0] for row in exact.values())
 
     def envelope(k):
         return smooth[k][0] - _leakage(m - k, model.h)
 
     def length(k):
-        return smooth[k][0] - leak[k]
+        return smooth[k][0] - smooth[k][4]
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
         ks = np.unique(np.round(np.linspace(lo, hi, _K_POINTS)).astype(int))
-        rows = yield ks.tolist(), None
-        record(ks.tolist(), rows)
+        rows = yield from visit(ks.tolist())
         i = int(np.argmax(rows[0] - _leakage(m - ks, model.h)))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
 
     width = hi - lo + 1
     while True:
-        yield from visit(range(lo, hi + 1))
+        yield from visit(sorted(set(range(lo, hi + 1)) - smooth.keys()))
         # the smooth lengths bound the piece lengths: refine the leaders
         order = sorted(smooth, key=length, reverse=True)
         target = yield from refine(order[:1])
@@ -466,28 +465,28 @@ def _search(model, m):
 def _lock_step(delta, budget, variant, ms):
     """`_search`'s rows at each block size of ``ms``, searched in lock step.
 
-    Each round, every search still running yields one request.  The
-    round's smooth requests share one `_Model.best_nu` call and its piece
-    requests another, so a round costs at most two root searches however
-    many block sizes it serves.  A row does not depend on its batch, so
+    Each round, every search still running yields one request; ``running``
+    maps each such search to the reply it is sent next.  The round's smooth
+    requests share one `_Model.best_nu` call and its piece requests
+    another, so a round costs at most two root searches however many block
+    sizes it serves.  A row does not depend on its batch, so
     each block size gets the rows it would get alone.  The block sizes are
     taken as checked (see `_optimize_each`).
     """
     model = _Model(delta, budget, variant)
     searches = [_search(model, m) for m in ms]
-    replies = [None] * len(ms)
     results = [None] * len(ms)
-    running = range(len(ms))
+    running = dict.fromkeys(range(len(ms)))
     while running:
         asks = {}
-        for i in running:
+        for i, reply in running.items():
             try:
-                ks, pieces = searches[i].send(replies[i])
+                ks, pieces = searches[i].send(reply)
             except StopIteration as stop:
                 results[i] = stop.value
             else:
                 asks.setdefault(pieces is None, []).append((i, ks, pieces))
-        running = []
+        running = {}
         for smooth, group in asks.items():
             m = np.concatenate([np.full(len(ks), ms[i], dtype=float) for i, ks, _ in group])
             k = np.array([k for _, ks, _ in group for k in ks], dtype=float)
@@ -496,18 +495,20 @@ def _lock_step(delta, budget, variant, ms):
             end = 0
             for i, ks, _ in group:
                 start, end = end, end + len(ks)
-                replies[i] = tuple(col[start:end] for col in rows)
-                running.append(i)
+                running[i] = tuple(col[start:end] for col in rows)
     return results
 
 
 def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
     """The result at block size ``m`` from its `_search` rows.
 
-    The leading `_VERIFY` candidates are re-evaluated with `max_ell_at`
-    and `feasible`; ties in ``ell`` go to the larger unrounded length.
+    Each of the leading `_VERIFY` candidates with a defined bound (headroom
+    above -inf) is re-evaluated with `max_ell_at` and `feasible` into a
+    `KeyRateResult`.  The first with the largest ``(feasible, ell)`` is
+    returned, so ties in ``ell`` go to the larger unrounded length; with no
+    such candidate, the result has ``ell = 0`` and no point.
     """
-    best = None
+    results = []
     for length, k, nu, xi, room in rows[:_VERIFY]:
         if room == -math.inf:
             continue
@@ -515,17 +516,14 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
         slack = SlackParams(nu=nu, xi=xi)
         ell = max_ell_at(settings, budget, slack, variant)
         bd, ok = feasible(replace(settings, ell=ell), budget, slack, variant)
-        if best is None or (ok, ell) > best[0]:
-            best = ((ok, ell), k, nu, xi, bd)
-    if best is None:
-        return KeyRateResult(
-            m=m, variant=variant, ell=0, point=None, breakdown=None, feasible=False
-        )
-    (ok, ell), k, nu, xi, bd = best
-    point = OptimizationPoint(alpha=ell / m, beta=k / m, nu=nu, xi=xi)
-    return KeyRateResult(
-        m=m, variant=variant, ell=ell, point=point, breakdown=bd, feasible=ok
+        point = OptimizationPoint(alpha=ell / m, beta=k / m, nu=nu, xi=xi)
+        results.append(KeyRateResult(
+            m=m, variant=variant, ell=ell, point=point, breakdown=bd, feasible=ok
+        ))
+    empty = KeyRateResult(
+        m=m, variant=variant, ell=0, point=None, breakdown=None, feasible=False
     )
+    return max(results, key=lambda result: (result.feasible, result.ell), default=empty)
 
 
 def _optimize_each(ms, delta, budget, variant):
@@ -604,14 +602,14 @@ def min_block_length(
     ``m`` in the range when the optimised ``ell`` does not fall back to
     zero as ``m`` grows.
 
-    The forward scan reads `_optimize_each`'s results along the grid, so it
-    searches `_BATCH` grid points at once and checks the input as
-    `optimize` does.  The bisection searches the midpoints of the next
-    `_DEPTH` levels of its decision tree, `_BATCH` of them, in lock step
-    (`_lock_step`).  Each batch is read in order, as a sequential scan or
-    bisection would read it, and only the block sizes read are verified as
-    `optimize` verifies them; so the result is the one the sequential
-    search returns.  The search costs about the forward probes up to the
+    The forward scan reads `_optimize_each`'s results along the grid, each
+    with its block size, so it searches `_BATCH` grid points at once and
+    checks the input as `optimize` does.  The bisection searches the
+    midpoints of the next `_DEPTH` levels of its decision tree, `_BATCH` of
+    them, in lock step (`_lock_step`).  Each batch is read in order, as a
+    sequential scan or bisection would read it, and only the block sizes
+    read are verified as `optimize` verifies them; so the result is the one
+    the sequential search returns.  The search costs about the forward probes up to the
     hit over `_BATCH` plus ``log2(stride)`` over `_DEPTH` batches, each a
     few rounds of root searches.  ``m_lo`` and ``m_hi`` are integers below
     2^53 with ``m_lo <= m_hi``.  The forward grid is lazy, so its size
@@ -621,15 +619,16 @@ def min_block_length(
     if m_lo > m_hi:
         raise ValueError(f"need m_lo <= m_hi, got [{m_lo}, {m_hi}]")
     stride = max(1, min(500, (m_hi - m_lo) // 128))
-    ms, grid = itertools.tee(itertools.chain(range(m_lo, m_hi, stride), [m_hi]))
+    grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
     # bad has no key and good has one; m_lo - 1 stands for below the range
     bad = m_lo - 1
-    for good, result in zip(ms, _optimize_each(grid, delta, budget, variant)):
+    for result in _optimize_each(grid, delta, budget, variant):
         if result.ell >= 1:
             break
-        bad = good
+        bad = result.m
     else:
         return None
+    good = result.m
     while good - bad > 1:
         batch = _tree(bad, good, _DEPTH)
         rows = dict(zip(batch, _lock_step(delta, budget, variant, batch)))

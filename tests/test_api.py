@@ -1,6 +1,8 @@
 """The public names: one list per module, and the package takes its names from them."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,15 @@ def test_deleted_names_are_gone(module, name):
     # the two-term bound calls the kernels, and SecurityBudget.t owns t
     assert not hasattr(importlib.import_module(f"finitekey.{module}"), name)
     assert not hasattr(finitekey, name)
+
+
+def test_readme_lists_every_exported_name():
+    # the library table left out nine of the exported names
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for module in LIBRARY:
+        row = next(
+            line for line in readme.splitlines()
+            if line.startswith(f"| `finitekey.{module}` |")
+        )
+        listed = re.findall(r"`(\w+)`", row.split("|")[2])
+        assert listed == importlib.import_module(f"finitekey.{module}").__all__

@@ -318,6 +318,21 @@ class TestUsageErrors:
         assert "step must be 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "minblock"])
+    @pytest.mark.parametrize(
+        "m_range, message",
+        [
+            ("5", "expected start:stop or start:stop:step, got '5'"),
+            ("1:2:3:4", "expected start:stop or start:stop:step, got '1:2:3:4'"),
+            ("a:b", "non-integer in m-range 'a:b'"),
+        ],
+    )
+    def test_malformed_m_range(self, capsys, command, m_range, message):
+        code, out, err = run_cli([command, "--m-range", m_range], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("error: ") == 1
+        assert err.endswith(f"\nfinitekey {command}: error: {message}\n")
+
     def test_sweep_stop_beyond_float64_rejected_before_search(self, capsys, monkeypatch):
         # the first two block sizes were searched in full before the third
         # was refused, and nothing was written
@@ -468,6 +483,29 @@ class TestConfigFile:
         # found before the subcommand is chosen, so the top-level form
         assert err.startswith("usage: finitekey [-h] ")
         assert "\nfinitekey: error: cannot read config file" in err
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text("eps_stream\neps_qkd=1e-6\n")
+        code, out, err = run_cli(["stream", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("error: ") == 1
+        assert err.endswith(
+            f"\nfinitekey: error: {cfg}:1: expected key=value, got 'eps_stream'\n"
+        )
+
+    @pytest.mark.parametrize("key", ["config", "conf"])
+    def test_config_file_cannot_name_one(self, capsys, tmp_path, key):
+        # argparse took the key as --config and the named file was never
+        # read: this printed 10 and exited 0
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text(f"eps_stream=1e-5\neps_qkd=1e-6\n{key}=/nonexistent\n")
+        code, out, err = run_cli(["stream", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        # found before the subcommand is chosen, so the top-level form
+        assert err.startswith("usage: finitekey [-h] ")
+        assert err.count("finitekey: error: ") == 1
+        assert "cannot set --config" in err
 
     def test_abbreviated_flag_reads_the_file(self, capsys, tmp_path):
         # --conf used to be accepted by argparse and the file never read

@@ -465,7 +465,7 @@ class TestMinBlockSearch:
         def read(m, delta, budget, variant, rows):
             assert rows == m  # the rows of m, from a batch already searched
             calls.append(m)
-            return SimpleNamespace(ell=int(keyed(m)))
+            return SimpleNamespace(m=m, ell=int(keyed(m)))
 
         monkeypatch.setattr(optimizer, "_lock_step", lock_step)
         monkeypatch.setattr(optimizer, "_verify", read)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from finitekey import security
 from finitekey.bounds import BlockShape, SlackParams
 from finitekey.optimizer import optimize
 from finitekey.security import (
@@ -260,14 +261,20 @@ class TestMaxEll:
                 assert not feasible(replace(st, ell=ell + 1), budget, slack, variant)[1]
         assert checked > 10
 
+    # (m, k, delta, nu, xi, variant); the first four have no headroom and
+    # return before the closed form, the last two have keys (137 and 178 bits)
+    BRUTE_FORCE_CASES = (
+        (60, 30, 0.05, 0.3, 0.1, "lemma2"),
+        (60, 30, 0.05, 0.3, 0.0, "serfling"),
+        (200, 100, 0.02, 0.2, 0.08, "lemma2"),
+        (200, 60, 0.02, 0.25, 0.0, "serfling"),
+        (2000, 1000, 0.02, 0.15, 0.07, "lemma2"),
+        (1500, 700, 0.01, 0.15, 0.0, "serfling"),
+    )
+
     def test_matches_brute_force(self):
         budget = SecurityBudget(3)
-        for m, k, delta, nu, xi, variant in (
-            (60, 30, 0.05, 0.3, 0.1, "lemma2"),
-            (60, 30, 0.05, 0.3, 0.0, "serfling"),
-            (200, 100, 0.02, 0.2, 0.08, "lemma2"),
-            (200, 60, 0.02, 0.25, 0.0, "serfling"),
-        ):
+        for m, k, delta, nu, xi, variant in self.BRUTE_FORCE_CASES:
             shape = BlockShape(m=m, k=k)
             st = ProtocolSettings.for_budget(shape, delta, budget)
             slack = SlackParams(nu=nu, xi=xi)
@@ -277,6 +284,14 @@ class TestMaxEll:
                     brute = ell
             got = max_ell_at(st, budget, slack, variant)
             assert got == brute
+
+    @pytest.mark.parametrize("error", [-1, -3, 2])
+    def test_nudges_correct_the_closed_form(self, monkeypatch, error):
+        # the closed form is exact to rounding, so the upward nudge never ran;
+        # off by whole bits, the nudges must still reach the brute-force maximum
+        bound = security._ell_bound
+        monkeypatch.setattr(security, "_ell_bound", lambda *args: bound(*args) + error)
+        self.test_matches_brute_force()
 
     def test_error_rate_past_half_has_no_key(self):
         # 1 - h2(delta + nu) grows again past 1/2: at nu = 0.9 this point
