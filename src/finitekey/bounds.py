@@ -186,9 +186,20 @@ def _sample_rate(m, k, n):
     return 2.0 * m * k / (n + 1.0)
 
 
-def _gamma_factor(m, m_err):
-    """``1/(m_err + 1) + 1/(m - m_err + 1)``, falling on [0, m/2]; unchecked."""
-    return 1.0 / (m_err + 1.0) + 1.0 / (m - m_err + 1.0)
+def _gamma_factor(m, m_err, slope=False):
+    """``1/(m_err + 1) + 1/(m - m_err + 1)``, falling on [0, m/2]; unchecked.
+
+    With ``slope``, returns ``(gamma, dgamma)``, ``dgamma`` its derivative
+    in xi when ``m_err = m (delta + xi)`` varies smoothly.  While ``m_err <=
+    m // 2``, gamma is the relaxed form of `_key_factor`, so the two-term
+    split's smooth path, which keeps ``m_err`` below ``m // 2``, takes its
+    factor and slope from here.
+    """
+    lo, hi = m_err + 1.0, m - m_err + 1.0
+    gamma = 1.0 / lo + 1.0 / hi
+    if not slope:
+        return gamma
+    return gamma, m * (1.0 / hi ** 2 - 1.0 / lo ** 2)
 
 
 def _hush_scovel_factor(k, n, gamma, relaxed):

@@ -132,19 +132,20 @@ class _Model:
     chosen to minimise ``eps_pe`` at each ``(k, nu)``: within one piece of
     ``m_err = ceil(m (delta + xi))`` when ``piece`` is given, and with the
     Hush-Scovel factor taken as a smooth function of ``xi`` when it is not.
-    Where ``m_err <= m/2`` the factor falls as ``m_err`` grows, so the
-    smooth factor is never below the factor of the piece, and the smooth
-    gain bounds every piece's gain from above.  Maximised over nu, the
-    smooth gain is unimodal in xi and meets each piece's gain at the
-    piece's right end, so a piece after the one holding the smooth optimum
-    stays below that piece's right end: the best piece is the one holding
-    the optimum or the one before it (`_PIECES`).  Every formula of the
-    model is a kernel of `bounds` or `security`, shared with the scalar
-    API; only the derivatives that steer the search are this class's own.
-    Each row has its own block size ``m``, and a row's result does not
-    depend on the other rows of its call; ``delta``, the budget and the
-    variant are the model's.  The model searches nu at given rows; which
-    rows and pieces to search is `_search`'s choice.
+    The smooth path keeps ``m (delta + xi)`` below ``m // 2`` (see
+    `_split`), where the factor is gamma (`_gamma_factor`) and falls as
+    ``m_err`` grows, so the smooth factor is never below the factor of the
+    piece, and the smooth gain bounds every piece's gain from above.
+    Maximised over nu, the smooth gain is unimodal in xi and meets each
+    piece's gain at the piece's right end, so a piece after the one holding
+    the smooth optimum stays below that piece's right end: the best piece
+    is the one holding the optimum or the one before it (`_PIECES`).
+    Every formula of the model is a kernel of `bounds` or `security`,
+    shared with the scalar API; only the derivatives that steer the search
+    are this class's own.  Each row has its own block size ``m``, and a
+    row's result does not depend on the other rows of its call; ``delta``,
+    the budget and the variant are the model's.  The model searches nu at
+    given rows; which rows and pieces to search is `_search`'s choice.
     """
 
     def __init__(self, delta: float, budget: SecurityBudget, variant: str):
@@ -159,19 +160,6 @@ class _Model:
         """`ec_leakage` at block sizes ``m`` and PE sample sizes ``k``, unchecked."""
         return np.ceil(_leakage(m - k, self.h))
 
-    def _factor(self, m, k, m_err, slope=False):
-        """Hush-Scovel factor at ``m_err`` errors, as `_key_factor` forms it.
-
-        With ``slope``, also its derivative in xi when ``m_err = m (delta +
-        xi)`` varies smoothly.
-        """
-        gamma = _gamma_factor(m, m_err)
-        c = _key_factor(m, k, m_err, gamma)[0]
-        if not slope:
-            return c
-        dgamma = m * (1.0 / (m - m_err + 1.0) ** 2 - 1.0 / (m_err + 1.0) ** 2)
-        return c, np.where(c == gamma, dgamma, 0.0)
-
     def _split(self, m, k, nu, piece):
         """Best xi at ``(k, nu)``; returns ``(eps_pe^2, its d/dnu, xi)``.
 
@@ -180,32 +168,44 @@ class _Model:
         solves ``phi = 0`` below (the log of the ratio of the two terms'
         slopes, with ``dc`` the slope of a smooth ``c``), found by Newton
         steps from the point where both exponents are equal.  In a piece,
-        ``c`` is the piece's and xi is clipped to the piece; its left end is
-        charged the piece's factor, which is never smaller than the truth
-        there.
+        ``c`` is the piece's, formed once by `_key_factor`, and xi is clipped
+        to the piece; its left end is charged the piece's factor, which is
+        never smaller than the truth there.  Without a piece, every iterate
+        keeps ``xi <= nu - 1/n`` and ``nu < 1/2 - delta``, so ``m (delta +
+        xi) < m/2 - 1 < m // 2``: `_key_factor` would take its relaxed form,
+        and ``c`` and ``dc`` are gamma and its slope (`_gamma_factor`).
         """
         delta = self.delta
         n = m - k
         a = _sample_rate(m, k, n)
         xi_max = nu - 1.0 / n
         fixed = piece is not None
-        c = self._factor(m, k, piece if fixed else m * (delta + 0.5 * nu))
+        if fixed:
+            c = _key_factor(m, k, piece, _gamma_factor(m, piece))[0]
+        else:
+            # past m // 2 only where nu < 1/m, so xi_max < 0 and the clip
+            # below takes xi_max whatever c is
+            c = _gamma_factor(m, m * (delta + 0.5 * nu))
         root = np.sqrt(2.0 * c) * n
         xi = np.minimum(np.maximum(nu * root / (np.sqrt(a) + root), 1e-9), xi_max)
         dc = 0.0
         for _ in range(_SPLIT_STEPS):
             if not fixed:
-                c, dc = self._factor(m, k, m * (delta + xi), slope=True)
-            b = 2.0 * c * n * n
+                c, dc = _gamma_factor(m, m * (delta + xi), slope=True)
+            c2 = 2.0 * c
             u = nu - xi
             q = (n * u) ** 2 - 1.0
-            phi = np.log(a * xi / (b * u - dc * q)) - a * xi * xi + 2.0 * c * q
-            slope = 1.0 / xi - 2.0 * a * xi + 1.0 / u - 2.0 * b * u
+            ax, bu = a * xi, c2 * n * n * u
+            phi = np.log(ax / (bu - dc * q)) - ax * xi + c2 * q
+            slope = 1.0 / xi - 2.0 * ax + 1.0 / u - 2.0 * bu
             xi = np.minimum(np.maximum(xi - phi / slope, 1e-3 * xi), 0.5 * (xi + xi_max))
+            # a seed grid's arrays are large: free this step's before the
+            # next factor is formed, so the peak memory does not grow
+            del c2, u, q, ax, bu, phi, slope
         if fixed:
             xi = np.minimum(np.maximum(xi, (piece - 1.0) / m - delta), piece / m - delta)
         else:
-            c = self._factor(m, k, m * (delta + xi))
+            c = _gamma_factor(m, m * (delta + xi))
         u = nu - xi
         key = _hush_scovel_tail(c, n, u)
         tail = _serfling_tail(a, xi)
@@ -321,32 +321,29 @@ def _chandrupatla(evaluate, a, b, fa, fb, live):
     through the bracket's ends and the end it last dropped, or a bisection
     where that is not finite or fails Chandrupatla's validity test, and it
     keeps at least half the tolerance from both ends, so a step next to the
-    root closes the bracket.  Each row stops on its own: it keeps its point
-    and ``evaluate`` tuple from the step where its bracket is at most
-    `_ROOT_TOL` times its upper end or its slope is exactly 0, so a row's
-    result does not depend on the other rows of its batch.  The loop ends
-    when every row has stopped.  Returns the points and their ``evaluate``
-    tuples; rows that are not ``live`` are evaluated but not searched.
+    root closes the bracket.  Each row stops on its own, at the step where
+    its bracket is at most `_ROOT_TOL` times its upper end or its slope is
+    exactly 0.  A stopped row then takes ``t = 0``: it steps in place and
+    is evaluated again at its own point, and since a row's evaluation
+    depends on that point alone, it keeps its point and ``evaluate`` tuple
+    bit for bit, and its result does not depend on the other rows of its
+    batch.  The loop ends when every row has stopped.  Returns the points
+    and their ``evaluate`` tuples; rows that are not ``live`` are evaluated
+    at the bracket's midpoint but not searched.
     """
     # x1 is the newest point, x2 the other end of the bracket and x3 the
     # end dropped at the last step
     x1, x2, f1, f2 = a, b, fa, fb
     t = 0.5
     done = ~live
-    x = found = None
     for _ in range(_ROOT_STEPS):
-        step = x1 + t * (x2 - x1)
-        at_step = evaluate(step)
-        if found is None:
-            x, found = step, at_step
-        else:
-            x = np.where(done, x, step)
-            found = tuple(np.where(done, old, new) for old, new in zip(found, at_step))
-        ft = at_step[1]
+        x = x1 + t * (x2 - x1)
+        found = evaluate(x)
+        ft = found[1]
         same = (ft > 0.0) == (f1 > 0.0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = step, ft
+        x1, f1 = x, ft
         width = np.abs(x2 - x1)
         tol = _ROOT_TOL * np.maximum(x1, x2)
         done = done | (width <= tol) | (ft == 0.0)
@@ -361,8 +358,9 @@ def _chandrupatla(evaluate, a, b, fa, fb, live):
             alpha = (x3 - x1) / (x2 - x1)
             t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
             quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
-            edge = np.where(done, 0.0, 0.5 * tol / width)
-        t = np.clip(np.where(quadratic, t, 0.5), edge, 1.0 - edge)
+            edge = 0.5 * tol / width
+            t = np.minimum(np.maximum(np.where(quadratic, t, 0.5), edge), 1.0 - edge)
+        t = np.where(done, 0.0, t)
     return x, found
 
 
@@ -447,9 +445,8 @@ def _search(model, m):
     while True:
         yield from visit(sorted(set(range(lo, hi + 1)) - smooth.keys()))
         # the smooth lengths bound the piece lengths: refine the leaders
-        order = sorted(smooth, key=length, reverse=True)
-        target = yield from refine(order[:1])
-        target = yield from refine([k for k in order if length(k) >= target])
+        target = yield from refine([max(smooth, key=length)])
+        target = yield from refine([k for k in smooth if length(k) >= target])
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
         ends = (

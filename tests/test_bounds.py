@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -229,6 +230,24 @@ class TestGammaFactor:
         for m in (10, 57, 200):
             a = np.arange(m + 1)
             np.testing.assert_allclose(_gamma_factor(m, a), _gamma_factor(m, m - a))
+
+    @pytest.mark.parametrize("m", [100, 3101, 20000, 10**6])
+    def test_slope_matches_derivative(self, m):
+        # the xi-slope of gamma(m (delta + xi)), on both sides of m/4; gamma
+        # itself is the plain call's, bit for bit
+        m_err = np.array([m // 10, m // 5, m // 4 + 3, m // 3, m // 2 - 1], dtype=float)
+        gamma, slope = _gamma_factor(float(m), m_err, slope=True)
+        assert gamma.tobytes() == _gamma_factor(float(m), m_err).tobytes()
+        delta = mp.mpf("0.0451")
+
+        def exact(xi):
+            errors = m * (delta + xi)
+            return 1 / (errors + 1) + 1 / (m - errors + 1)
+
+        with mp.workdps(40):
+            for errors, got in zip(m_err, slope):
+                want = mp.diff(exact, mp.mpf(errors) / m - delta)
+                assert rel_err(got, float(want)) < 1e-10, errors
 
     @pytest.mark.parametrize("m", [10, 11, 3100, 3101])
     def test_form_switches_past_half(self, m):

@@ -181,13 +181,16 @@ SLOPES = {
 }
 
 
-def root_search(names):
-    """`_chandrupatla` on one row per slope of ``names``: ``(x, found, steps)``."""
+def root_search(names, points=None):
+    """`_chandrupatla` on one row per slope of ``names``: ``(x, found, steps)``.
+
+    The points of each step are appended to ``points``, if given.
+    """
     slopes = [SLOPES[name][0] for name in names]
-    steps = []
+    steps = [] if points is None else points
 
     def evaluate(x):
-        steps.append(1)
+        steps.append(x.copy())
         slope = np.array([float(f(v)) for f, v in zip(slopes, x)])
         return -x, slope
 
@@ -217,6 +220,19 @@ class TestRootSearch:
             assert x[i:i + 1].tobytes() == x1.tobytes(), name
             for column, single in zip(found, found1):
                 assert column[i:i + 1].tobytes() == single.tobytes(), name
+
+    def test_stopped_row_steps_in_place(self):
+        # zero-first stops at its first step, steep runs on; each later
+        # step evaluates zero-first at its stop point, so it keeps what it
+        # gets alone
+        points = []
+        x, found, steps = root_search(["zero-first", "steep"], points)
+        x1, found1, _ = root_search(["zero-first"])
+        assert steps > 1
+        assert all(point[:1].tobytes() == x1.tobytes() for point in points)
+        assert x[:1].tobytes() == x1.tobytes()
+        for column, single in zip(found, found1):
+            assert column[:1].tobytes() == single.tobytes()
 
     def test_gain_evaluations_do_not_grow(self, monkeypatch):
         # the Illinois search that this one replaced made 412 evaluations
@@ -277,6 +293,40 @@ class TestRootSearch:
         alone = [optimizer._lock_step(0.0451, BUDGET10, variant, [m]) for m in ms]
         assert together == [rows for (rows,) in alone]
         assert shared < len(searches) - shared
+
+
+def record_smooth_errors(monkeypatch):
+    """Record ``(m, m_err)`` of each `_gamma_factor` call asked for its slope from now on."""
+    asked = []
+    gamma_factor = optimizer._gamma_factor
+
+    def recorded(m, m_err, slope=False):
+        if slope:
+            asked.append(np.broadcast_arrays(m, m_err))
+        return gamma_factor(m, m_err, slope)
+
+    monkeypatch.setattr(optimizer, "_gamma_factor", recorded)
+    return asked
+
+
+class TestSmoothFactor:
+    @pytest.mark.parametrize("s", [1, 6, 10])
+    @pytest.mark.parametrize("delta", [0.0451, 0.45, 0.4999])
+    @pytest.mark.parametrize("m", [10, 11, 261, 262, 3100, 20000, 10**12, 2**53 - 1])
+    def test_smooth_errors_stay_at_most_half(self, monkeypatch, m, delta, s):
+        # the smooth split takes gamma as its factor and gamma's slope as
+        # dc: that is _key_factor's form only while m_err <= m // 2.  A NaN
+        # iterate (no defined split, as at delta = 0.4999 and m = 10) is
+        # NaN in either form, so only the numbers are checked
+        asked = record_smooth_errors(monkeypatch)
+        model = _Model(delta, SecurityBudget(s), "lemma2")
+        model.best_nu(m, np.unique(np.linspace(1, m // 2, 17).round()))
+        for k in (1, m // 2):
+            model.gain(np.array([m], dtype=float), np.array([k], dtype=float),
+                       np.array([model.nu_hi]))
+        assert any(np.isfinite(m_err).any() for _, m_err in asked)
+        for ms, m_err in asked:
+            assert not np.any(m_err > ms // 2), (np.nanmax(m_err), ms.max())
 
 
 class TestKeylessInputs:
