@@ -13,9 +13,11 @@ search on its own, so its result does not depend on which other ``k``
 share its batch.  Over ``k``, a zoom of `_K_POINTS` block sizes per
 round on the smooth envelope finds its peak, and a window of integers
 around the peak widens until the envelope at both of its ends falls short
-of the best length found.  For ``m <= 261`` no zoom round runs and the
-first root search visits every ``k``, so the search is exhaustive; above
-that it takes the envelope to have a single peak in ``k``.  The leading
+of the best length found: each end that reaches it moves, in one round,
+to the nearest visited ``k`` beyond it that falls short, but by at most
+`_K_POINTS`.  For ``m <= 261`` no zoom round runs and the first root
+search visits every ``k``, so the search is exhaustive; above that it
+takes the envelope to have a single peak in ``k``.  The leading
 candidates are re-evaluated through the scalar `security` functions, so
 the reported result never rests on the vectorised path alone.
 
@@ -364,6 +366,11 @@ def _chandrupatla(evaluate, a, b, fa, fb, live):
     return x, found
 
 
+def _first(sorted_values):
+    """Mask of the first of each run of equal values in a sorted array."""
+    return np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+
+
 def _search(model, m):
     """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= m // 2``.
 
@@ -380,82 +387,115 @@ def _search(model, m):
     narrows ``[lo, hi]`` to the neighbours of the envelope's peak, and once
     at most ``_K_POINTS + 1`` integers are left they are all visited.  The
     envelope bounds the length ``gain - r`` from above, so a k whose
-    envelope falls short of the best length found cannot win; each end of
-    the window of integers around the peak moves out, by a width that
-    doubles each step, while the envelope there reaches that length, and
-    the window is visited again (only its new k are searched).  Where
-    ``m // 2 <= _K_POINTS + 1`` (``m <= 261``) no zoom round runs: the
-    first root search visits every k and the search is exhaustive.  Above
-    that the k outside the window are not visited: this assumes that the
-    envelope has a single peak in k, so that it stays short beyond a
-    window end where it is short.  The assumption is not proven;
-    tests/test_optimizer.py checks it against every k at block sizes of
-    the operating regime.  A k's row does not depend on the batch it is
-    searched in (see `_chandrupatla`), so a zoom round asks again for its
-    ends, which the round before visited, and reads its envelope from one
-    array.  The two-term bound's pieces are searched only at the k whose
-    smooth length reaches the best piece length found: both pieces of
-    `_PIECES` around the smooth optimum of xi, of which the better is kept.
-    The bookkeeping is two dicts, sparse in k since ``m`` may be as large as
-    2^53 - 1: ``smooth`` keeps one record per k visited, its smooth row and
-    its leakage, and ``exact`` the best piece row per k refined (the smooth
-    row itself for the single-term bound).
+    envelope falls short of the best length found cannot win.  Each end of
+    the window of integers around the peak whose envelope reaches that
+    length moves out in one round: to the nearest visited k beyond it whose
+    envelope falls short, or to the end of the range, but by at most
+    `_K_POINTS`; the window is visited again (only its new k are searched),
+    and this repeats until both ends fall short.  Where ``m // 2 <=
+    _K_POINTS + 1`` (``m <= 261``) no zoom round runs: the first root
+    search visits every k and the search is exhaustive.  Above that the k
+    outside the window are not visited: this assumes that the envelope has
+    a single peak in k, so that it stays short beyond a window end where it
+    is short.  The assumption is not proven; tests/test_optimizer.py checks
+    it against every k at block sizes of the operating regime.  A k's row
+    does not depend on the batch it is searched in (see `_chandrupatla`),
+    so a zoom round asks again for its ends, which the round before
+    visited, and reads its envelope from one array.
+
+    The two-term bound's pieces are searched only at the k whose smooth
+    length reaches the best piece length found: both pieces of `_PIECES`
+    around the smooth optimum of xi, of which the better is kept.  The
+    leader, the k of the largest smooth length (the smallest such k), is
+    refined first; when it has no piece rows yet, the request that searches
+    its pieces also searches those of the next leaders, up to `_VERIFY` in
+    all.  Their rows are held in ``ahead`` and enter ``exact``, the rows
+    returned, only when the rule above asks for their k, so the rows
+    returned are those of refining one k at a time.  The visited k are kept
+    in ``seen``, sorted arrays sparse in k, since ``m`` may be as large as
+    2^53 - 1: one row per k of its smooth row, its leakage and its
+    envelope.
     """
     half = m // 2
-    smooth, exact = {}, {}
+    seen = np.empty((0, 7))  # columns: k, gain, nu, xi, headroom, leakage, envelope
+    exact, ahead = {}, {}
+    target = -math.inf
 
     def visit(ks):
-        """Searches and records the smooth rows of ``ks``, if any; returns them."""
-        if ks:
-            rows = yield ks, None
-            leak = model.leakage(m, np.array(ks)).tolist()
-            smooth.update(zip(ks, zip(*(col.tolist() for col in rows), leak)))
-            return rows
+        """Searches and records the smooth rows of ``ks``, if any; returns their envelope."""
+        nonlocal seen
+        if len(ks):
+            rows = yield ks.tolist(), None
+            k = ks.astype(float)
+            envelope = rows[0] - _leakage(m - k, model.h)
+            table = np.concatenate((seen, np.array((k, *rows, model.leakage(m, k), envelope)).T))
+            order = table[:, 0].argsort(kind="stable")
+            seen = table[order[_first(table[order, 0])]]
+            return envelope
 
-    def refine(ks):
-        """Piece rows for the k in ``ks`` that have none yet; returns the best length."""
-        new = [k for k in ks if k not in exact]
-        if new and model.two_term:
-            xi = np.array([smooth[k][2] for k in new])
-            pieces = np.ceil(m * (model.delta + xi)) + np.array(_PIECES)[:, None]
+    def fresh(lo, hi):
+        """The k of ``[lo, hi]`` not visited yet."""
+        free = np.ones(hi - lo + 1, dtype=bool)
+        a, b = seen[:, 0].searchsorted((lo, hi + 1))
+        free[(seen[a:b, 0] - lo).astype(np.intp)] = False
+        return np.arange(lo, hi + 1)[free]
+
+    def search_pieces(ks):
+        """Holds in ``ahead`` the best piece rows of the k in ``ks`` that have none yet."""
+        new = [k for k in ks if k not in exact and k not in ahead]
+        if not new:
+            return
+        i = seen[:, 0].searchsorted(new)
+        if model.two_term:
+            pieces = np.ceil(m * (model.delta + seen[i, 3])) + np.array(_PIECES)[:, None]
             reply = yield new * len(_PIECES), pieces.ravel()
             cols = [col.reshape(len(_PIECES), -1) for col in reply]
             best = _argbest(cols[0].T, cols[3].T)
-            rows = zip(*(col[best, np.arange(len(new))].tolist() for col in cols))
+            gain, nu, xi, room = (col[best, np.arange(len(new))] for col in cols)
         else:
-            rows = (smooth[k][:4] for k in new)
-        for k, (gain, nu, xi, room) in zip(new, rows):
-            exact[k] = (gain - smooth[k][4], k, nu, xi, room)
-        return max(row[0] for row in exact.values())
+            gain, nu, xi, room = seen[i, 1:5].T
+        rows = zip((gain - seen[i, 5]).tolist(), new, nu.tolist(), xi.tolist(), room.tolist())
+        ahead.update(zip(new, rows))
 
-    def envelope(k):
-        return smooth[k][0] - _leakage(m - k, model.h)
-
-    def length(k):
-        return smooth[k][0] - smooth[k][4]
+    def refine(ks):
+        """Moves the piece rows of ``ks`` into ``exact``; keeps ``target`` its best length."""
+        nonlocal target
+        for k in ks:
+            if k not in exact:
+                exact[k] = row = ahead.pop(k)
+                target = max(target, row[0])
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
-        ks = np.unique(np.round(np.linspace(lo, hi, _K_POINTS)).astype(int))
-        rows = yield from visit(ks.tolist())
-        i = int(np.argmax(rows[0] - _leakage(m - ks, model.h)))
+        ks = np.round(np.linspace(lo, hi, _K_POINTS)).astype(int)
+        ks = ks[_first(ks)]
+        i = int(np.argmax((yield from visit(ks))))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
 
-    width = hi - lo + 1
     while True:
-        yield from visit(sorted(set(range(lo, hi + 1)) - smooth.keys()))
-        # the smooth lengths bound the piece lengths: refine the leaders
-        target = yield from refine([max(smooth, key=length)])
-        target = yield from refine([k for k in smooth if length(k) >= target])
+        yield from visit(fresh(lo, hi))
+        k, length = seen[:, 0], seen[:, 1] - seen[:, 5]
+        # the smooth lengths bound the piece lengths: refine the leader,
+        # whose request also searches the next leaders' pieces, then every
+        # k whose smooth length reaches the best piece length
+        leader = int(k[length.argmax()])
+        if leader not in exact and leader not in ahead:
+            leaders = k[(-length).argsort(kind="stable")[:_VERIFY]]
+            yield from search_pieces(leaders.astype(int).tolist())
+        refine([leader])
+        reach = k[length >= target].astype(int).tolist()
+        yield from search_pieces(reach)
+        refine(reach)
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
-        ends = (
-            max(1, lo - width) if envelope(lo) >= target else lo,
-            min(half, hi + width) if envelope(hi) >= target else hi,
-        )
+        # the nearest visited k at or beyond each end whose envelope falls
+        # short, with the ends of the range standing in where there is none
+        short = np.concatenate(([1], k[seen[:, 6] < target], [half]))
+        i, j = short.searchsorted((lo + 1, hi))
+        ends = max(int(short[i - 1]), lo - _K_POINTS), min(int(short[j]), hi + _K_POINTS)
         if ends == (lo, hi):
             break
-        (lo, hi), width = ends, 2 * width
+        lo, hi = ends
     return sorted(exact.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
 
 
@@ -557,7 +597,10 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     At each ``k`` the best ``(nu, xi)`` is found to within rounding (see
     `_Model`).  Over ``k``, the search visits a window around the peak of
     the smooth envelope, which bounds the length from above, and widens it
-    until the envelope at both ends falls short of the best length found.
+    until the envelope at both ends falls short of the best length found;
+    each round moves an end that reaches it to the nearest visited ``k``
+    beyond it that falls short, by at most `_K_POINTS`, so no root search
+    has more than ``2 * _K_POINTS`` rows of smooth ``k``.
     Every ``k`` in the window whose envelope reaches that length is
     searched.  For ``m <= 261`` every ``k`` is visited, so the search is
     exhaustive.  Above that, no ``k`` outside the window can do better

@@ -235,26 +235,60 @@ class TestRootSearch:
             assert column[:1].tobytes() == single.tobytes()
 
     def test_gain_evaluations_do_not_grow(self, monkeypatch):
-        # the Illinois search that this one replaced made 412 evaluations
+        # the Illinois search that this one replaced made 412 evaluations,
+        # and the window widened by doubling 277
         count = count_root_evaluations(monkeypatch)
         for variant in ("lemma2", "serfling"):
             for m in (2151, 11105, 19686):
                 optimize(m, 0.0451, BUDGET6, variant)
-        assert count[0] <= 277
+        assert count[0] <= 227
 
     def test_root_searches_do_not_grow(self, monkeypatch):
-        # a round is one root search whatever its rows: 41 for these eight
-        # calls, and 22, 19, 21 and 21 for the four min_block_length calls
+        # a round is one root search whatever its rows: 31 for these eight
+        # calls, and 19, 19, 21 and 21 for the four min_block_length calls
+        # (41 and 83 when the window widened by doubling)
         searches = count_root_searches(monkeypatch)
         for variant in ("lemma2", "serfling"):
             for m in (2151, 11105, 18251, 19686):
                 optimize(m, 0.0451, BUDGET6, variant)
-        assert len(searches) <= 41
+        assert len(searches) <= 31
         searches.clear()
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert len(searches) <= 83
+        assert len(searches) <= 80
+
+    def test_verifications_do_not_grow(self, monkeypatch):
+        # the pieces searched ahead of the leader wait until the search
+        # asks for them, so no more candidates reach _verify than when
+        # each k was refined alone: 13 for the eight optimize calls above
+        # and 133 for the four min_block_length calls
+        calls = [0]
+        max_ell_at = optimizer.max_ell_at
+
+        def counted(*args):
+            calls[0] += 1
+            return max_ell_at(*args)
+
+        monkeypatch.setattr(optimizer, "max_ell_at", counted)
+        for variant in ("lemma2", "serfling"):
+            for m in (2151, 11105, 18251, 19686):
+                optimize(m, 0.0451, BUDGET6, variant)
+        assert calls[0] <= 13
+        calls[0] = 0
+        for budget in (BUDGET6, BUDGET10):
+            for variant in ("lemma2", "serfling"):
+                min_block_length(0.0451, budget, variant, 1000, 20000)
+        assert calls[0] <= 133
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("m", [20000, 10**6, 10**9, 10**12, 2**53 - 1])
+    def test_root_search_rows_stay_bounded(self, monkeypatch, m, variant):
+        # each end of the window moves by at most _K_POINTS per round; a
+        # window that doubled its width each round reached 461 rows at 10^9
+        searches = count_root_searches(monkeypatch)
+        optimize(m, 0.0451, BUDGET6, variant)
+        assert max(len(k) for k in searches) <= 2 * optimizer._K_POINTS
 
     @pytest.mark.parametrize(
         "m, s, variant",
@@ -362,6 +396,9 @@ class TestSearchOverK:
             # the zoom takes two rounds here
             (20000, 6, "lemma2"),
             (20000, 6, "serfling"),
+            # the window took 3-4 widening rounds here when it doubled
+            (18251, 6, "lemma2"),
+            (19686, 6, "serfling"),
         ],
     )
     def test_no_k_outside_the_window_wins(self, m, s, variant):
