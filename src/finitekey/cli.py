@@ -300,17 +300,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     # every refusal goes through argparse's `error`, which exits with status 2
     try:
         try:
-            # The subcommand is the first argument that `common` leaves over.
+            # The subcommand is the first argument that `common` leaves over,
+            # wherever `common`'s own values stand and whatever they spell.
             # It goes first and the config file's flags right after it, ahead
             # of every flag on the command line, so explicit flags win
             # (argparse keeps the last occurrence).
             known, rest = common.parse_known_args(argv)
             if rest:
-                at = argv.index(rest[0])
                 flags = [] if known.config is None else _apply_config(known.config)
                 if common.parse_known_args(flags)[0].config is not None:
                     raise ValueError(f"{known.config}: a config file cannot set --config")
-                argv = [argv[at], *flags, *argv[:at], *argv[at + 1 :]]
+                output = [] if known.output is None else [f"--output={known.output}"]
+                argv = [rest[0], *flags, *output, *rest[1:]]
         except (argparse.ArgumentError, ValueError) as exc:
             parser.error(str(exc))
         args = parser.parse_args(argv)

@@ -374,12 +374,13 @@ def _first(sorted_values):
 def _search(model, m):
     """Best ``(length, k, nu, xi, headroom)`` rows over integer ``1 <= k <= m // 2``.
 
-    A generator: each root search it needs is a request ``(ks, pieces)``
-    that it yields, and the caller sends back `_Model.best_nu`'s rows of
-    those ``k`` at block size ``m``, with ``pieces`` as its ``piece``:
-    None for smooth rows.  `_lock_step` answers the requests of many block
-    sizes at once.  The search returns (as ``StopIteration.value``) the
-    rows of every k searched in its pieces, best first.
+    A generator: each root search it needs is a request ``(ks, piece)``
+    of float arrays that it yields, and the caller sends back
+    `_Model.best_nu`'s rows of those ``k`` at block size ``m``, with
+    ``piece`` as its ``piece``: None for smooth rows.  `_lock_step`
+    answers the requests of many block sizes at once.  The search returns
+    (as ``StopIteration.value``) the rows of every k searched in its
+    pieces, best first.
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
     peak, one root search on up to `_K_POINTS` block sizes per round: one
@@ -400,8 +401,9 @@ def _search(model, m):
     is short.  The assumption is not proven; tests/test_optimizer.py checks
     it against every k at block sizes of the operating regime.  A k's row
     does not depend on the batch it is searched in (see `_chandrupatla`),
-    so a zoom round asks again for its ends, which the round before
-    visited, and reads its envelope from one array.
+    so no k is searched twice: a round asks only for the k that ``seen``
+    lacks, and a zoom round reads the envelope of its points, ends
+    included, from ``seen``.
 
     The two-term bound's pieces are searched only at the k whose smooth
     length reaches the best piece length found: both pieces of `_PIECES`
@@ -409,77 +411,67 @@ def _search(model, m):
     leader, the k of the largest smooth length (the smallest such k), is
     refined first; when it has no piece rows yet, the request that searches
     its pieces also searches those of the next leaders, up to `_VERIFY` in
-    all.  Their rows are held in ``ahead`` and enter ``exact``, the rows
-    returned, only when the rule above asks for their k, so the rows
-    returned are those of refining one k at a time.  The visited k are kept
-    in ``seen``, sorted arrays sparse in k, since ``m`` may be as large as
-    2^53 - 1: one row per k of its smooth row, its leakage and its
-    envelope.
+    all.  Every piece row is kept in ``pieces``, by k, and a k enters
+    ``admitted``, the set whose rows are returned, only when the rule above
+    asks for it, so the rows returned are those of refining one k at a
+    time.  The visited k are kept in ``seen``, one array sorted by k and
+    sparse in it, since ``m`` may be as large as 2^53 - 1: one row per k
+    of its smooth row, its leakage and its envelope.
     """
     half = m // 2
     seen = np.empty((0, 7))  # columns: k, gain, nu, xi, headroom, leakage, envelope
-    exact, ahead = {}, {}
+    pieces, admitted = {}, set()
     target = -math.inf
 
     def visit(ks):
-        """Searches and records the smooth rows of ``ks``, if any; returns their envelope."""
+        """Searches and records the smooth rows of the k in ``ks`` not visited yet."""
         nonlocal seen
+        ks = ks[seen[:, 0].searchsorted(ks) == seen[:, 0].searchsorted(ks, "right")]
         if len(ks):
-            rows = yield ks.tolist(), None
-            k = ks.astype(float)
-            envelope = rows[0] - _leakage(m - k, model.h)
-            table = np.concatenate((seen, np.array((k, *rows, model.leakage(m, k), envelope)).T))
-            order = table[:, 0].argsort(kind="stable")
-            seen = table[order[_first(table[order, 0])]]
-            return envelope
-
-    def fresh(lo, hi):
-        """The k of ``[lo, hi]`` not visited yet."""
-        free = np.ones(hi - lo + 1, dtype=bool)
-        a, b = seen[:, 0].searchsorted((lo, hi + 1))
-        free[(seen[a:b, 0] - lo).astype(np.intp)] = False
-        return np.arange(lo, hi + 1)[free]
+            rows = yield ks, None
+            envelope = rows[0] - _leakage(m - ks, model.h)
+            seen = np.concatenate((seen, np.array((ks, *rows, model.leakage(m, ks), envelope)).T))
+            seen = seen[seen[:, 0].argsort(kind="stable")]
 
     def search_pieces(ks):
-        """Holds in ``ahead`` the best piece rows of the k in ``ks`` that have none yet."""
-        new = [k for k in ks if k not in exact and k not in ahead]
+        """Puts in ``pieces`` the best piece rows of the k in ``ks`` that have none yet."""
+        new = [k for k in ks if k not in pieces]
         if not new:
             return
         i = seen[:, 0].searchsorted(new)
         if model.two_term:
-            pieces = np.ceil(m * (model.delta + seen[i, 3])) + np.array(_PIECES)[:, None]
-            reply = yield new * len(_PIECES), pieces.ravel()
+            errs = np.ceil(m * (model.delta + seen[i, 3])) + np.array(_PIECES)[:, None]
+            reply = yield np.tile(seen[i, 0], len(_PIECES)), errs.ravel()
             cols = [col.reshape(len(_PIECES), -1) for col in reply]
             best = _argbest(cols[0].T, cols[3].T)
             gain, nu, xi, room = (col[best, np.arange(len(new))] for col in cols)
         else:
             gain, nu, xi, room = seen[i, 1:5].T
         rows = zip((gain - seen[i, 5]).tolist(), new, nu.tolist(), xi.tolist(), room.tolist())
-        ahead.update(zip(new, rows))
+        pieces.update(zip(new, rows))
 
     def refine(ks):
-        """Moves the piece rows of ``ks`` into ``exact``; keeps ``target`` its best length."""
+        """Admits the piece rows of ``ks``; keeps ``target`` the best length admitted."""
         nonlocal target
-        for k in ks:
-            if k not in exact:
-                exact[k] = row = ahead.pop(k)
-                target = max(target, row[0])
+        admitted.update(ks)
+        target = max(pieces[k][0] for k in admitted)
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
-        ks = np.round(np.linspace(lo, hi, _K_POINTS)).astype(int)
+        ks = np.round(np.linspace(lo, hi, _K_POINTS))
         ks = ks[_first(ks)]
-        i = int(np.argmax((yield from visit(ks))))
+        yield from visit(ks)
+        i = int(np.argmax(seen[seen[:, 0].searchsorted(ks), 6]))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
 
     while True:
-        yield from visit(fresh(lo, hi))
+        yield from visit(np.arange(lo, hi + 1, dtype=float))
         k, length = seen[:, 0], seen[:, 1] - seen[:, 5]
         # the smooth lengths bound the piece lengths: refine the leader,
         # whose request also searches the next leaders' pieces, then every
         # k whose smooth length reaches the best piece length
         leader = int(k[length.argmax()])
-        if leader not in exact and leader not in ahead:
+        if leader not in pieces:
             leaders = k[(-length).argsort(kind="stable")[:_VERIFY]]
             yield from search_pieces(leaders.astype(int).tolist())
         refine([leader])
@@ -496,7 +488,8 @@ def _search(model, m):
         if ends == (lo, hi):
             break
         lo, hi = ends
-    return sorted(exact.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
+    rows = [pieces[k] for k in admitted]
+    return sorted(rows, key=lambda row: (row[0], row[4], -row[1]), reverse=True)
 
 
 def _lock_step(delta, budget, variant, ms):
@@ -526,7 +519,7 @@ def _lock_step(delta, budget, variant, ms):
         running = {}
         for smooth, group in asks.items():
             m = np.concatenate([np.full(len(ks), ms[i], dtype=float) for i, ks, _ in group])
-            k = np.array([k for _, ks, _ in group for k in ks], dtype=float)
+            k = np.concatenate([ks for _, ks, _ in group])
             pieces = None if smooth else np.concatenate([p for _, _, p in group])
             rows = model.best_nu(m, k, pieces)
             end = 0

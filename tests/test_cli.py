@@ -551,6 +551,29 @@ class TestConfigFile:
         assert (code, out) == (0, "")
         assert path.read_text() == "10\n"
 
+    def test_flag_values_spelled_like_the_subcommand(self, capsys, tmp_path, monkeypatch):
+        # the subcommand was found by its text, so the --output value
+        # "stream" was taken for it and the run exited 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "stream.cfg").write_text("eps_stream=1e-5\neps_qkd=1e-6\n")
+        argv = ["--output", "stream", "--config", "stream.cfg", "stream"]
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (0, "")
+        assert (tmp_path / "stream").read_text() == "10\n"
+
+    def test_explicit_output_beats_the_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "stream.cfg"
+        cfg.write_text(f"eps_stream=1e-5\neps_qkd=1e-6\noutput={tmp_path / 'a.txt'}\n")
+        code, _, _ = run_cli(["--config", str(cfg), "stream"], capsys)
+        assert code == 0
+        assert (tmp_path / "a.txt").read_text() == "10\n"
+        (tmp_path / "a.txt").unlink()
+        argv = ["--output", str(tmp_path / "b.txt"), "--config", str(cfg), "stream"]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert (tmp_path / "b.txt").read_text() == "10\n"
+        assert not (tmp_path / "a.txt").exists()
+
 
 class TestHelp:
     def test_top_level_help(self, capsys):

@@ -12,6 +12,7 @@ from oracle_utils import single_term_threshold
 import finitekey.optimizer as optimizer
 from finitekey.bounds import BlockShape, SlackParams
 from finitekey.optimizer import (
+    OptimizationPoint,
     _Model,
     min_block_length,
     optimize,
@@ -290,6 +291,25 @@ class TestRootSearch:
         optimize(m, 0.0451, BUDGET6, variant)
         assert max(len(k) for k in searches) <= 2 * optimizer._K_POINTS
 
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("m", [20000, 10**6, 10**12, 2**53 - 1])
+    def test_no_smooth_k_searched_twice(self, monkeypatch, m, variant):
+        # each zoom round after the first searched again the k it shared
+        # with the round before, its ends at least: 3 repeats at m = 20000
+        # and 21 at 2^53 - 1
+        smooth = []
+        best_nu = _Model.best_nu
+
+        def recorded(self, m, k, piece=None):
+            if piece is None:
+                smooth.append(np.asarray(k))
+            return best_nu(self, m, k, piece)
+
+        monkeypatch.setattr(_Model, "best_nu", recorded)
+        optimize(m, 0.0451, BUDGET6, variant)
+        ks = np.concatenate(smooth)
+        assert len(np.unique(ks)) == len(ks)
+
     @pytest.mark.parametrize(
         "m, s, variant",
         [
@@ -361,6 +381,22 @@ class TestSmoothFactor:
         assert any(np.isfinite(m_err).any() for _, m_err in asked)
         for ms, m_err in asked:
             assert not np.any(m_err > ms // 2), (np.nanmax(m_err), ms.max())
+
+
+class TestOptimizationPoint:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_its_ends_accepted(self, alpha):
+        assert OptimizationPoint(alpha=alpha, beta=0.5, nu=0.1, xi=0.05).alpha == alpha
+
+    @pytest.mark.parametrize("alpha", [-1e-9, 1.0 + 1e-9, -1.0, 2.0, math.nan])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            OptimizationPoint(alpha=alpha, beta=0.5, nu=0.1, xi=0.05)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_beta_outside_open_interval_refused(self, beta):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            OptimizationPoint(alpha=0.5, beta=beta, nu=0.1, xi=0.05)
 
 
 class TestKeylessInputs:
