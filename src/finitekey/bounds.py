@@ -493,6 +493,18 @@ def _summands(run, start: int = 0, stop: int = _M_LIMIT) -> list:
     return out
 
 
+def _pmf_ratio(w: int, n: int, k: int):
+    """The hypergeometric ratio ``j -> pmf(j + 1) / pmf(j)`` on arrays of ``j``.
+
+    ``pmf(j)`` is the probability that ``j`` of ``w`` special items land in
+    the ``n`` part of a block of ``n + k``.  Swapping ``n`` and ``k`` and
+    reading at ``w - j`` gives ``pmf(j - 1) / pmf(j)``.  Below 2^53 every
+    factor is an exact integer in float64, so that is the same float as the
+    down-ratio written out in ``j``.
+    """
+    return lambda j: ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1))
+
+
 def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     """Pr[at least j_lo of the w special items land in a sample of size n].
 
@@ -530,15 +542,10 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     mode = (n + 1) * (w + 1) // (m + 2)
     mode = min(max(mode, lo), hi)
     # terms at j = mode+1 .. hi
-    up = _run(
-        lambda j: ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1)),
-        range(mode, hi),
-    )
-    # terms at j = mode-1 .. lo, in decreasing j order
-    down = _run(
-        lambda j: (j * (k - w + j)) / ((w - j + 1.0) * (n - j + 1)),
-        range(mode, lo, -1),
-    )
+    up = _run(_pmf_ratio(w, n, k), range(mode, hi))
+    # terms at j = mode-1 .. lo, in decreasing j order: the down-run's ratio
+    # at j is the up-run's with n and k swapped, taken at w - j
+    down = _run(_pmf_ratio(w, k, n), range(w - mode, w - lo))
     up_all = _summands(up)
     total = math.fsum([1.0] + up_all + _summands(down))
     if j_lo <= mode:

@@ -90,7 +90,9 @@ _LOG2E = 1.0 / math.log(2.0)
 class OptimizationPoint:
     """One parameter point: key fraction ``alpha = ell/m`` plus the knobs.
 
-    ``(nu, xi)`` is checked as `SlackParams` checks it.
+    ``beta = k/m`` is the PE fraction, and ``round(beta * m)`` gives back
+    ``k`` for every ``m`` below 2^53.  ``(nu, xi)`` is checked as
+    `SlackParams` checks it.
     """
 
     alpha: float

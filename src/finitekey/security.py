@@ -30,7 +30,6 @@ from .bounds import (
     check_integer,
     new_epe,
     serfling_epe,
-    snap_floor,
 )
 
 __all__ = [
@@ -310,17 +309,19 @@ def max_ell_at(
 def stream_budget(eps_stream: float, eps_qkd: float) -> int:
     """Number of attempts a stream budget funds: ``floor(eps_stream/eps_qkd)``.
 
-    The quotient is snapped to the nearest integer first when it is within
-    1e-9 of one, so decimal inputs like 1e-4/1e-5 do not lose an attempt to
-    float rounding.
+    The quotient is taken exactly, of the decimals that the two floats print
+    as, so decimal inputs like 1e-4/1e-5 do not lose an attempt to float
+    rounding, and an attempt that the budget cannot pay for is never funded.
     """
     if not (math.isfinite(eps_stream) and eps_stream > 0.0):
         raise ValueError(f"eps_stream must be positive and finite, got {eps_stream}")
     if not (math.isfinite(eps_qkd) and eps_qkd > 0.0):
         raise ValueError(f"eps_qkd must be positive and finite, got {eps_qkd}")
-    quotient = eps_stream / eps_qkd
-    if not math.isfinite(quotient):
+    if not math.isfinite(eps_stream / eps_qkd):
         raise ValueError(
             f"eps_stream / eps_qkd overflows: {eps_stream} / {eps_qkd}"
         )
-    return max(0, snap_floor(quotient))
+    from fractions import Fraction  # here, so that starting the CLI does not load it
+
+    exact = Fraction(repr(float(eps_stream))) / Fraction(repr(float(eps_qkd)))
+    return math.floor(exact)

@@ -12,9 +12,10 @@ import pytest
 
 import finitekey
 import finitekey.simulator as simulator
-from finitekey.bounds import BlockShape
+from finitekey.bounds import BlockShape, SlackParams
 from finitekey.cli import main
 from finitekey.optimizer import _Model
+from finitekey.security import ProtocolSettings, SecurityBudget, feasible
 from finitekey.simulator import SimConfig, run
 
 KEYRATE_HEADER = [
@@ -70,8 +71,11 @@ class TestKeyrate:
             (
                 ["keyrate", "--m", "11", "--delta", "0.1"],
                 [
-                    "11,lemma2,0,0,0.363636,0.4,0.0818182,7.45058e-09,0.980465,1,2.96093,false",
-                    "11,serfling,0,0,0.454545,0.4,0,7.45058e-09,0.695144,1,2.39029,false",
+                    "11,lemma2,0,0.0,0.36363636363636365,0.3999999996,"
+                    "0.08181818181818182,7.450580596923828e-09,0.9804646127795867,"
+                    "1.0,2.960929233009754,false",
+                    "11,serfling,0,0.0,0.45454545454545453,0.3999999996,0.0,"
+                    "7.450580596923828e-09,0.695143928904438,1.0,2.390287865259457,false",
                 ],
             ),
             # no point has headroom, so the row has no point and no breakdown
@@ -171,6 +175,58 @@ class TestGoldenOutput:
         assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
 
 
+def _flag(argv, name, default):
+    return type(default)(argv[argv.index(name) + 1]) if name in argv else default
+
+
+def assert_rows_recheck(argv, text):
+    """Each row with a point re-checks from its own printed fields.
+
+    With ``k = round(beta * m)`` and the printed ``nu`` and ``xi``,
+    `feasible` gives the printed verdict at the printed ``ell``, and on a
+    feasible row rejects ``ell + 1`` where ``ell < n``.  Returns the number
+    of rows checked.
+    """
+    delta = _flag(argv, "--delta", 0.0451)
+    budget = SecurityBudget(_flag(argv, "--s", 6))
+    header, rows = parse_csv(text)
+    checked = 0
+    for row in (dict(zip(header, r)) for r in rows):
+        if not row["beta"]:
+            continue
+        m, ell, variant = int(row["m"]), int(row["ell"]), row["variant"]
+        shape = BlockShape(m=m, k=round(float(row["beta"]) * m))
+        slack = SlackParams(nu=float(row["nu"]), xi=float(row["xi"]))
+
+        def accepts(bits):
+            settings = ProtocolSettings(shape, delta, bits)
+            return feasible(settings, budget, slack, variant)[1]
+
+        where = f"m={m} {variant} ell={ell}"
+        assert accepts(ell) == (row["feasible"] == "true"), where
+        if row["feasible"] == "true" and ell < shape.n:
+            assert not accepts(ell + 1), f"{where}: feasible accepts ell + 1"
+        checked += 1
+    return checked
+
+
+class TestPrintedRowsRecheck:
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in GOLDEN if not n.startswith("minblock"))
+    )
+    def test_golden_rows(self, name):
+        text = (GOLDEN_DIR / f"{name}.csv").read_text()
+        assert assert_rows_recheck(GOLDEN[name], text) > 0
+
+    @pytest.mark.parametrize("m", [10**9 + 7, 2**53 - 1])
+    def test_rows_at_large_block_sizes(self, capsys, m):
+        # six digits of beta no longer fix k at these m
+        argv = ["keyrate", "--m", str(m), "--s", "10"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert assert_rows_recheck(argv, out) == 2
+
+
 class TestValidate:
     def test_clean_grid_exits_zero(self, capsys):
         # Exit code 0 exactly when every row passes.  A row fails only where
@@ -220,8 +276,8 @@ class TestSimulate:
         )
         assert row[:4] == ["60", "30", "30", "12"]
         assert row[8] == str(report.bad_event_count)
-        assert row[9] == f"{report.frequency:.6g}"
-        assert row[12] == f"{report.exact:.6g}"
+        assert row[9] == str(report.frequency)
+        assert row[12] == str(report.exact)
 
     def test_no_errors_no_bad_event(self, capsys):
         # a deviation of 1e-300 puts the alarm at one key error, so no trial
@@ -233,7 +289,7 @@ class TestSimulate:
         )
         assert code == 0
         (row,) = parse_csv(out)[1]
-        assert (row[8], row[12]) == ("0", "0")
+        assert (row[8], row[12]) == ("0", "0.0")
 
 
 class TestStream:

@@ -1,6 +1,7 @@
 """Tests for the parameter search and block-length threshold scan."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -397,6 +398,25 @@ class TestOptimizationPoint:
     def test_beta_outside_open_interval_refused(self, beta):
         with pytest.raises(ValueError, match="beta must lie in"):
             OptimizationPoint(alpha=0.5, beta=beta, nu=0.1, xi=0.05)
+
+    def test_k_comes_back_from_a_printed_beta(self):
+        # The CLI prints beta = k/m in shortest round-trip form, and a reader
+        # takes k = round(beta * m).  Check it for 1 <= k <= m // 2 at every
+        # magnitude of m from 10 to 2^53 - 1, and near the top with k near
+        # m // 2, where beta * m is largest.
+        rng = random.Random(20261019)
+        top = 2**53 - 1
+        ms = [rng.randrange(max(10, 2 ** (e - 1)), 2**e) for e in range(4, 54)
+              for _ in range(150)]
+        ms += [top - rng.randrange(2**20) for _ in range(300)] + [top]
+        pairs = []
+        for m in ms:
+            half = m // 2
+            pairs += [(m, 1), (m, half), (m, rng.randint(1, half))]
+            pairs += [(m, max(1, half - rng.randrange(2**10))) for _ in range(3)]
+        assert len(pairs) > 40_000
+        wrong = [(m, k) for m, k in pairs if round(float(str(k / m)) * m) != k]
+        assert wrong == []
 
 
 class TestKeylessInputs:

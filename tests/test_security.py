@@ -324,6 +324,14 @@ class TestStreamBudget:
         assert stream_budget(1e-4, 1e-5) == 10
         assert stream_budget(3e-5, 1e-5) == 3
 
+    @pytest.mark.parametrize(
+        "eps_stream, expected", [(9.9999999995e-6, 9), (2.9999999999e-6, 2)]
+    )
+    def test_no_attempt_beyond_the_stream_budget(self, eps_stream, expected):
+        # a quotient just below an integer is not snapped up to it: one more
+        # attempt of 1e-6 would spend more than eps_stream
+        assert stream_budget(eps_stream, 1e-6) == expected
+
     def test_errors(self):
         with pytest.raises(ValueError):
             stream_budget(0.0, 1e-6)
