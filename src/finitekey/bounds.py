@@ -90,16 +90,16 @@ class BlockShape:
     """Partition of one sifted block: ``k`` PE bits, ``n = m - k`` key bits.
 
     ``m`` and ``k`` are integers of any integer type (``np.int64(60)`` is
-    accepted, ``60.0`` is not), and ``m < 2^53`` (see `_check_block_size`);
-    ``n`` is derived, also by ``replace``.
+    accepted, ``60.0`` is not), stored as ``int``, and ``m < 2^53`` (see
+    `_check_block_size`); ``n`` is derived, also by ``replace``.
     """
 
     m: int
     k: int
 
     def __post_init__(self):
-        _check_block_size(self.m, "m")
-        check_integer(self.k, "k")
+        object.__setattr__(self, "m", _check_block_size(self.m, "m"))
+        object.__setattr__(self, "k", check_integer(self.k, "k"))
         if self.k < 1 or self.n < 1:
             raise ValueError(
                 f"need at least one PE bit and one key bit, got k={self.k}, n={self.n}"
@@ -202,28 +202,28 @@ def _gamma_factor(m, m_err, slope=False):
     return gamma, m * (1.0 / hi ** 2 - 1.0 / lo ** 2)
 
 
-def _hush_scovel_factor(k, n, gamma, relaxed):
-    """``max(1/(n + 1) + 1/(k + 1), gamma)``, or ``gamma`` if ``relaxed``; unchecked."""
-    sharp = np.maximum(1.0 / (n + 1.0) + 1.0 / (k + 1.0), gamma)
-    return np.where(relaxed, gamma, sharp)
+def _hush_scovel_factor(k, n, gamma):
+    """The sharp factor ``max(1/(n + 1) + 1/(k + 1), gamma)``; unchecked."""
+    return np.maximum(1.0 / (n + 1.0) + 1.0 / (k + 1.0), gamma)
 
 
-def _key_factor(m, k, m_err, gamma):
+def _key_factor(m, k, m_err):
     """The two-term bound's Hush-Scovel factor at ``m_err`` errors, and its form.
 
-    ``gamma = _gamma_factor(m, m_err)``, which the caller already has.  The
-    relaxed (gamma only) form is taken while ``m_err <= m // 2``, where
-    gamma is still falling, and the sharp (max) form past it.  Returns
+    With ``gamma = _gamma_factor(m, m_err)``, the relaxed form (gamma
+    alone) is taken while ``m_err <= m // 2``, where gamma is still
+    falling, and the sharp form (`_hush_scovel_factor`) past it.  Returns
     ``(factor, relaxed)``; unchecked.
     """
+    gamma = _gamma_factor(m, m_err)
     relaxed = m_err <= m // 2
-    return _hush_scovel_factor(k, m - k, gamma, relaxed), relaxed
+    return np.where(relaxed, gamma, _hush_scovel_factor(k, m - k, gamma)), relaxed
 
 
 def _hush_scovel_tail(c, n, dev):
     """``exp(-2 c ((n dev)^2 - 1))``, for ``(n dev)^2 > 1``; unchecked.
 
-    With ``c`` from `_hush_scovel_factor` at ``m_err``, it bounds the chance
+    With ``c`` from `_key_factor` at ``m_err``, it bounds the chance
     that, with exactly ``m_err`` errors in the block, the key error rate
     exceeds its expectation by ``dev`` or more.
 
@@ -285,7 +285,7 @@ def lemma2_ppe_detail(shape: BlockShape, delta: float, slack: SlackParams) -> di
             f"two-term bound needs (n*(nu - xi))^2 > 1, got n={n}, nu-xi={nu_p}"
         )
     m_err = snap_ceil(m * (delta + slack.xi))
-    factor, relaxed = _key_factor(m, k, m_err, _gamma_factor(m, m_err))
+    factor, relaxed = _key_factor(m, k, m_err)
     key_term = float(_hush_scovel_tail(factor, n, nu_p))
     sample_term = float(_serfling_tail(_sample_rate(m, k, n), slack.xi))
     raw = sample_term + key_term
@@ -405,10 +405,10 @@ def _run(ratio, js: range):
     block or call is folded into the next ratio, which is the same as
     prepending it, so ``np.multiply.accumulate`` forms every product left to
     right exactly as a scalar loop would.  In a block that starts with a
-    normal product, one call forms the products up to where a lower bound
-    from the ratios' logs says they may turn subnormal, and later calls
-    `_PIECE` products each.  Where a call ends changes no product, only the
-    time taken.
+    normal product, one call forms the products up to where the running sum
+    of the ratios' logs says they turn subnormal, and later calls `_PIECE`
+    products each.  Where a call ends changes no product, only the time
+    taken, so the sum's rounding does not matter.
 
     Once the product is 5e-324, the rest of the run is one stretch, and no
     product is formed: ``fl(5e-324 q)`` stays 5e-324 while ``q > 1/2``, and
@@ -422,14 +422,9 @@ def _run(ratio, js: range):
         r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
         start = end = 0
         if t >= _TINY and r.size > _PIECE:
-            # the whole block if the logs put its last product above the
-            # normal floor, else a lower bound on where the products cross
-            # it: each ratio is at least the last of its group of eight
-            logs, floor = np.log2(r), -1022.0 - math.log2(t)
-            if logs.sum() >= floor:
-                end = r.size
-            else:
-                end = 8 * np.count_nonzero(np.cumsum(logs[7::8]) >= floor / 8.0)
+            # the products while the running sum of the logs keeps them
+            # normal; the first call forms a shorter block whole anyway
+            end = np.count_nonzero(np.log2(r).cumsum() >= -1022.0 - math.log2(t))
         while start < r.size and t > _LEAST:
             end = min(max(end, start + _PIECE), r.size)
             r[start] *= t
@@ -539,8 +534,9 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
         return 1.0
     if j_lo > hi:
         return 0.0
+    # the mode lies in [lo, hi]: the quotient is below both w + 1 and n + 1,
+    # and (n + 1)(w + 1) - (w - k)(m + 2) = (1 + k)(1 + m - w) > 0
     mode = (n + 1) * (w + 1) // (m + 2)
-    mode = min(max(mode, lo), hi)
     # terms at j = mode+1 .. hi
     up = _run(_pmf_ratio(w, n, k), range(mode, hi))
     # terms at j = mode-1 .. lo, in decreasing j order: the down-run's ratio

@@ -301,17 +301,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         try:
             # The subcommand is the first argument that `common` leaves over,
-            # wherever `common`'s own values stand and whatever they spell.
-            # It goes first and the config file's flags right after it, ahead
-            # of every flag on the command line, so explicit flags win
-            # (argparse keeps the last occurrence).
-            known, rest = common.parse_known_args(argv)
-            if rest:
+            # wherever `common`'s own values stand and whatever they spell;
+            # with nothing left over, the parser reports it missing.  It goes
+            # first and the config file's flags right after it, ahead of
+            # every flag on the command line, so explicit flags win (argparse
+            # keeps the last occurrence).
+            known, argv = common.parse_known_args(argv)
+            if argv:
                 flags = [] if known.config is None else _apply_config(known.config)
                 if common.parse_known_args(flags)[0].config is not None:
                     raise ValueError(f"{known.config}: a config file cannot set --config")
                 output = [] if known.output is None else [f"--output={known.output}"]
-                argv = [rest[0], *flags, *output, *rest[1:]]
+                argv = [argv[0], *flags, *output, *argv[1:]]
         except (argparse.ArgumentError, ValueError) as exc:
             parser.error(str(exc))
         args = parser.parse_args(argv)

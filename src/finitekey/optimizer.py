@@ -28,13 +28,13 @@ generator that yields the rows it needs searched and keeps the better of
 the two pieces of each ``k`` it refines.  `_lock_step` answers the
 requests of several block sizes with one `best_nu` call per kind and
 round; a row does not depend on its batch, so each block size gets the
-rows it gets alone.  `_optimize_each` is the one loop that batches block
-sizes, `_BATCH` at a time, and the one place that checks a search's
-input; `optimize` runs it on one block size.  `min_block_length` inverts
-the search over ``m``: its forward scan reads `_optimize_each`'s results
-up to the first grid point with a key, and a bisection inside that
-stride searches the midpoints of its next `_DEPTH` levels in lock step.
-Each result is verified only when it is read.
+rows it gets alone.  `_optimize_each` batches a sequence of block sizes,
+`_BATCH` at a time, and is the one place that checks a search's input;
+`optimize` runs it on one block size.  `min_block_length` inverts the
+search over ``m``: its forward scan reads `_optimize_each`'s results up
+to the first grid point with a key, and a bisection inside that stride
+hands the midpoints of its next `_DEPTH` levels (`_tree`) to `_lock_step`
+itself.  Each result is verified only when it is read.
 """
 
 from __future__ import annotations
@@ -145,11 +145,12 @@ class _Model:
     the smooth optimum stays below that piece's right end: the best piece
     is the one holding the optimum or the one before it (`_PIECES`).
     Every formula of the model is a kernel of `bounds` or `security`,
-    shared with the scalar API; only the derivatives that steer the search
-    are this class's own.  Each row has its own block size ``m``, and a
-    row's result does not depend on the other rows of its call; ``delta``,
-    the budget and the variant are the model's.  The model searches nu at
-    given rows; which rows and pieces to search is `_search`'s choice.
+    shared with the scalar API, and so is gamma's slope (`_gamma_factor`);
+    only the other derivatives that steer the search are this class's own.
+    Each row has its own block size ``m``, and a row's result does not
+    depend on the other rows of its call; ``delta``, the budget and the
+    variant are the model's.  The model searches nu at given rows; which
+    rows and pieces to search is `_search`'s choice.
     """
 
     def __init__(self, delta: float, budget: SecurityBudget, variant: str):
@@ -159,10 +160,6 @@ class _Model:
         self.room = budget.room
         self.h = binary_entropy(delta)
         self.nu_hi = (0.5 - delta) * (1.0 - 1e-9)
-
-    def leakage(self, m, k):
-        """`ec_leakage` at block sizes ``m`` and PE sample sizes ``k``, unchecked."""
-        return np.ceil(_leakage(m - k, self.h))
 
     def _split(self, m, k, nu, piece):
         """Best xi at ``(k, nu)``; returns ``(eps_pe^2, its d/dnu, xi)``.
@@ -185,7 +182,7 @@ class _Model:
         xi_max = nu - 1.0 / n
         fixed = piece is not None
         if fixed:
-            c = _key_factor(m, k, piece, _gamma_factor(m, piece))[0]
+            c = _key_factor(m, k, piece)[0]
         else:
             # past m // 2 only where nu < 1/m, so xi_max < 0 and the clip
             # below takes xi_max whatever c is
@@ -260,8 +257,7 @@ class _Model:
         need = 2.0 * math.log(2.0 / self.room)
         if not self.two_term:
             return np.sqrt(0.5 * need / _serfling_rate(m, k, n))
-        gamma = _gamma_factor(m, np.floor(m * self.delta))
-        c_max = _hush_scovel_factor(k, n, gamma, False)
+        c_max = _hush_scovel_factor(k, n, _gamma_factor(m, np.floor(m * self.delta)))
         sample = np.sqrt(need / _sample_rate(m, k, n))
         return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
 
@@ -431,8 +427,9 @@ def _search(model, m):
         ks = ks[seen[:, 0].searchsorted(ks) == seen[:, 0].searchsorted(ks, "right")]
         if len(ks):
             rows = yield ks, None
-            envelope = rows[0] - _leakage(m - ks, model.h)
-            seen = np.concatenate((seen, np.array((ks, *rows, model.leakage(m, ks), envelope)).T))
+            leakage = _leakage(m - ks, model.h)
+            new = np.array((ks, *rows, np.ceil(leakage), rows[0] - leakage)).T
+            seen = np.concatenate((seen, new))
             seen = seen[seen[:, 0].argsort(kind="stable")]
 
     def search_pieces(ks):
@@ -561,12 +558,12 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
 def _optimize_each(ms, delta, budget, variant):
     """`optimize` at each block size of ``ms``, yielded in order.
 
-    The one loop that batches block sizes: they are searched in lock step,
-    `_BATCH` at a time, so the rows of one root search stay bounded however
-    many block sizes there are, and each result is verified only when it
-    is read.  It is also the one place that checks a search's input: the
-    variant and ``delta`` before the first batch, and each batch's block
-    sizes (integers below 2^53, at least 10) before it is searched.
+    The block sizes are searched in lock step, `_BATCH` at a time, so the
+    rows of one root search stay bounded however many block sizes there
+    are, and each result is verified only when it is read.  It is the one
+    place that checks a search's input: the variant and ``delta`` before
+    the first batch, and each batch's block sizes (integers below 2^53, at
+    least 10) before it is searched.
     """
     check_variant(variant)
     check_protocol_rate(delta)
@@ -667,10 +664,8 @@ def min_block_length(
     while good - bad > 1:
         batch = _tree(bad, good, _DEPTH)
         rows = dict(zip(batch, _lock_step(delta, budget, variant, batch)))
-        for _ in range(_DEPTH):
-            if good - bad <= 1:
-                break
-            mid = (bad + good) // 2
+        # the tree holds the next _DEPTH midpoints, and no later one
+        while good - bad > 1 and (mid := (bad + good) // 2) in rows:
             if _verify(mid, delta, budget, variant, rows[mid]).ell >= 1:
                 good = mid
             else:

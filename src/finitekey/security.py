@@ -70,7 +70,8 @@ def ec_leakage(n: int, delta: float) -> int:
 
     ``n`` is an integer of any integer type, as in `BlockShape`.
     """
-    if check_integer(n, "n") < 1:
+    n = check_integer(n, "n")
+    if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
@@ -112,24 +113,24 @@ class SecurityBudget:
     """Target failure budget ``eps_qkd = 10^-s`` and its derived constants.
 
     It owns the rule on the budget exponent: ``s`` is an integer of any
-    integer type with ``1 <= s <= 305``, compared as an integer before
-    anything is computed from it.  The verification tag length ``t =
-    ceil((s + 2) log2 10)`` makes the correctness term ``2^-t`` at most one
-    percent of ``eps_qkd``.
+    integer type with ``1 <= s <= 305``, stored as ``int`` and compared as
+    an integer before anything is computed from it.  The verification tag
+    length ``t = ceil((s + 2) log2 10)`` makes the correctness term ``2^-t``
+    at most one percent of ``eps_qkd``.
     """
 
     s: int
 
     def __post_init__(self):
-        s = check_integer(self.s, "s")
-        if s < 1:
-            raise ValueError(f"s must be a positive integer, got {s}")
+        object.__setattr__(self, "s", check_integer(self.s, "s"))
+        if self.s < 1:
+            raise ValueError(f"s must be a positive integer, got {self.s}")
         # t is 1020 at s = 305 and 1024 at s = 306, where eps_correct = 2^-t
         # is subnormal: a subnormal budget loses precision, and one that
         # underflows to 0 leaves no headroom at all
-        if s > 305:
+        if self.s > 305:
             raise ValueError(
-                f"s must be at most 305, got {s}: beyond it eps_correct = 2^-t "
+                f"s must be at most 305, got {self.s}: beyond it eps_correct = 2^-t "
                 f"is no longer a normal float"
             )
 
@@ -157,10 +158,10 @@ class ProtocolSettings:
 
     ``shape`` splits the block, ``delta`` is the tolerated PE error rate, in
     ``(0, 1/2)`` (`check_protocol_rate`), and ``ell`` the number of key bits
-    to extract, an integer of any integer type.  The error-correction
-    leakage ``r = ec_leakage(n, delta)`` is computed each time it is read,
-    so it can never go stale; the tag length ``t`` belongs to the
-    `SecurityBudget`.
+    to extract, an integer of any integer type, stored as ``int``.  The
+    error-correction leakage ``r = ec_leakage(n, delta)`` is computed each
+    time it is read, so it can never go stale; the tag length ``t`` belongs
+    to the `SecurityBudget`.
     """
 
     shape: BlockShape
@@ -169,7 +170,8 @@ class ProtocolSettings:
 
     def __post_init__(self):
         check_protocol_rate(self.delta)
-        if not 0 <= check_integer(self.ell, "ell") <= self.shape.n:
+        object.__setattr__(self, "ell", check_integer(self.ell, "ell"))
+        if not 0 <= self.ell <= self.shape.n:
             raise ValueError(
                 f"ell must lie in [0, n], got ell={self.ell}, n={self.shape.n}"
             )

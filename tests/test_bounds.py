@@ -256,7 +256,7 @@ class TestGammaFactor:
         sharp = 1.0 / (m - k + 1.0) + 1.0 / (k + 1.0)
         for m_err in range(m + 1):
             gamma = _gamma_factor(m, m_err)
-            factor, relaxed = _key_factor(m, k, m_err, gamma)
+            factor, relaxed = _key_factor(m, k, m_err)
             assert relaxed == (m_err <= m // 2)
             assert factor == (gamma if relaxed else max(sharp, gamma))
 
@@ -264,7 +264,7 @@ class TestGammaFactor:
 def _key_tail(shape, m_err, dev, relaxed):
     """The Hush-Scovel key-side tail at ``m_err`` errors, from the kernels."""
     gamma = _gamma_factor(shape.m, m_err)
-    factor = _hush_scovel_factor(shape.k, shape.n, gamma, relaxed)
+    factor = gamma if relaxed else _hush_scovel_factor(shape.k, shape.n, gamma)
     return float(_hush_scovel_tail(factor, shape.n, dev))
 
 
@@ -317,7 +317,7 @@ class TestKernels:
         # the two-term bound's terms at its own m_err = ceil(m (delta + xi))
         m_err = np.array([snap_ceil(v) for v in (mf * (delta + xi)).tolist()])
         lower = _serfling_tail(_sample_rate(mf, kf, nf), xi)
-        factor, relaxed = _key_factor(mf, kf, m_err, _gamma_factor(mf, m_err))
+        factor, relaxed = _key_factor(mf, kf, m_err)
         key = _hush_scovel_tail(factor, nf, dev)
         entropy = _h2(nu)
         leak = np.ceil(_leakage(nf, _h2(delta)))
@@ -572,6 +572,20 @@ class TestWindowTail:
             at_lo |= lo == mode < hi
             at_hi |= lo < mode == hi
         assert at_lo and at_hi
+
+    def test_mode_lies_in_its_support(self):
+        # _window_tail anchors both runs at the mode without clamping it
+        for m in range(1, 121):
+            n, w = np.mgrid[0 : m + 1, 0 : m + 1]
+            mode = (n + 1) * (w + 1) // (m + 2)
+            assert (np.maximum(0, w - (m - n)) <= mode).all()
+            assert (mode <= np.minimum(w, n)).all()
+        # Python ints at any scale below 2^53, m log-uniform
+        rng = np.random.default_rng(31)
+        ms = np.minimum(2.0 ** rng.uniform(0.0, 53.0, 20_000), 2**53 - 1).astype(np.int64)
+        ns, ws = rng.integers(0, ms + 1), rng.integers(0, ms + 1)
+        for m, n, w in zip(ms.tolist(), ns.tolist(), ws.tolist()):
+            assert max(0, w - (m - n)) <= (n + 1) * (w + 1) // (m + 2) <= min(w, n)
 
     def test_run_evaluates_one_block_at_a_time(self):
         # a long range that underflows early costs one block of ratios

@@ -336,6 +336,23 @@ print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 class TestImport:
+    def test_module_runs_as_the_console_script(self):
+        # python -m finitekey.cli exits with main's status
+        src = str(Path(finitekey.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cli = [sys.executable, "-m", "finitekey.cli"]
+        done = subprocess.run(
+            cli + ["stream", "--eps-stream", "1e-5", "--eps-qkd", "1e-6"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (0, "10\n")
+        done = subprocess.run(
+            cli + ["keyrate", "--m", "5"], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "m must be at least 10" in done.stderr
+
     def test_no_scipy_stats(self):
         # scipy took most of the CLI's start-up time; only the Monte Carlo
         # audit needs it, for the Clopper-Pearson limits
@@ -359,6 +376,15 @@ class TestImport:
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert run_cli(["keyrate"], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--config", "c.cfg"], ["--output", "o.csv"]], ids=["config", "output"]
+    )
+    def test_missing_subcommand(self, capsys, argv):
+        # the flag's value was taken for the subcommand: "invalid choice: 'c.cfg'"
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("finitekey: error: the following arguments are required: command\n")
 
     def test_unknown_variant(self, capsys):
         assert run_cli(["keyrate", "--m", "3100", "--variant", "azuma"], capsys)[0] == 2

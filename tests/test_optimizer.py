@@ -18,7 +18,7 @@ from finitekey.optimizer import (
     min_block_length,
     optimize,
 )
-from finitekey.security import ProtocolSettings, SecurityBudget, feasible
+from finitekey.security import ProtocolSettings, SecurityBudget, _leakage, feasible
 
 BUDGET6 = SecurityBudget(6)
 BUDGET10 = SecurityBudget(10)
@@ -463,7 +463,8 @@ class TestSearchOverK:
         model = _Model(0.0451, budget, variant)
         ks = np.arange(1, m // 2 + 1, dtype=float)
         gain, _, xi, _ = model.best_nu(m, ks)
-        length = gain - model.leakage(m, ks)
+        leakage = np.ceil(_leakage(m - ks, model.h))
+        length = gain - leakage
         # the smooth length bounds each two-term piece's: where it reaches
         # one bit more than optimize found, the pieces decide
         reach = length >= res.ell + 1
@@ -471,7 +472,7 @@ class TestSearchOverK:
             width = len(optimizer._PIECES)
             pieces = np.ceil(m * (0.0451 + xi[reach])) + np.array(optimizer._PIECES)[:, None]
             gains = model.best_nu(m, np.tile(ks[reach], width), pieces.ravel())[0]
-            length[reach] = gains.reshape(width, -1).max(axis=0) - model.leakage(m, ks[reach])
+            length[reach] = gains.reshape(width, -1).max(axis=0) - leakage[reach]
         assert length.max() < res.ell + 1
 
     @pytest.mark.parametrize("m", [20, 101, 259, 261])

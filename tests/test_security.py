@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finitekey import security
-from finitekey.bounds import BlockShape, SlackParams
+from finitekey.bounds import BlockShape, SlackParams, serfling_epe
 from finitekey.optimizer import optimize
 from finitekey.security import (
     EpsilonBreakdown,
@@ -19,6 +19,7 @@ from finitekey.security import (
     max_ell_at,
     stream_budget,
 )
+from finitekey.simulator import SimConfig, run
 
 REF_SHAPE = BlockShape(m=3100, k=1550)
 REF_DELTA = 0.0451
@@ -28,6 +29,44 @@ REF_SLACK = SlackParams(nu=0.1141, xi=0.0693)
 def ref_settings(ell=0, budget=None):
     budget = budget or SecurityBudget(6)
     return ProtocolSettings.for_budget(REF_SHAPE, REF_DELTA, budget, ell=ell)
+
+
+# Counts and what is computed from them, once as numpy integers and once as
+# ints.  Numpy arithmetic on the raw counts wrapped: n k^2 at m = 5e6, s + 2
+# at s = np.uint8(255), and n = m - k for unsigned types.
+_COUNT_CASES = [
+    ((5_000_000, 2_500_000), lambda m, k: serfling_epe(BlockShape(m, k), 0.01)),
+    ((10**9, 5 * 10**8), lambda m, k: max_ell_at(
+        ProtocolSettings(BlockShape(m, k), 0.0451), SecurityBudget(6), SlackParams(0.001),
+        "serfling",
+    )),
+    ((10**9, 5 * 10**8, 207_406_026), lambda m, k, ell: feasible(
+        ProtocolSettings(BlockShape(m, k), 0.0451, ell), SecurityBudget(6), SlackParams(0.001),
+        "serfling",
+    )),
+    ((255,), lambda s: SecurityBudget(s).t),
+    ((60, 30), lambda m, k: run(SimConfig(
+        shape=BlockShape(m, k), w=12, delta=0.1, nu=0.3, trials=1000, seed=1,
+    )).exact),
+]
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    ids=lambda dtype: dtype.__name__,
+)
+def test_numpy_counts_are_kept_as_ints(dtype):
+    info = np.iinfo(dtype)
+    for values, case in _COUNT_CASES:
+        if info.min <= min(values) and max(values) <= info.max:
+            assert case(*map(dtype, values)) == case(*values), values
+    shape = BlockShape(dtype(60), dtype(30))
+    budget, settings = SecurityBudget(dtype(6)), ProtocolSettings(shape, 0.1, dtype(5))
+    assert {type(v) for v in (shape.m, shape.k, budget.s, settings.ell)} == {int}
+    # unsigned, 10 - 20 wrapped to n = 246
+    with pytest.raises(ValueError, match="one key bit"):
+        BlockShape(dtype(10), dtype(20))
 
 
 class TestCorrectnessBits:
