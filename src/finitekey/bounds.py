@@ -58,23 +58,24 @@ _M_LIMIT = 2**53
 _INT_SNAP_TOL = 1e-9
 
 
-def snap_ceil(x):
-    """Ceiling that first snaps values within 1e-9 of a nonzero integer.
+def _snap(x, rounding):
+    """The integer within 1e-9 of ``x``, if nonzero, or else ``rounding(x)``.
 
-    A positive value never snaps to 0, so a tiny positive count rounds up to 1.
+    A positive value never snaps to 0, so a tiny positive count still
+    rounds up to 1 under `math.ceil`.
     """
     r = round(x)
-    if r != 0 and abs(x - r) <= _INT_SNAP_TOL:
-        return int(r)
-    return math.ceil(x)
+    return int(r) if r != 0 and abs(x - r) <= _INT_SNAP_TOL else rounding(x)
+
+
+def snap_ceil(x):
+    """Ceiling after the snap of `_snap`."""
+    return _snap(x, math.ceil)
 
 
 def snap_floor(x):
-    """Floor that first snaps values within 1e-9 of a nonzero integer."""
-    r = round(x)
-    if r != 0 and abs(x - r) <= _INT_SNAP_TOL:
-        return int(r)
-    return math.floor(x)
+    """Floor after the snap of `_snap`."""
+    return _snap(x, math.floor)
 
 
 class BoundUnavailableError(ValueError):
@@ -317,9 +318,12 @@ def check_integer(value, name: str) -> int:
     """``value`` as an int, or ``ValueError`` naming it as ``name``.
 
     Any integer type is accepted (``np.int64(6)`` gives 6); a float, even
-    ``6.0``, is not.
+    ``6.0``, is not, and neither is a ``bool`` (``True`` or ``np.True_``),
+    though Python's ``bool`` is an ``int``: a flag is not a count.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -557,12 +561,11 @@ def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float
     The event: the PE sample passes at rate ``delta`` while the key carries
     at least ``ceil(n (delta + nu))`` errors, with exactly ``w`` errors in
     the block.  Both conditions pin down the key-side error count, so the
-    probability is a single hypergeometric window sum.
+    probability is a single hypergeometric window sum.  When that threshold
+    exceeds ``n``, the window starts above every count and the sum is 0.
     """
     w = check_error_count(w, shape.m)
     pe_max = max_passing_pe_errors(shape, delta)
     key_min = min_alarming_key_errors(shape, delta, nu)
-    if key_min > shape.n:
-        return 0.0
     j_lo = max(key_min, w - pe_max)
     return _window_tail(shape.m, w, shape.n, j_lo)

@@ -5,7 +5,8 @@ sizes), ``minblock`` (smallest viable block size), ``validate`` (Monte Carlo
 audit of the bounds), ``simulate`` (one Monte Carlo case) and ``stream``
 (how many runs a stream-level budget funds).  All tabular output is CSV with a header
 row, written to stdout or to ``--output``; runs are deterministic, so a
-repeated invocation produces byte-identical output.  Floats print in Python's
+repeated invocation produces byte-identical output.  The ``--config`` and
+``--output`` files are UTF-8, whatever the locale.  Floats print in Python's
 shortest round-trip form, the library's exact value, so a ``keyrate`` or
 ``sweep`` row re-checks from its own fields with ``k = round(beta * m)``.
 
@@ -17,9 +18,9 @@ lines (keys are the long flag names without the dashes).  `main` finds
 and abbreviations such as ``--conf`` work as for any flag, and puts the
 file's flags right after the subcommand, ahead of every flag on the command
 line: explicit flags win wherever they stand.  A config file that cannot be
-read is a usage error, and so is one with a key that argparse reads as
-``--config`` (``config`` or an abbreviation such as ``conf``), whose file
-would never be read.
+read or decoded is a usage error, and so is one with a key that argparse
+reads as ``--config`` (``config`` or an abbreviation such as ``conf``),
+whose file would never be read.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a failing row, 2 on
 usage errors.  A usage error, whether argparse or the library refuses the
@@ -74,7 +75,7 @@ def _output(args):
     if not args.output:
         yield sys.stdout
         return
-    with open(args.output, "w", newline="") as handle:
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
         yield handle
 
 
@@ -270,17 +271,19 @@ def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def _apply_config(path: str) -> List[str]:
-    """The flags that a config file of ``key=value`` lines stands for.
+    """The flags that a UTF-8 config file of ``key=value`` lines stands for.
 
     Blank lines and ``#`` comments are skipped; ``key`` is a long flag name
     without the dashes, with ``_`` read as ``-``.  Unknown keys surface as
     unrecognised arguments when the parser runs.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file: {path!r} is not UTF-8: {exc}") from None
     flags = []
     for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line or line.startswith("#"):

@@ -3,9 +3,10 @@
 `run` plants a fixed number of errors in a block, draws the number of them
 that a uniform PE subset takes, counts how often the joint bad event fires
 (PE sample passes while the key side is noisy) and reports the frequency
-with a 99% confidence interval next to the exact hypergeometric value.  The
-draw is numpy's hypergeometric sampler, which shares no code with the
-exact tail in `bounds`, so the audit stays independent of what it checks.
+with its exact 99% Clopper-Pearson interval, whatever the count, next to
+the exact hypergeometric value.  The draw is numpy's hypergeometric
+sampler, which shares no code with the exact tail in `bounds`, so the
+audit stays independent of what it checks.
 `validate_bounds` runs a whole grid of such cases and checks each one
 against both closed-form bounds.  It looks the bounds up by module name at
 call time, so a test can swap one for a broken double (``monkeypatch``)
@@ -45,10 +46,6 @@ __all__ = [
     "default_validation_grid",
 ]
 
-# Two-sided 99% normal quantile.
-_Z99 = 2.5758293035489004
-# Below this count the normal interval is replaced by Clopper-Pearson.
-_EXACT_CI_COUNT = 30
 # Trials per chunk.  Fixed, so the substream layout depends only on the
 # trial count, never on the block size or the host.
 _CHUNK = 1 << 16
@@ -131,22 +128,19 @@ class ValidationRow:
 
 
 def _confidence_interval(count: int, trials: int):
-    """Two-sided 99% interval for a binomial proportion.
+    """Exact two-sided 99% Clopper-Pearson interval for a binomial proportion.
 
-    Normal approximation with continuity correction; exact Clopper-Pearson
-    when the count (or its complement) is small enough that the normal shape
-    cannot be trusted.  scipy is imported here, not at start-up: only the
-    audit needs it.
+    At every count, ``Bin(trials, lo)`` puts 0.5% of its mass at or above
+    ``count`` and ``Bin(trials, hi)`` 0.5% at or below it; ``lo`` is 0 at a
+    count of 0 and ``hi`` is 1 at ``trials`` (C. J. Clopper and E. S.
+    Pearson, Biometrika 26 (1934) 404-413).  scipy is imported here, not at
+    start-up: only the audit needs it.
     """
     from scipy.special import betaincinv
 
-    p = count / trials
-    if count < _EXACT_CI_COUNT or trials - count < _EXACT_CI_COUNT:
-        lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.005))
-        hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 0.995))
-        return lo, hi
-    half = _Z99 * math.sqrt(p * (1.0 - p) / trials) + 0.5 / trials
-    return max(0.0, p - half), min(1.0, p + half)
+    lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.005))
+    hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 0.995))
+    return lo, hi
 
 
 def _count_bad(rng, size, shape, w, pe_max, key_min):

@@ -4,9 +4,9 @@ Nothing here imports the package's numerical routines: the enumeration
 oracle counts subsets directly, the rational oracle sums binomials with
 exact arithmetic, the high-precision oracle reruns the tail recurrence in
 50-digit arithmetic, the loop oracle reruns it one Python ratio at a time
-in float64, and the urn sampler replays the protocol split slot by
-slot.  Agreement between these and the package is the evidence the tests
-rest on.
+in float64, the urn sampler replays the protocol split slot by slot, and
+the binomial tail sums the binomial pmf in 30-digit arithmetic.  Agreement
+between these and the package is the evidence the tests rest on.
 """
 
 import math
@@ -110,6 +110,24 @@ def mp_window_tail(m, w, n, j_lo, dps=50):
         total = mp.fsum(terms.values())
         tail = mp.fsum(v for j, v in terms.items() if j >= j_lo)
         return tail / total
+
+
+def binomial_tail(n, c, p):
+    """``P[Bin(n, p) >= c]``, a 30-digit sum of the binomial pmf.
+
+    The terms from ``j = c`` up are formed by the ratio ``(n - j) p / ((j
+    + 1) (1 - p))`` from the first, whose binomial coefficient is exact.
+    ``mpmath.betainc``, the closed form, did not converge at ``n = 2000``.
+    """
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        odds = p / (1 - p)
+        t = math.comb(n, c) * p**c * (1 - p) ** (n - c)
+        total = t
+        for j in range(c, n):
+            t *= odds * (n - j) / (j + 1)
+            total += t
+        return total
 
 
 def loop_window_tail(m, w, n, j_lo):

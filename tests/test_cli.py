@@ -566,6 +566,33 @@ class TestConfigFile:
         assert err.startswith("usage: finitekey [-h] ")
         assert "\nfinitekey: error: cannot read config file" in err
 
+    def test_file_that_is_not_utf8_rejected(self, capsys, tmp_path):
+        # the decode error escaped `except OSError` and named no file
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["stream", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: finitekey [-h] ")
+        assert "\nfinitekey: error: cannot read config file" in err
+        assert str(cfg) in err
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="EncodingWarning is new in 3.10")
+    def test_files_do_not_use_the_locale_encoding(self, tmp_path):
+        # open() without encoding= raised EncodingWarning under this filter
+        (tmp_path / "c.cfg").write_text("m=3100\nvariant=lemma2\n", encoding="utf-8")
+        src = str(Path(finitekey.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "finitekey.cli", "keyrate", "--config", "c.cfg", "--output", "o.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, rows = parse_csv((tmp_path / "o.csv").read_text(encoding="utf-8"))
+        assert header == KEYRATE_HEADER
+        assert [row[:3] for row in rows] == [["3100", "lemma2", "10"]]
+
     def test_line_without_equals_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "stream.cfg"
         cfg.write_text("eps_stream\neps_qkd=1e-6\n")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from finitekey import security
-from finitekey.bounds import BlockShape, SlackParams, serfling_epe
-from finitekey.optimizer import optimize
+from finitekey.bounds import BlockShape, SlackParams, exact_joint_ppe, serfling_epe
+from finitekey.optimizer import min_block_length, optimize
 from finitekey.security import (
     EpsilonBreakdown,
     ProtocolSettings,
@@ -67,6 +67,33 @@ def test_numpy_counts_are_kept_as_ints(dtype):
     # unsigned, 10 - 20 wrapped to n = 246
     with pytest.raises(ValueError, match="one key bit"):
         BlockShape(dtype(10), dtype(20))
+
+
+# Every site that takes a count, called with the flag ``b`` as that count.
+_SHAPE = BlockShape(60, 30)
+_BOOL_COUNT_SITES = {
+    "BlockShape.m": lambda b: BlockShape(b, 30),
+    "BlockShape.k": lambda b: BlockShape(60, b),
+    "SecurityBudget": lambda b: SecurityBudget(b),
+    "ProtocolSettings.ell": lambda b: ProtocolSettings(_SHAPE, 0.1, b),
+    "ec_leakage": lambda b: ec_leakage(b, 0.1),
+    "SimConfig.w": lambda b: SimConfig(_SHAPE, b, 0.1, 0.3, 100, 1),
+    "SimConfig.trials": lambda b: SimConfig(_SHAPE, 12, 0.1, 0.3, b, 1),
+    "SimConfig.seed": lambda b: SimConfig(_SHAPE, 12, 0.1, 0.3, 100, b),
+    "exact_joint_ppe": lambda b: exact_joint_ppe(_SHAPE, 0.1, 0.3, b),
+    "optimize": lambda b: optimize(b, 0.0451, SecurityBudget(6), "serfling"),
+    "min_block_length": lambda b: min_block_length(
+        0.0451, SecurityBudget(6), "serfling", b, 20000
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np.bool"])
+@pytest.mark.parametrize("site", list(_BOOL_COUNT_SITES))
+def test_bools_are_not_counts(site, flag):
+    # Python's bool is an int, so operator.index took True as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        _BOOL_COUNT_SITES[site](flag)
 
 
 class TestCorrectnessBits:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import enumeration_tables, urn_pe_errors
+from oracle_utils import binomial_tail, enumeration_tables, urn_pe_errors
 
 import finitekey.simulator as simulator
 from finitekey.bounds import (
@@ -80,7 +80,7 @@ class TestRun:
         assert report.ci_low <= report.exact <= report.ci_high
 
     def test_zero_count_interval_starts_at_zero(self):
-        # rare event with few trials: exercises the exact interval branch
+        # rare event with few trials: no count, so the lower limit is 0
         cfg = SimConfig(
             shape=BlockShape(m=60, k=30),
             w=30,
@@ -196,6 +196,32 @@ class TestSampler:
         for p in range(k + 1):
             want = counts[w][p] / total
             assert abs(seen[p] - want) <= 5.0 * math.sqrt(want * (1.0 - want) / trials)
+
+
+def _interval_cases():
+    for trials in (20, 200, 2000):
+        counts = (0, 1, 29, 30, 31, trials // 2, trials - 31, trials - 30, trials - 29,
+                  trials - 1, trials)
+        yield from ((c, trials) for c in sorted(set(counts)) if 0 <= c <= trials)
+
+
+class TestConfidenceInterval:
+    """`_confidence_interval` against 30-digit sums of the binomial pmf."""
+
+    @pytest.mark.parametrize("count, trials", list(_interval_cases()))
+    def test_each_tail_holds_half_a_percent(self, count, trials):
+        # a normal approximation served counts 30 .. trials - 30: at 30 of
+        # 2,000 its limits left 0.066% below and 1.31% above
+        lo, hi = simulator._confidence_interval(count, trials)
+        if count == 0:
+            assert lo == 0.0
+        else:
+            assert binomial_tail(trials, count, lo) == pytest.approx(0.005, rel=1e-9)
+        if count == trials:
+            assert hi == 1.0
+        else:
+            below = 1 - binomial_tail(trials, count + 1, hi)
+            assert below == pytest.approx(0.005, rel=1e-9)
 
 
 class TestOperatingPoint:
