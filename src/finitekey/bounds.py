@@ -341,14 +341,19 @@ def check_deviation(nu) -> None:
     """``ValueError`` unless the deviation ``nu`` lies in ``(0, 1]``.
 
     NaN and infinities fail the comparison, so no finiteness test is needed.
+    A ``bool`` (``True`` or ``np.True_``) is refused, as in `check_integer`:
+    a flag is not a deviation.
     """
-    if not 0.0 < nu <= 1.0:
+    if isinstance(nu, (bool, np.bool_)) or not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
 
 
 def check_rate(delta) -> None:
-    """``ValueError`` unless the error rate ``delta`` lies in ``[0, 1]``."""
-    if not 0.0 <= delta <= 1.0:
+    """``ValueError`` unless the error rate ``delta`` lies in ``[0, 1]``.
+
+    A ``bool`` is refused, as in `check_deviation`: a flag is not a rate.
+    """
+    if isinstance(delta, (bool, np.bool_)) or not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
 
 
@@ -363,7 +368,8 @@ def check_error_count(w, m: int) -> int:
 def max_passing_pe_errors(shape: BlockShape, delta: float) -> int:
     """Largest PE error count that still passes the rate-``delta`` test."""
     check_rate(delta)
-    return min(snap_floor(delta * shape.k), shape.k)
+    # at most k: delta <= 1, and the product and the rounding are monotone
+    return snap_floor(delta * shape.k)
 
 
 def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:

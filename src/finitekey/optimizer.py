@@ -139,7 +139,11 @@ class _Model:
     The smooth path keeps ``m (delta + xi)`` below ``m // 2`` (see
     `_split`), where the factor is gamma (`_gamma_factor`) and falls as
     ``m_err`` grows, so the smooth factor is never below the factor of the
-    piece, and the smooth gain bounds every piece's gain from above.
+    piece.  The smooth gain bounds each piece's gain from above only up to
+    `_split`'s last Newton iterate, whose ``eps_pe`` may sit above its
+    minimum over xi, and up to rounding: at ``m = 10^12`` (``s = 6``) a
+    piece's length can exceed the smooth length of its ``k`` by two float
+    spacings, 2^-13 bit at 4.2e11 bits.
     Maximised over nu, the smooth gain is unimodal in xi and meets each
     piece's gain at the piece's right end, so a piece after the one holding
     the smooth optimum stays below that piece's right end: the best piece
@@ -167,32 +171,34 @@ class _Model:
         With ``c`` the Hush-Scovel factor, ``eps_pe^2 = exp(-a xi^2) +
         exp(-2 c ((n (nu - xi))^2 - 1))`` is convex in xi, and its minimum
         solves ``phi = 0`` below (the log of the ratio of the two terms'
-        slopes, with ``dc`` the slope of a smooth ``c``), found by Newton
-        steps from the point where both exponents are equal.  In a piece,
-        ``c`` is the piece's, formed once by `_key_factor`, and xi is clipped
-        to the piece; its left end is charged the piece's factor, which is
-        never smaller than the truth there.  Without a piece, every iterate
-        keeps ``xi <= nu - 1/n`` and ``nu < 1/2 - delta``, so ``m (delta +
-        xi) < m/2 - 1 < m // 2``: `_key_factor` would take its relaxed form,
-        and ``c`` and ``dc`` are gamma and its slope (`_gamma_factor`).
+        slopes, with ``dc`` the slope of ``c``), found by Newton steps from
+        the point where both exponents are equal.  Both kinds of row take
+        ``c`` and ``dc`` from ``factor``.  In a piece, ``c`` is the piece's,
+        formed once by `_key_factor`, ``dc`` is 0, and xi is clipped to the
+        piece after the steps; its left end is charged the piece's factor,
+        which is never smaller than the truth there.  Without a piece, every
+        iterate keeps ``xi <= nu - 1/n`` and ``nu < 1/2 - delta``, so ``m
+        (delta + xi) < m/2 - 1 < m // 2``: `_key_factor` would take its
+        relaxed form, and ``c`` and ``dc`` are gamma and its slope
+        (`_gamma_factor`).
         """
         delta = self.delta
         n = m - k
         a = _sample_rate(m, k, n)
         xi_max = nu - 1.0 / n
-        fixed = piece is not None
-        if fixed:
-            c = _key_factor(m, k, piece)[0]
+        if piece is None:
+            def factor(xi, slope=False):
+                return _gamma_factor(m, m * (delta + xi), slope)
         else:
-            # past m // 2 only where nu < 1/m, so xi_max < 0 and the clip
-            # below takes xi_max whatever c is
-            c = _gamma_factor(m, m * (delta + 0.5 * nu))
+            frozen = _key_factor(m, k, piece)[0]
+            factor = lambda xi, slope=False: (frozen, 0.0) if slope else frozen  # noqa: E731
+        # a smooth factor passes m // 2 only where nu < 1/m, so xi_max < 0
+        # and the clip below takes xi_max whatever c is
+        c = factor(0.5 * nu)
         root = np.sqrt(2.0 * c) * n
         xi = np.minimum(np.maximum(nu * root / (np.sqrt(a) + root), 1e-9), xi_max)
-        dc = 0.0
         for _ in range(_SPLIT_STEPS):
-            if not fixed:
-                c, dc = _gamma_factor(m, m * (delta + xi), slope=True)
+            c, dc = factor(xi, slope=True)
             c2 = 2.0 * c
             u = nu - xi
             q = (n * u) ** 2 - 1.0
@@ -203,10 +209,9 @@ class _Model:
             # a seed grid's arrays are large: free this step's before the
             # next factor is formed, so the peak memory does not grow
             del c2, u, q, ax, bu, phi, slope
-        if fixed:
+        if piece is not None:
             xi = np.minimum(np.maximum(xi, (piece - 1.0) / m - delta), piece / m - delta)
-        else:
-            c = _gamma_factor(m, m * (delta + xi))
+        c = factor(xi)
         u = nu - xi
         key = _hush_scovel_tail(c, n, u)
         tail = _serfling_tail(a, xi)
@@ -385,8 +390,10 @@ def _search(model, m):
     round up to ``m`` of about 16,500, two up to 20,000.  Each round
     narrows ``[lo, hi]`` to the neighbours of the envelope's peak, and once
     at most ``_K_POINTS + 1`` integers are left they are all visited.  The
-    envelope bounds the length ``gain - r`` from above, so a k whose
-    envelope falls short of the best length found cannot win.  Each end of
+    envelope's factor bounds each piece's from above, so the envelope
+    bounds the length ``gain - r`` from above up to the last Newton iterate
+    and rounding (see `_Model`), and a k whose envelope falls short of the
+    best length found is taken not to win.  Each end of
     the window of integers around the peak whose envelope reaches that
     length moves out in one round: to the nearest visited k beyond it whose
     envelope falls short, or to the end of the range, but by at most
@@ -588,7 +595,9 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
 
     At each ``k`` the best ``(nu, xi)`` is found to within rounding (see
     `_Model`).  Over ``k``, the search visits a window around the peak of
-    the smooth envelope, which bounds the length from above, and widens it
+    the smooth envelope, whose factor bounds each piece's from above, so
+    that it bounds the length from above up to the last Newton iterate of
+    the split and rounding (see `_Model`), and widens it
     until the envelope at both ends falls short of the best length found;
     each round moves an end that reaches it to the nearest visited ``k``
     beyond it that falls short, by at most `_K_POINTS`, so no root search

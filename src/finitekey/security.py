@@ -245,23 +245,21 @@ def feasible(
     ``delta + nu`` reaching 1/2 and beyond, where the entropy deficit is
     spent) are reported as infeasible rather than raised, since optimisation
     grids hit them routinely; the breakdown then carries ``eps_pe = inf`` and
-    a ``reason``.  This is the one place that checks those preconditions.
+    the refusal's message as its ``reason``.  `eps_pa` refuses ``delta + nu
+    >= 1/2`` and is evaluated first, so ``eps_pa`` is infinite there too.
+    This is the one place that turns a refusal into a reason.
     """
     check_variant(variant)
     pe = pa = math.inf
     reason = None
-    q = settings.delta + slack.nu
-    if q >= 0.5:
-        reason = f"delta + nu = {q} reaches 1/2"
-    else:
-        try:
-            if variant == "serfling":
-                pe = serfling_epe(settings.shape, slack.nu)
-            else:
-                pe = new_epe(settings.shape, settings.delta, slack)
-        except ValueError as exc:
-            reason = str(exc)
+    try:
         pa = eps_pa(settings, budget, slack.nu)
+        if variant == "serfling":
+            pe = serfling_epe(settings.shape, slack.nu)
+        else:
+            pe = new_epe(settings.shape, settings.delta, slack)
+    except ValueError as exc:
+        reason = str(exc)
     bd = EpsilonBreakdown(
         eps_correct=budget.eps_correct,
         eps_pe=pe,

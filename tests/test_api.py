@@ -53,3 +53,13 @@ def test_readme_lists_every_exported_name():
         )
         listed = re.findall(r"`(\w+)`", row.split("|")[2])
         assert listed == importlib.import_module(f"finitekey.{module}").__all__
+
+
+def test_readme_example_prints_what_it_shows(capsys):
+    # the comment under the library example's print is its output, so a
+    # change that moves C1's point has to update the README
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    exec(code, {})
+    assert shown and capsys.readouterr().out.splitlines() == shown

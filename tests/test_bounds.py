@@ -413,6 +413,14 @@ class TestThresholds:
         assert max_passing_pe_errors(shape, 0.0) == 0
         assert max_passing_pe_errors(shape, 1.0) == 15
 
+    @pytest.mark.parametrize("k", [2**52 - 1, 2**52, 2**52 + 1])
+    def test_pe_threshold_never_exceeds_k(self, k):
+        # no cap at k is needed: delta <= 1, and the product and the
+        # rounding are monotone while k < 2^53 is exact
+        shape = BlockShape(m=2**53 - 1, k=k)
+        assert max_passing_pe_errors(shape, 1.0) == k
+        assert max_passing_pe_errors(shape, 1.0 - 2.0**-53) <= k
+
     def test_key_threshold(self):
         shape = BlockShape(m=30, k=15)
         assert min_alarming_key_errors(shape, 0.1, 0.3) == 6

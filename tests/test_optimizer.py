@@ -11,7 +11,7 @@ import pytest
 from oracle_utils import single_term_threshold
 
 import finitekey.optimizer as optimizer
-from finitekey.bounds import BlockShape, SlackParams
+from finitekey.bounds import BlockShape, SlackParams, lemma2_ppe_detail
 from finitekey.optimizer import (
     OptimizationPoint,
     _Model,
@@ -382,6 +382,42 @@ class TestSmoothFactor:
         assert any(np.isfinite(m_err).any() for _, m_err in asked)
         for ms, m_err in asked:
             assert not np.any(m_err > ms // 2), (np.nanmax(m_err), ms.max())
+
+
+class TestPieceRow:
+    def test_piece_row_is_the_scalar_two_term_bound(self):
+        # a piece row's eps_pe^2 is lemma2_ppe_detail's raw sum at the row's
+        # own xi, for the two pieces that _search asks for around the smooth
+        # optimum.  At a piece's left end the scalar path rounds m (delta +
+        # xi) down to the piece before, whose factor is larger, so there it
+        # may only be lower
+        rng = np.random.default_rng(25)
+        compared = left_ends = 0
+        for delta in (0.01, 0.0451, 0.2, 0.4):
+            for s in (1, 6, 10):
+                model = _Model(delta, SecurityBudget(s), "lemma2")
+                m = rng.choice([20, 100, 3100, 4807, 20000, 10**6, 10**9, 10**12], 250)
+                m = m.astype(float)
+                k = np.floor(rng.uniform(1.0, m // 2 + 1.0))
+                # eps_pe^2's exponents then run from about 1 to 10^4
+                nu = np.minimum(np.sqrt(delta * 10.0 ** rng.uniform(0.0, 4.0, m.size) / m),
+                                model.nu_hi)
+                with np.errstate(all="ignore"):
+                    smooth_xi = model._split(m, k, nu, None)[2]
+                    piece = np.ceil(m * (delta + smooth_xi)) + rng.integers(-1, 1, m.size)
+                    p, _, xi = model._split(m, k, nu, piece)
+                for row in np.flatnonzero(np.isfinite(p)):
+                    detail = lemma2_ppe_detail(
+                        BlockShape(int(m[row]), int(k[row])), delta,
+                        SlackParams(float(nu[row]), float(xi[row])),
+                    )
+                    if detail["m_err"] == piece[row]:
+                        compared += 1
+                        assert math.isclose(detail["raw"], p[row], rel_tol=1e-13), row
+                    else:
+                        left_ends += 1
+                        assert detail["raw"] <= p[row], row
+        assert compared > 2000 and left_ends > 0, (compared, left_ends)
 
 
 class TestOptimizationPoint:

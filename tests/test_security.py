@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from finitekey import security
-from finitekey.bounds import BlockShape, SlackParams, exact_joint_ppe, serfling_epe
+from finitekey.bounds import (
+    BlockShape,
+    SlackParams,
+    exact_joint_ppe,
+    lemma2_ppe_bound,
+    max_passing_pe_errors,
+    min_alarming_key_errors,
+    serfling_epe,
+)
 from finitekey.optimizer import min_block_length, optimize
 from finitekey.security import (
     EpsilonBreakdown,
@@ -94,6 +102,39 @@ def test_bools_are_not_counts(site, flag):
     # Python's bool is an int, so operator.index took True as 1
     with pytest.raises(ValueError, match="must be an integer"):
         _BOOL_COUNT_SITES[site](flag)
+
+
+# Every site that takes a rate ``delta`` or a deviation ``nu`` through
+# bounds.check_rate or bounds.check_deviation, with the flag ``b`` there.
+_BOOL_RATE_SITES = {
+    "SlackParams.nu": lambda b: SlackParams(b),
+    "serfling_epe.nu": lambda b: serfling_epe(_SHAPE, b),
+    "lemma2_ppe_bound.delta": lambda b: lemma2_ppe_bound(_SHAPE, b, SlackParams(0.3, 0.1)),
+    "max_passing_pe_errors.delta": lambda b: max_passing_pe_errors(_SHAPE, b),
+    "min_alarming_key_errors.delta": lambda b: min_alarming_key_errors(_SHAPE, b, 0.3),
+    "min_alarming_key_errors.nu": lambda b: min_alarming_key_errors(_SHAPE, 0.1, b),
+    "exact_joint_ppe.delta": lambda b: exact_joint_ppe(_SHAPE, b, 0.3, 12),
+    "exact_joint_ppe.nu": lambda b: exact_joint_ppe(_SHAPE, 0.1, b, 12),
+    "eps_pa.nu": lambda b: eps_pa(ProtocolSettings(_SHAPE, 0.1), SecurityBudget(6), b),
+    "SimConfig.delta": lambda b: SimConfig(_SHAPE, 12, b, 0.3, 100, 1),
+    "SimConfig.nu": lambda b: SimConfig(_SHAPE, 12, 0.1, b, 100, 1),
+}
+_RANGE_MESSAGES = {"delta": r"delta must lie in \[0, 1\]", "nu": r"nu must lie in \(0, 1\]"}
+
+
+@pytest.mark.parametrize(
+    "site, flag",
+    [
+        pytest.param(site, flag, id=f"{site}-{flag!r}")
+        for site in _BOOL_RATE_SITES
+        # False is 0, which a deviation refuses anyway
+        for flag in ((True, np.True_, False) if site.endswith(".delta") else (True, np.True_))
+    ],
+)
+def test_bools_are_not_rates_or_deviations(site, flag):
+    # 0 <= True <= 1, so the range checks took a flag as 1
+    with pytest.raises(ValueError, match=_RANGE_MESSAGES[site.rsplit(".", 1)[1]]):
+        _BOOL_RATE_SITES[site](flag)
 
 
 class TestCorrectnessBits:
@@ -359,7 +400,7 @@ class TestMaxEll:
         monkeypatch.setattr(security, "_ell_bound", lambda *args: bound(*args) + error)
         self.test_matches_brute_force()
 
-    def test_error_rate_past_half_has_no_key(self):
+    def test_error_rate_past_half_has_no_key(self, monkeypatch):
         # 1 - h2(delta + nu) grows again past 1/2: at nu = 0.9 this point
         # used to report 519 bits, where the best key at the block is 0
         budget = SecurityBudget(6)
@@ -370,6 +411,16 @@ class TestMaxEll:
         assert ok is False
         assert bd.total == math.inf
         assert "1/2" in bd.reason
+        # past 1/2 the refusal comes before any PE bound is evaluated
+
+        def unreachable(*args):
+            raise AssertionError("a PE bound was evaluated past 1/2")
+
+        monkeypatch.setattr(security, "serfling_epe", unreachable)
+        monkeypatch.setattr(security, "new_epe", unreachable)
+        for variant, split in (("serfling", slack), ("lemma2", SlackParams(0.9, 0.1))):
+            bd, ok = feasible(ref_settings(), budget, split, variant)
+            assert ok is False and "1/2" in bd.reason
 
     def test_zero_when_unavailable(self):
         shape = BlockShape(m=40, k=20)
