@@ -128,7 +128,7 @@ class SlackParams:
 
     def __post_init__(self):
         check_deviation(self.nu)
-        if not 0.0 <= self.xi < self.nu:
+        if is_flag(self.xi) or not 0.0 <= self.xi < self.nu:
             raise ValueError(f"xi must lie in [0, nu), got xi={self.xi}, nu={self.nu}")
 
     @property
@@ -147,7 +147,8 @@ def binary_entropy(x):
     Parameters
     ----------
     x : float or array_like
-        Probability or array of probabilities in [0, 1].
+        Probability or array of probabilities in [0, 1]; not a flag (see
+        `is_flag`).
 
     Returns
     -------
@@ -155,7 +156,7 @@ def binary_entropy(x):
         ``-x log2 x - (1 - x) log2(1 - x)``, with the endpoint value 0.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
+    if is_flag(x) or np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
         raise ValueError("binary_entropy requires arguments in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where((arr > 0.0) & (arr < 1.0), _h2(arr), 0.0)
@@ -314,15 +315,24 @@ def new_epe(shape: BlockShape, delta: float, slack: SlackParams) -> float:
     return math.sqrt(lemma2_ppe_bound(shape, delta, slack))
 
 
+def is_flag(value) -> bool:
+    """Whether ``value`` is a ``bool`` (``True``, ``np.True_``) or an array of them.
+
+    Python's ``bool`` is an ``int`` and compares as 0 or 1, so a range test
+    alone takes ``True`` for a number.  Every input rule refuses a flag
+    through this test: a flag is not a count, a rate or a probability.
+    """
+    return np.asarray(value).dtype == np.bool_
+
+
 def check_integer(value, name: str) -> int:
     """``value`` as an int, or ``ValueError`` naming it as ``name``.
 
     Any integer type is accepted (``np.int64(6)`` gives 6); a float, even
-    ``6.0``, is not, and neither is a ``bool`` (``True`` or ``np.True_``),
-    though Python's ``bool`` is an ``int``: a flag is not a count.
+    ``6.0``, is not, and neither is a flag (see `is_flag`).
     """
     try:
-        if isinstance(value, bool):
+        if is_flag(value):
             raise TypeError
         return operator.index(value)
     except TypeError:
@@ -341,19 +351,18 @@ def check_deviation(nu) -> None:
     """``ValueError`` unless the deviation ``nu`` lies in ``(0, 1]``.
 
     NaN and infinities fail the comparison, so no finiteness test is needed.
-    A ``bool`` (``True`` or ``np.True_``) is refused, as in `check_integer`:
-    a flag is not a deviation.
+    A flag is refused (see `is_flag`).
     """
-    if isinstance(nu, (bool, np.bool_)) or not 0.0 < nu <= 1.0:
+    if is_flag(nu) or not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
 
 
 def check_rate(delta) -> None:
     """``ValueError`` unless the error rate ``delta`` lies in ``[0, 1]``.
 
-    A ``bool`` is refused, as in `check_deviation`: a flag is not a rate.
+    A flag is refused (see `is_flag`).
     """
-    if isinstance(delta, (bool, np.bool_)) or not 0.0 <= delta <= 1.0:
+    if is_flag(delta) or not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
 
 

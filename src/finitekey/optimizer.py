@@ -49,7 +49,7 @@ import numpy as np
 from .bounds import (
     BlockShape, SlackParams, binary_entropy, _check_block_size,
     _gamma_factor, _h2, _hush_scovel_factor, _hush_scovel_tail, _key_factor,
-    _sample_rate, _serfling_rate, _serfling_tail,
+    _sample_rate, _serfling_rate, _serfling_tail, is_flag,
 )
 from .security import (
     EpsilonBreakdown, ProtocolSettings, SecurityBudget, check_protocol_rate,
@@ -101,7 +101,7 @@ class OptimizationPoint:
     xi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
+        if is_flag(self.alpha) or not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")

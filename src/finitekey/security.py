@@ -28,6 +28,7 @@ from .bounds import (
     binary_entropy,  # unused; the benchmark traces it here
     check_deviation,
     check_integer,
+    is_flag,
     new_epe,
     serfling_epe,
 )
@@ -73,7 +74,7 @@ def ec_leakage(n: int, delta: float) -> int:
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not 0.0 <= delta <= 0.5:
+    if is_flag(delta) or not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     # delta is checked, so the kernel stands in for binary_entropy's
     # validation; delta = 0 is the one value in range where it gives NaN
@@ -313,9 +314,9 @@ def stream_budget(eps_stream: float, eps_qkd: float) -> int:
     as, so decimal inputs like 1e-4/1e-5 do not lose an attempt to float
     rounding, and an attempt that the budget cannot pay for is never funded.
     """
-    if not (math.isfinite(eps_stream) and eps_stream > 0.0):
+    if is_flag(eps_stream) or not (math.isfinite(eps_stream) and eps_stream > 0.0):
         raise ValueError(f"eps_stream must be positive and finite, got {eps_stream}")
-    if not (math.isfinite(eps_qkd) and eps_qkd > 0.0):
+    if is_flag(eps_qkd) or not (math.isfinite(eps_qkd) and eps_qkd > 0.0):
         raise ValueError(f"eps_qkd must be positive and finite, got {eps_qkd}")
     if not math.isfinite(eps_stream / eps_qkd):
         raise ValueError(

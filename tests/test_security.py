@@ -10,13 +10,14 @@ from finitekey import security
 from finitekey.bounds import (
     BlockShape,
     SlackParams,
+    binary_entropy,
     exact_joint_ppe,
     lemma2_ppe_bound,
     max_passing_pe_errors,
     min_alarming_key_errors,
     serfling_epe,
 )
-from finitekey.optimizer import min_block_length, optimize
+from finitekey.optimizer import OptimizationPoint, min_block_length, optimize
 from finitekey.security import (
     EpsilonBreakdown,
     ProtocolSettings,
@@ -135,6 +136,31 @@ def test_bools_are_not_rates_or_deviations(site, flag):
     # 0 <= True <= 1, so the range checks took a flag as 1
     with pytest.raises(ValueError, match=_RANGE_MESSAGES[site.rsplit(".", 1)[1]]):
         _BOOL_RATE_SITES[site](flag)
+
+
+# Every other range rule, with the flag ``b`` there and the message it gives.
+_BOOL_RANGE_SITES = {
+    "binary_entropy": (binary_entropy, r"in \[0, 1\]"),
+    "binary_entropy.array": (lambda b: binary_entropy([b, b]), r"in \[0, 1\]"),
+    "stream_budget.eps_stream": (lambda b: stream_budget(b, 1e-6), "eps_stream must be"),
+    "stream_budget.eps_qkd": (lambda b: stream_budget(1e-5, b), "eps_qkd must be"),
+    "ec_leakage.delta": (lambda b: ec_leakage(10, b), r"delta must lie in \[0, 0.5\]"),
+    "SlackParams.xi": (lambda b: SlackParams(0.3, xi=b), "xi must lie"),
+    "OptimizationPoint.alpha": (
+        lambda b: OptimizationPoint(alpha=b, beta=0.5, nu=0.1, xi=0.05), "alpha must lie"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"]
+)
+@pytest.mark.parametrize("site", list(_BOOL_RANGE_SITES))
+def test_bools_are_refused_by_every_range_rule(site, flag):
+    # each range admits 0 or 1, so it took a flag as that number
+    call, message = _BOOL_RANGE_SITES[site]
+    with pytest.raises(ValueError, match=message):
+        call(flag)
 
 
 class TestCorrectnessBits:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import binomial_tail, enumeration_tables, urn_pe_errors
+from oracle_utils import binomial_tail, enum_joint, enumeration_tables, urn_pe_errors
 
 import finitekey.simulator as simulator
 from finitekey.bounds import (
@@ -133,11 +133,12 @@ class TestRun:
         )
         pe_max = max_passing_pe_errors(cfg.shape, cfg.delta)
         key_min = min_alarming_key_errors(cfg.shape, cfg.delta, cfg.nu)
+        limit = min(pe_max, cfg.w - key_min)
         children = np.random.SeedSequence(cfg.seed).spawn(4)
         sizes = [simulator._CHUNK] * 3 + [5]
         bad = sum(
             simulator._count_bad(
-                np.random.default_rng(child), size, cfg.shape, cfg.w, pe_max, key_min
+                np.random.default_rng(child), size, cfg.shape, cfg.w, limit
             )
             for child, size in zip(children, sizes)
         )
@@ -160,6 +161,50 @@ class TestRun:
         with pytest.raises(FirstChunk) as caught:
             run(cfg)
         assert caught.value.args == (simulator._CHUNK,)
+
+
+def _record_draws(monkeypatch):
+    """Make `simulator._count_bad` record its ``size`` and draw nothing."""
+    sizes = []
+
+    def record(rng, size, *args):
+        sizes.append(size)
+        return 0
+
+    monkeypatch.setattr(simulator, "_count_bad", record)
+    return sizes
+
+
+class TestDrawRule:
+    """`run` draws exactly where its bad event can happen."""
+
+    @pytest.mark.parametrize(
+        "delta, nu", [(0.0, 1.0), (0.0, 0.35), (0.1, 0.3), (0.25, 0.2), (0.6, 0.5), (1.0, 0.1)]
+    )
+    def test_draws_exactly_where_enumeration_is_positive(self, monkeypatch, delta, nu):
+        sizes = _record_draws(monkeypatch)
+        for m in range(2, 13):
+            for k in range(1, m):
+                shape = BlockShape(m=m, k=k)
+                counts, total = enumeration_tables(m, k)
+                pe_max = max_passing_pe_errors(shape, delta)
+                key_min = min_alarming_key_errors(shape, delta, nu)
+                for w in range(m + 1):
+                    sizes.clear()
+                    run(SimConfig(shape=shape, w=w, delta=delta, nu=nu, trials=1, seed=0))
+                    possible = enum_joint(counts, total, k, w, pe_max, key_min) > 0
+                    assert sizes == ([1] if possible else []), (m, k, w)
+
+    def test_default_grid_draws_only_in_possible_cases(self, monkeypatch):
+        sizes = _record_draws(monkeypatch)
+        trials = 2 * simulator._CHUNK + 3
+        drawn = []
+        for case in default_validation_grid(trials=trials):
+            sizes.clear()
+            report = run(case)
+            assert sizes == ([simulator._CHUNK] * 2 + [3] if report.exact > 0.0 else [])
+            drawn.append(bool(sizes))
+        assert (drawn.count(False), drawn.count(True)) == (29, 21)
 
 
 def within(freq, p, trials, draws=1):
