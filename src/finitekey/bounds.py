@@ -393,118 +393,41 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
 
 # Terms per numpy block in `_run`.  A run's range is as long as min(w, n),
 # but its ratios are evaluated one block at a time, so memory grows with the
-# terms and stretches kept, not with the range.  The run stops in the block
-# where its product underflows to 0.0.
+# terms kept, not with the range.  The run stops in the block where its
+# product falls below `_TINY`, so at most one block of subnormal products is
+# formed.
 _BLOCK = 4096
-# Products per `np.multiply.accumulate` call once they may be subnormal.  A
-# subnormal product cost over ten times a normal one on x86-64, so they are
-# formed a few at a time, and the run stops forming them soon after they
-# reach 5e-324.
-_PIECE = 128
-# The smallest normal and the smallest subnormal float64.
+# The smallest normal float64.
 _TINY = 2.0**-1022
-_LEAST = 2.0**-1074
 
 
-def _run(ratio, js: range):
+def _run(ratio, js: range) -> list:
     """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
 
     Every ratio lies in ``(0, 1]``, as the oracle's do on runs that lead
     away from the mode, so the products never increase.  The run ends
-    before its first product that is exactly 0.0.  Returns ``(terms,
-    stretches)``: the list ``terms`` holds the products up to the first
-    stall, and ``stretches`` the rest, one ``(value, count)`` pair per
-    stretch of ``count`` equal products.  A stall is a subnormal product
-    that the next one repeats, because ``fl(t q)`` rounds back to ``t``.  So
-    every normal product is in ``terms``, and every product in
-    ``stretches`` is subnormal.
+    before its first product below `_TINY` and returns the list of the
+    products before it.
 
     ``ratio`` is evaluated on float64 arrays of ``j``, one block of at most
     `_BLOCK` terms at a time.  The product carried in from the previous
-    block or call is folded into the next ratio, which is the same as
+    block is folded into the block's first ratio, which is the same as
     prepending it, so ``np.multiply.accumulate`` forms every product left to
-    right exactly as a scalar loop would.  In a block that starts with a
-    normal product, one call forms the products up to where the running sum
-    of the ratios' logs says they turn subnormal, and later calls `_PIECE`
-    products each.  Where a call ends changes no product, only the time
-    taken, so the sum's rounding does not matter.
-
-    Once the product is 5e-324, the rest of the run is one stretch, and no
-    product is formed: ``fl(5e-324 q)`` stays 5e-324 while ``q > 1/2``, and
-    is 0.0 from the first ``q <= 1/2`` on (``2^-1075`` ties to even, 0.0).
-    So the stretch ends at the first such ratio.
+    right exactly as a scalar loop would.
     """
-    terms, stretches = [], []
+    terms = []
     t = 1.0
     for b in range(0, len(js), _BLOCK):
         block = js[b : b + _BLOCK]
         r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
-        start = end = 0
-        if t >= _TINY and r.size > _PIECE:
-            # the products while the running sum of the logs keeps them
-            # normal; the first call forms a shorter block whole anyway
-            end = np.count_nonzero(np.log2(r).cumsum() >= -1022.0 - math.log2(t))
-        while start < r.size and t > _LEAST:
-            end = min(max(end, start + _PIECE), r.size)
-            r[start] *= t
-            np.multiply.accumulate(r[start:end], out=r[start:end])
-            t = float(r[end - 1])
-            start = end
-        products = r[: np.count_nonzero(r[:start])]  # the products before 0.0
-        if not stretches:  # the products up to the first stall stay terms
-            cut = products.size
-            if cut and products[-1] < _TINY:
-                same = products[1:] == products[:-1]
-                stalls = np.flatnonzero(same & (products[1:] < _TINY))
-                cut = stalls[0] if stalls.size else cut
-            terms += products[:cut].tolist()
-            products = products[cut:]
-        if products.size:
-            firsts = np.flatnonzero(products[1:] != products[:-1]) + 1
-            values = products[np.concatenate(([0], firsts))].tolist()
-            counts = np.diff(firsts, prepend=0, append=products.size).tolist()
-            _extend(stretches, values, counts)
-        if t == _LEAST:
-            low = np.flatnonzero(r[start:] <= 0.5)
-            count = int(low[0] if low.size else r.size - start)
-            if count:
-                _extend(stretches, [t], [count])
-            if low.size:
-                break
-        elif t == 0.0:
+        r[0] *= t
+        np.multiply.accumulate(r, out=r)
+        keep = np.count_nonzero(r >= _TINY)
+        terms += r[:keep].tolist()
+        if keep < r.size:
             break
-    return terms, stretches
-
-
-def _extend(stretches: list, values: list, counts: list) -> None:
-    """Append stretches, merging the first with the last one if equal."""
-    if stretches and stretches[-1][0] == values[0]:
-        stretches[-1] = (values[0], stretches[-1][1] + counts[0])
-        values, counts = values[1:], counts[1:]
-    stretches += zip(values, counts)
-
-
-def _summands(run, start: int = 0, stop: int = _M_LIMIT) -> list:
-    """Summands for terms ``start`` to ``stop - 1`` of a `_run` result.
-
-    The terms are listed as they are, and the part of each stretch inside
-    the slice as the one float ``value * part``.  A subnormal is an integer
-    multiple ``a`` of 2^-1074, so ``value * part`` is exact while ``a part
-    < 2^53``.  The oracle's stretches stay far below that: at ``m = 1e9``,
-    ``w = 0.3 m`` and ``k = m/2``, every stretch of two or more terms has
-    ``a <= 94`` and ``a count <= 2.1e7``.  The exact sum of
-    the summands is then the exact sum of the terms, so `math.fsum`, which
-    rounds that sum once, returns the same float for either list.
-    """
-    terms, stretches = run
-    out = terms[start:stop]
-    first = len(terms)
-    for value, count in stretches:
-        end = first + count
-        if start < end and first < stop:
-            out.append(value * (min(end, stop) - max(first, start)))
-        first = end
-    return out
+        t = terms[-1]
+    return terms
 
 
 def _pmf_ratio(w: int, n: int, k: int):
@@ -522,20 +445,17 @@ def _pmf_ratio(w: int, n: int, k: int):
 def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     """Pr[at least j_lo of the w special items land in a sample of size n].
 
-    Exact up to rounding.  Terms of the hypergeometric pmf are generated by
-    the ratio recurrence anchored at the mode (so no term overflows or
-    underflows near the mass), summed with compensated summation, and
-    normalised by the same-method total so the anchor scale cancels.
+    Terms of the hypergeometric pmf are generated by the ratio recurrence
+    anchored at the mode (so no term overflows or underflows near the mass),
+    summed with compensated summation, and normalised by the same-method
+    total so the anchor scale cancels.
 
     One run goes up from the mode to ``hi`` and one down to ``lo``.  Each
-    ends at its first term that underflows to exactly 0.0, which is left
-    out.  A term at the smallest subnormal only reaches 0.0 once a ratio
-    falls below 1/2, so a run can hold many subnormal terms: at ``m = 1e6``,
-    ``w = 0.05 m`` and ``k = m/2``, 3,878 of each run's 7,974, 3,776 of
-    them exactly 5e-324.  `_run` keeps each stretch of equal subnormal
-    terms as one ``(value, count)`` pair, and `_summands` hands `math.fsum`
-    one float per stretch, so memory and summing grow with the distinct
-    terms, not with the number of terms.
+    ends before its first term below `_TINY` (2^-1022), which is left out
+    with every term past it.  Fewer than 2^53 terms are dropped, each below
+    2^-1022, and the total is at least 1 (the mode's term), so the result
+    is within 2^-969 (about 4e-292) of the same sum over every term, up to
+    rounding.  Below that the value can be 0.0 where the tail is not.
 
     `_run` forms each run in numpy blocks of `_BLOCK` terms.  The values are
     bit-identical to a scalar loop that multiplies Python ratios one by one,
@@ -543,8 +463,8 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     float64, so each product of two of them is rounded once, as Python
     rounds the exact integer product when it divides it by a float, and the
     running product is formed in the same order.  The three sums are
-    `math.fsum` over summands whose exact sums are those of that loop's
-    lists, so they are the same floats.
+    `math.fsum` over the lists of that loop cut at the same term, so they
+    are the same floats.
     """
     k = m - n
     lo = max(0, w - k)
@@ -561,12 +481,11 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     # terms at j = mode-1 .. lo, in decreasing j order: the down-run's ratio
     # at j is the up-run's with n and k swapped, taken at w - j
     down = _run(_pmf_ratio(w, k, n), range(w - mode, w - lo))
-    up_all = _summands(up)
-    total = math.fsum([1.0] + up_all + _summands(down))
+    total = math.fsum([1.0] + up + down)
     if j_lo <= mode:
-        tail = math.fsum([1.0] + up_all + _summands(down, stop=mode - j_lo))
+        tail = math.fsum([1.0] + up + down[: mode - j_lo])
     else:
-        tail = math.fsum(_summands(up, j_lo - mode - 1))
+        tail = math.fsum(up[j_lo - mode - 1 :])
     return tail / total
 
 
@@ -578,6 +497,12 @@ def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float
     the block.  Both conditions pin down the key-side error count, so the
     probability is a single hypergeometric window sum.  When that threshold
     exceeds ``n``, the window starts above every count and the sum is 0.
+
+    The sum leaves out the pmf terms below 2^-1022 of the mode's term (see
+    `_window_tail`), so its absolute error is below 2^-969 (about 4e-292)
+    beyond rounding.  A relative error of 1e-12 therefore holds only for
+    values above about 4e-280, and a possible event far out in the tail can
+    read 0.0.
     """
     w = check_error_count(w, shape.m)
     pe_max = max_passing_pe_errors(shape, delta)

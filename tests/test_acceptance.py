@@ -104,6 +104,16 @@ def test_c2_reference_block_single_term_no_key(capsys):
     record(capsys, "C2", res.ell == 0 and not res.feasible, detail)
 
 
+def test_reference_block_keys_at_security_level_1e5():
+    # The shape of the paper's application claim, keys at a 10^-5 security
+    # level (PAPER.md), at C1's block.  The numbers are this model's own,
+    # pinned against drift; no external anchor sets them.
+    two_term = optimize(3100, 0.0451, SecurityBudget(5), "lemma2")
+    single_term = optimize(3100, 0.0451, SecurityBudget(5), "serfling")
+    assert (two_term.ell, two_term.feasible) == (58, True)
+    assert (single_term.ell, single_term.feasible) == (0, False)
+
+
 def test_c3_minimum_block_thresholds_strict_budget(capsys, thresholds):
     lem = thresholds[(10, "lemma2")]
     ser = thresholds[(10, "serfling")]

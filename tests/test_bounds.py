@@ -480,6 +480,21 @@ def _edge_windows(sizes):
     return cases
 
 
+# The oracle leaves out the pmf terms below 2^-1022 that the loop keeps:
+# fewer than 2^53 of them, against a total of at least 1.
+_BAND = 2.0**-969
+
+
+def assert_matches_loop(case):
+    """The oracle equals the scalar loop bit for bit where the loop's value is
+    at least 2^-969, and is within 2^-969 of it below."""
+    got, want = _window_tail(*case), loop_window_tail(*case)
+    if want >= _BAND:
+        assert got == want, case
+    else:
+        assert abs(got - want) < _BAND, case
+
+
 class TestWindowTail:
     def test_hand_value(self):
         # both errors of a 4-bit block land in the 2 key bits: 1 of C(4, 2)
@@ -532,7 +547,8 @@ class TestWindowTail:
             ref = float(mp_window_tail(m, w, n, j_lo))
             assert rel_err(_window_tail(m, w, n, j_lo), ref) < 1e-12
 
-    # The numpy runs must equal the scalar loop they replaced, bit for bit.
+    # The numpy runs must match the scalar loop they replaced, under the
+    # contract of `assert_matches_loop`.
     EDGE_SIZES = (2, 3, 10, 1000, 1_000_000)
 
     def test_matches_loop_reference(self):
@@ -552,13 +568,13 @@ class TestWindowTail:
             + small
         )
         for case in cases:
-            assert _window_tail(*case) == loop_window_tail(*case), case
+            assert_matches_loop(case)
 
-    # m = 1e7, k = m/2, w = m/20: each run keeps 13,279 terms, then stalls at
-    # 4, 3, 2 and 1 times 5e-324 over terms 13,279..15,836, ..21,598, ..33,961
-    # and ..79,588 (mode 250,000).  The up-run slices start inside the first,
-    # second and last stretch; the down-run slices end inside the second and
-    # third.  Each case costs the loop about 0.1 s.
+    # m = 1e7, k = m/2, w = m/20: each run keeps 12,968 normal terms, and the
+    # loop goes on to term 79,588 (mode 250,000), stalling at 4, 3, 2 and 1
+    # times 5e-324.  The up-run slices start past the cut, where the loop's
+    # value is subnormal; the down-run slices end past it.  Each case costs
+    # the loop about 0.1 s.
     DEEP_CASES = (
         (10**7, 500_000, 5_000_000, 250_001 + 15_000),
         (10**7, 500_000, 5_000_000, 250_001 + 20_000),
@@ -568,9 +584,21 @@ class TestWindowTail:
     )
 
     def test_deep_tails_match_loop_reference(self):
-        # past m = 1e6 the products stall at several subnormal levels
         for case in self.DEEP_CASES:
-            assert _window_tail(*case) == loop_window_tail(*case), case
+            assert_matches_loop(case)
+
+    def test_no_rounding_artifacts_below_the_band(self):
+        # Hoeffding's bound over the w draws, exp(-2 w (j_lo/w - n/m)^2),
+        # puts this tail below 1e-672, so the nearest float is 0.0; the loop
+        # returns 4.4e-323, a sum of products stalled at 5e-324
+        assert _window_tail(10**6, 58_565, 500_000, 36_015) == 0.0
+        # below the band, the oracle stays within it of the exact value
+        for case in (
+            (2490, 1323, 1381, 1172),
+            (3888, 2215, 1291, 1243),
+            (8988, 1663, 4479, 1485),
+        ):
+            assert abs(Fraction(_window_tail(*case)) - frac_window_tail(*case)) < _BAND
 
     def test_edge_cases_reach_both_run_ends(self):
         # the edge list puts the mode at lo and at hi of a nontrivial range
@@ -603,15 +631,14 @@ class TestWindowTail:
             sizes.append(j.size)
             return np.full(j.size, 0.5)
 
-        terms, stretches = finitekey.bounds._run(half, range(10**7))
-        # 2^-1, ..., 2^-1074 are all distinct, so no stretch forms
-        assert len(terms) == 1074 and terms[-1] == 2.0**-1074 and stretches == []
+        terms = finitekey.bounds._run(half, range(10**7))
+        # 2^-1, ..., 2^-1022: the run ends before 2^-1023, a subnormal
+        assert len(terms) == 1022 and terms[-1] == 2.0**-1022
         assert sizes == [finitekey.bounds._BLOCK]
 
-    # Constant ratios stall at one subnormal level each: 0.7 at 5e-324, and
-    # 0.9, 0.99 and 0.999 at 5, 49 and 499 times it.  The falling ratios
-    # stall at 4, 3, 2 and 1 times 5e-324 before a ratio of 1/2 ends the
-    # run.  Small first ratios start some runs deep in the subnormal range.
+    # Constant ratios of 0.5, 0.7 and 0.9 reach the cut after 1,022, 1,986
+    # and 145 products, at and between the block ends of every size tested.
+    # A first ratio below 2^-1022 ends a run before its first product.
     SYNTHETIC_RATIOS = (
         np.full(1100, 0.5),
         np.full(3000, 0.7),
@@ -622,28 +649,23 @@ class TestWindowTail:
     )
 
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
-    def test_stretches_expand_to_loop_products(self, monkeypatch, block):
+    def test_run_matches_loop_products(self, monkeypatch, block):
         monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
         for qs in self.SYNTHETIC_RATIOS:
             want, t = [], 1.0
             for q in qs.tolist():
                 t *= q
-                if t == 0.0:
+                if t < 2.0**-1022:
                     break
                 want.append(t)
-            terms, stretches = finitekey.bounds._run(
-                lambda j: qs[j.astype(int)], range(qs.size)
-            )
-            assert terms + [v for v, c in stretches for _ in range(c)] == want
-            assert all(0.0 < v < 2.0**-1022 and c > 0 for v, c in stretches)
-            assert all(a[0] != b[0] for a, b in zip(stretches, stretches[1:]))
+            assert finitekey.bounds._run(lambda j: qs[j.astype(int)], range(qs.size)) == want
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_block_ends_match_loop_reference(self, monkeypatch, block):
         monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
         cases = _random_windows(block, 300, 2, 2000) + _edge_windows((2, 3, 10, 100))
         for case in cases:
-            assert _window_tail(*case) == loop_window_tail(*case), case
+            assert_matches_loop(case)
 
 
 class TestExactJoint:
