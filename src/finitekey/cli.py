@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
@@ -270,6 +271,16 @@ def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parsers():
+    """``(common, parser)``, built once per process.
+
+    Parsing keeps no state in them, so every `main` call may share them.
+    """
+    common = _common_parser()
+    return common, _build_parser(common)
+
+
 def _apply_config(path: str) -> List[str]:
     """The flags that a UTF-8 config file of ``key=value`` lines stands for.
 
@@ -298,8 +309,7 @@ def _apply_config(path: str) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    common = _common_parser()
-    parser = _build_parser(common)
+    common, parser = _parsers()
     # every refusal goes through argparse's `error`, which exits with status 2
     try:
         try:

@@ -29,12 +29,15 @@ the two pieces of each ``k`` it refines.  `_lock_step` answers the
 requests of several block sizes with one `best_nu` call per kind and
 round; a row does not depend on its batch, so each block size gets the
 rows it gets alone.  `_optimize_each` batches a sequence of block sizes,
-`_BATCH` at a time, and is the one place that checks a search's input;
-`optimize` runs it on one block size.  `min_block_length` inverts the
-search over ``m``: its forward scan reads `_optimize_each`'s results up
-to the first grid point with a key, and a bisection inside that stride
-hands the midpoints of its next `_DEPTH` levels (`_tree`) to `_lock_step`
-itself.  Each result is verified only when it is read.
+`_BATCH` at a time; `_check_search` is the one place that checks a
+search's input, and `optimize` runs `_optimize_each` on one block size.
+`min_block_length` inverts the search over ``m``.  A block size that
+`_keyless` certifies, by a closed-form bound on the length over runs of
+``k``, is read as keyless with no search.  The forward scan reads
+`_optimize_each`'s results at the other grid points up to the first with
+a key, and a bisection inside that stride hands the uncertified midpoints
+of its next `_DEPTH` levels (`_tree`) to `_lock_step` itself.  Each
+result is verified only when it is read.
 """
 
 from __future__ import annotations
@@ -251,20 +254,28 @@ class _Model:
             )
         return g, dg, xi, room
 
-    def _edge(self, m, k):
-        """A deviation below which no point has headroom.
+    def _edge(self, m, k1, k2):
+        """A deviation below which no point with ``k1 <= k <= k2`` has headroom.
 
         Headroom needs each exponential term of ``eps_pe^2`` below
-        ``(room/2)^2``; the smallest nu that allows this, with the largest
-        Hush-Scovel factor, is returned.
+        ``(room/2)^2``, that is each exponent above ``need = 2 ln(2/room)``:
+        for the single-term bound ``rate nu^2``; for the two-term bound ``a
+        xi^2``, with ``a`` the sample rate, and ``2 c ((n (nu - xi))^2 -
+        1)``, with ``c`` the Hush-Scovel factor.  The smallest nu that
+        allows this is returned, with each factor at its worse end of the
+        interval: the rates at ``k2``, the single-term rate with ``n = m -
+        k1``, the largest factor ``c_max`` (gamma at ``floor(m delta)``
+        errors, ``1/(n + 1)`` at ``n = m - k2`` and ``1/(k + 1)`` at
+        ``k1``), and the key term divided by ``m - k1``.  At ``[k, k]`` it
+        is the edge of that ``k``.
         """
-        n = m - k
+        n_lo, n_hi = m - k2, m - k1
         need = 2.0 * math.log(2.0 / self.room)
         if not self.two_term:
-            return np.sqrt(0.5 * need / _serfling_rate(m, k, n))
-        c_max = _hush_scovel_factor(k, n, _gamma_factor(m, np.floor(m * self.delta)))
-        sample = np.sqrt(need / _sample_rate(m, k, n))
-        return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
+            return np.sqrt(0.5 * need / _serfling_rate(m, k2, n_hi))
+        c_max = _hush_scovel_factor(k1, n_lo, _gamma_factor(m, np.floor(m * self.delta)))
+        sample = np.sqrt(need / _sample_rate(m, k2, n_lo))
+        return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n_hi
 
     def _seed(self, m, k, piece):
         """A log grid over nu above `_edge`: the best point and a bracket.
@@ -275,7 +286,7 @@ class _Model:
         which is the interior maximum; the gain can rise again towards
         ``nu = 1/2 - delta``, and the grid's best point covers that end.
         """
-        lo = np.minimum(self._edge(m, k), 0.99 * self.nu_hi)
+        lo = np.minimum(self._edge(m, k, k), 0.99 * self.nu_hi)
         steps = np.linspace(0.0, 1.0, _NU_POINTS)
         grid = lo[:, None] * (self.nu_hi / lo[:, None]) ** steps
         column = None if piece is None else piece[:, None]
@@ -562,22 +573,31 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
     return max(results, key=lambda result: (result.feasible, result.ell), default=empty)
 
 
+def _check_search(delta, variant, ms):
+    """The block sizes of ``ms`` as a list, after the variant and ``delta``.
+
+    The one check of a search's input: the variant, ``delta``, and each
+    block size, an integer below 2^53 and at least 10.
+    """
+    check_variant(variant)
+    check_protocol_rate(delta)
+    ms = [_check_block_size(m, "m") for m in ms]
+    if min(ms, default=10) < 10:
+        raise ValueError(f"m must be at least 10, got {min(ms)}")
+    return ms
+
+
 def _optimize_each(ms, delta, budget, variant):
     """`optimize` at each block size of ``ms``, yielded in order.
 
     The block sizes are searched in lock step, `_BATCH` at a time, so the
     rows of one root search stay bounded however many block sizes there
-    are, and each result is verified only when it is read.  It is the one
-    place that checks a search's input: the variant and ``delta`` before
-    the first batch, and each batch's block sizes (integers below 2^53, at
-    least 10) before it is searched.
+    are, and each result is verified only when it is read.  Each batch is
+    checked by `_check_search` before it is searched, the variant and
+    ``delta`` also when ``ms`` is empty.
     """
-    check_variant(variant)
-    check_protocol_rate(delta)
     ms = iter(ms)
-    while batch := [_check_block_size(m, "m") for m in itertools.islice(ms, _BATCH)]:
-        if min(batch) < 10:
-            raise ValueError(f"m must be at least 10, got {min(batch)}")
+    while batch := _check_search(delta, variant, itertools.islice(ms, _BATCH)):
         for m, rows in zip(batch, _lock_step(delta, budget, variant, batch)):
             yield _verify(m, delta, budget, variant, rows)
 
@@ -617,6 +637,70 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     return next(_optimize_each([m], delta, budget, variant))
 
 
+def _keyless(model, m):
+    """Whether a closed-form bound shows that no point at ``m`` has ``ell >= 1``.
+
+    The bound, at each ``k`` with ``n = m - k``:
+
+    - A feasible ``ell >= 1`` needs ``eps_pa(ell) <= headroom = room - 2
+      eps_pe``, so ``ell <= _ell_bound(n, h2(delta + nu), r, t,
+      headroom)``.
+    - Headroom needs ``nu >= _Model._edge(m, k, k)``.  The two-term edge
+      takes the largest Hush-Scovel factor ``c_max``, the larger of ``1/(n
+      + 1) + 1/(k + 1)`` and gamma at ``e0 = floor(m delta)`` errors.  No
+      factor the scalar path forms exceeds it: with ``0 < xi < nu < 1/2 -
+      delta``, the float ``m (delta + xi)`` lies in ``[fl(m delta), m/2]``
+      and the snap moves it by at most 1e-9, so ``m_err = snap_ceil(m
+      (delta + xi))`` lies in ``[e0, ceil(m/2)]``.  In `_key_factor`'s
+      relaxed form, ``m_err <= m // 2``, and gamma falls on ``[0, m/2]``;
+      in its sharp form, gamma at ``m_err`` equals gamma at ``m - m_err``,
+      which lies in ``[e0, m/2]``, and the other term is ``c_max``'s own.
+      The single-term edge is ``sqrt(ln(2/room) / rate)``.
+    - ``h2(delta + nu)`` rises in nu below 1/2, and ``headroom <= room``,
+      so ``ell <= U(k) = _ell_bound(n, h2(delta + edge), r, t, room)``.
+      Where ``delta + edge`` reaches 1/2, no deviation at or above the edge
+      keeps ``delta + nu < 1/2``, which `eps_pa` requires.
+
+    ``U`` is bounded on at most `_K_POINTS` runs ``[k1, k2]`` of
+    consecutive ``k`` that cover ``[1, m // 2]``, each factor at its worse
+    end: ``n <= m - k1``; ``r >= ceil(1.19 h2(delta) (m - k2))``, since
+    ``r`` grows with ``n``; the edge from below by ``_edge(m, k1, k2)``;
+    and ``n (1 - h2)`` as the larger of its values at ``n = m - k1`` and
+    ``n = m - k2``, which also holds where a rounded ``1 - h2`` is
+    negative.  So the cost does not grow with ``m``.
+
+    ``m`` is certified when, on every run, the edge reaches ``1/2 -
+    delta`` or the bound is below ``1 - 1e-9 m``; a NaN bound does not
+    certify.  The margin covers rounding, both here and in the scalar
+    path's evaluation of the budget condition.  The exponents there are
+    rounded by a few parts in 1e16, which moves the edge by as much,
+    relative to nu, and so ``h2(delta + nu)`` by less than ``q log2(1/q)
+    <= 0.54`` times that; ``n (1 - h2)`` and ``r`` are at most about ``1.2
+    m`` bits each and ``t`` at most 1020, each rounded to a few parts in
+    1e16; and ``eps_pa``'s sum with the other terms moves its limit by a
+    few parts in 1e16 of ``room``, a few 1e-15 bit.  Together that stays
+    below 1e-12 ``m`` bits for ``m >= 10``.  A deviation that rounding puts
+    just below an edge that reaches ``1/2 - delta`` leaves ``1 - h2(delta +
+    nu)`` below ``3 (1/2 - delta - nu)^2``, so its bound is below ``-t``.
+    ``r`` and ``floor(m delta)`` are formed by the same rounded operations
+    as in the scalar path, which keep their order.
+    """
+    ends = np.round(np.linspace(1.0, m // 2 + 1.0, _K_POINTS + 1))
+    ends = ends[_first(ends)]
+    k1, k2 = ends[:-1], ends[1:] - 1.0
+    m = float(m)
+    n_lo, n_hi = m - k2, m - k1
+    q = model.delta + model._edge(m, k1, k2)
+    r = np.ceil(_leakage(n_lo, model.h))
+    with np.errstate(all="ignore"):
+        h = _h2(q)
+        bound = np.maximum(
+            _ell_bound(n_hi, h, r, model.t, model.room),
+            _ell_bound(n_lo, h, r, model.t, model.room),
+        )
+    return bool(np.all((q >= 0.5) | (bound < 1.0 - 1e-9 * m)))
+
+
 def _tree(bad, good, depth):
     """The midpoints that the next ``depth`` bisection steps in ``(bad, good)`` can probe."""
     if depth == 0 or good - bad <= 1:
@@ -643,40 +727,55 @@ def min_block_length(
     ``m`` in the range when the optimised ``ell`` does not fall back to
     zero as ``m`` grows.
 
-    The forward scan reads `_optimize_each`'s results along the grid, each
-    with its block size, so it searches `_BATCH` grid points at once and
-    checks the input as `optimize` does.  The bisection searches the
-    midpoints of the next `_DEPTH` levels of its decision tree, `_BATCH` of
-    them, in lock step (`_lock_step`).  Each batch is read in order, as a
+    A block size that `_keyless` certifies is read as keyless without a
+    search: the closed-form bound shows that no point there has ``ell >=
+    1``, so `optimize` would give ``ell = 0`` there.  Every other block
+    size is searched.  The forward scan reads `_optimize_each`'s results
+    along the grid points left uncertified, each with its block size, so
+    it searches `_BATCH` of them at once.  The bisection certifies the
+    midpoints of the next `_DEPTH` levels of its decision tree (`_tree`),
+    `_BATCH` of them, and searches the rest in lock step (`_lock_step`),
+    with no search when none is left.  Each batch is read in order, as a
     sequential scan or bisection would read it, and only the block sizes
     read are verified as `optimize` verifies them; so the result is the one
-    the sequential search returns.  The search costs about the forward probes up to the
-    hit over `_BATCH` plus ``log2(stride)`` over `_DEPTH` batches, each a
-    few rounds of root searches.  ``m_lo`` and ``m_hi`` are integers below
-    2^53 with ``m_lo <= m_hi``.  The forward grid is lazy, so its size
-    does not grow with the range.
+    the sequential search returns.  The input is checked as `optimize`
+    checks it before any block size is certified, so a certificate cannot
+    hide a refusal.  The search costs one certificate per grid point up to
+    the hit and per tree node, about the forward probes left uncertified
+    over `_BATCH`, and ``log2(stride)`` over `_DEPTH` batches, each a few
+    rounds of root searches.  ``m_lo`` and ``m_hi`` are integers below
+    2^53 with ``m_lo <= m_hi``.  The forward grid is lazy, and a
+    certificate's cost does not grow with ``m``, so neither does the
+    search's memory.
     """
     m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
     if m_lo > m_hi:
         raise ValueError(f"need m_lo <= m_hi, got [{m_lo}, {m_hi}]")
+    _check_search(delta, variant, [m_lo])
+    model = _Model(delta, budget, variant)
     stride = max(1, min(500, (m_hi - m_lo) // 128))
     grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
-    # bad has no key and good has one; m_lo - 1 stands for below the range
-    bad = m_lo - 1
-    for result in _optimize_each(grid, delta, budget, variant):
+    searched = (m for m in grid if not _keyless(model, m))
+    for result in _optimize_each(searched, delta, budget, variant):
         if result.ell >= 1:
             break
-        bad = result.m
     else:
         return None
+    # good has a key and bad, the grid point before it, has none; m_lo - 1
+    # stands for below the range
     good = result.m
+    bad = max(m_lo - 1, m_lo + (good - 1 - m_lo) // stride * stride)
     while good - bad > 1:
         batch = _tree(bad, good, _DEPTH)
-        rows = dict(zip(batch, _lock_step(delta, budget, variant, batch)))
+        keyless = {m for m in batch if _keyless(model, m)}
+        searched = [m for m in batch if m not in keyless]
+        rows = {}
+        if searched:
+            rows = dict(zip(searched, _lock_step(delta, budget, variant, searched)))
         # the tree holds the next _DEPTH midpoints, and no later one
-        while good - bad > 1 and (mid := (bad + good) // 2) in rows:
-            if _verify(mid, delta, budget, variant, rows[mid]).ell >= 1:
-                good = mid
-            else:
+        while good - bad > 1 and (mid := (bad + good) // 2) in batch:
+            if mid in keyless or _verify(mid, delta, budget, variant, rows[mid]).ell < 1:
                 bad = mid
+            else:
+                good = mid
     return good

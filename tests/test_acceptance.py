@@ -170,6 +170,29 @@ def test_c4_threshold_reduction_fraction(capsys, thresholds):
     record(capsys, "C4", ok, "; ".join(parts) + " (want 0.12..0.19)")
 
 
+def test_threshold_reduction_across_error_rates(capsys):
+    # Where the paper's 14-17% could hold: the abstract names no error
+    # rate, and under this model's budget the reduction rises with it.
+    # The thresholds are this model's own, pinned against drift; C4 keeps
+    # its window and its delta.
+    want = {
+        (0.01, 6): (974, 1133), (0.01, 10): (1550, 1815),
+        (0.02, 6): (1294, 1567), (0.02, 10): (2061, 2515),
+        (0.0451, 6): (3006, 3967), (0.0451, 10): (4807, 6402),
+    }
+    got, lines = {}, []
+    for (delta, s) in want:
+        got[delta, s] = tuple(
+            min_block_length(delta, SecurityBudget(s), variant, 100, 400000)
+            for variant in ("lemma2", "serfling")
+        )
+        lem, ser = got[delta, s]
+        lines.append(f"delta={delta} s={s}: 1 - {lem}/{ser} = {1.0 - lem / ser:.3f}")
+    with capsys.disabled():
+        print("\nthreshold reduction: " + "; ".join(lines), flush=True)
+    assert got == want
+
+
 def test_c5_bounds_dominate_exact_probability(capsys):
     start = time.perf_counter()
     comparisons = 0

@@ -374,6 +374,28 @@ class TestImport:
             assert out.strip() == "0 []", argv
 
 
+    def test_parsers_built_once(self, monkeypatch, capsys):
+        # building them took about 1.5 ms of each call; a refusal in
+        # between leaves them as they were
+        built = []
+        build = finitekey.cli._build_parser
+
+        def counted(common):
+            built.append(common)
+            return build(common)
+
+        monkeypatch.setattr(finitekey.cli, "_build_parser", counted)
+        finitekey.cli._parsers.cache_clear()
+        stream = ["stream", "--eps-stream", "1e-5", "--eps-qkd", "1e-6"]
+        try:
+            assert run_cli(stream, capsys)[:2] == (0, "10\n")
+            assert run_cli(["keyrate", "--m", "5"], capsys)[0] == 2
+            assert run_cli(stream, capsys)[:2] == (0, "10\n")
+        finally:
+            finitekey.cli._parsers.cache_clear()
+        assert len(built) == 1
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert run_cli(["keyrate"], capsys)[0] == 2

@@ -8,17 +8,24 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_utils import single_term_threshold
 
 import finitekey.optimizer as optimizer
-from finitekey.bounds import BlockShape, SlackParams, lemma2_ppe_detail
+from finitekey.bounds import (
+    BlockShape, SlackParams, _gamma_factor, _hush_scovel_factor, _sample_rate,
+    _serfling_rate, lemma2_ppe_detail,
+)
 from finitekey.optimizer import (
     OptimizationPoint,
     _Model,
     min_block_length,
     optimize,
 )
-from finitekey.security import ProtocolSettings, SecurityBudget, _leakage, feasible
+from finitekey.security import (
+    ProtocolSettings, SecurityBudget, _leakage, feasible, max_ell_at,
+)
 
 BUDGET6 = SecurityBudget(6)
 BUDGET10 = SecurityBudget(10)
@@ -247,8 +254,9 @@ class TestRootSearch:
 
     def test_root_searches_do_not_grow(self, monkeypatch):
         # a round is one root search whatever its rows: 31 for these eight
-        # calls, and 19, 19, 21 and 21 for the four min_block_length calls
-        # (41 and 83 when the window widened by doubling)
+        # calls, and 12, 12, 15 and 10 for the four min_block_length calls,
+        # which search no block size that _keyless certifies (19, 19, 21
+        # and 21 when they searched every size they read)
         searches = count_root_searches(monkeypatch)
         for variant in ("lemma2", "serfling"):
             for m in (2151, 11105, 18251, 19686):
@@ -258,13 +266,14 @@ class TestRootSearch:
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert len(searches) <= 80
+        assert len(searches) <= 49
 
     def test_verifications_do_not_grow(self, monkeypatch):
         # the pieces searched ahead of the leader wait until the search
         # asks for them, so no more candidates reach _verify than when
         # each k was refined alone: 13 for the eight optimize calls above
-        # and 133 for the four min_block_length calls
+        # and 50 for the four min_block_length calls, which read no block
+        # size that _keyless certifies (133 when they read every one)
         calls = [0]
         max_ell_at = optimizer.max_ell_at
 
@@ -281,7 +290,7 @@ class TestRootSearch:
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert calls[0] <= 133
+        assert calls[0] <= 50
 
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
     @pytest.mark.parametrize("m", [20000, 10**6, 10**9, 10**12, 2**53 - 1])
@@ -631,11 +640,13 @@ class TestMinBlockSearch:
     The oracle stands in for both halves of a probe: the batched search
     (`optimizer._lock_step`), which records each batch of block sizes, and
     the read of one block size (`optimizer._verify`), which records it in
-    ``calls`` and says whether it has a key.
+    ``calls`` and says whether it has a key.  A fake certificate
+    (`optimizer._keyless`) certifies the block sizes of ``certified``,
+    none unless a test names some; a certified size is never searched.
     """
 
     @staticmethod
-    def search(monkeypatch, m_lo, m_hi, keyed):
+    def search(monkeypatch, m_lo, m_hi, keyed, certified=frozenset()):
         calls, batches = [], []
 
         def lock_step(delta, budget, variant, ms):
@@ -649,11 +660,13 @@ class TestMinBlockSearch:
 
         monkeypatch.setattr(optimizer, "_lock_step", lock_step)
         monkeypatch.setattr(optimizer, "_verify", read)
+        monkeypatch.setattr(optimizer, "_keyless", lambda model, m: m in certified)
         got = min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi)
         for batch in batches:
             assert 1 <= len(batch) <= 7
             assert len(set(batch)) == len(batch)
             assert all(m_lo <= m <= m_hi for m in batch)
+            assert not certified.intersection(batch)
         return got, calls, batches
 
     @pytest.mark.parametrize(
@@ -712,6 +725,147 @@ class TestMinBlockSearch:
         keyed = set((m_lo + np.flatnonzero(rng.random(m_hi - m_lo + 1) < density)).tolist())
         got, calls, _ = self.search(monkeypatch, m_lo, m_hi, keyed.__contains__)
         assert (got, calls) == sequential_search(m_lo, m_hi, keyed.__contains__)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_certified_sizes_match_sequential_search(self, monkeypatch, seed):
+        # a seeded share of the keyless sizes is certified: the search
+        # returns what the sequential search returns, and reads what it
+        # reads except the certified sizes
+        rng = np.random.default_rng(seed)
+        m_lo = int(rng.integers(10, 3000))
+        m_hi = m_lo + int(rng.integers(0, 30000))
+        density = float(rng.choice([0.003, 0.01, 0.1, 0.5]))
+        share = float(rng.choice([0.3, 0.7, 1.0]))
+        keyed_mask = rng.random(m_hi - m_lo + 1) < density
+        keyed = set((m_lo + np.flatnonzero(keyed_mask)).tolist())
+        drawn = ~keyed_mask & (rng.random(m_hi - m_lo + 1) < share)
+        certified = frozenset((m_lo + np.flatnonzero(drawn)).tolist())
+        got, calls, _ = self.search(monkeypatch, m_lo, m_hi, keyed.__contains__, certified)
+        want, reads = sequential_search(m_lo, m_hi, keyed.__contains__)
+        assert got == want
+        assert calls == [m for m in reads if m not in certified]
+
+    def test_certified_size_past_the_hit(self, monkeypatch):
+        # the grid runs 1000, 1148, ..., 2480, 2628, 2776, 2924; the key
+        # starts at 2481, but 2776 is keyless and certified, so the batch
+        # of the hit 2628 reaches past it to 2924.  The bisection starts
+        # from 2480, the grid point before the hit, not from 2776.
+        certified = frozenset([2332, 2480, 2776])
+
+        def keyed(m):
+            return m >= 2481 and m != 2776
+
+        got, calls, batches = self.search(monkeypatch, 1000, 20000, keyed, certified)
+        want, reads = sequential_search(1000, 20000, keyed)
+        assert got == want == 2481
+        assert calls == [m for m in reads if m not in certified]
+        assert batches[1] == [2036, 2184, 2628, 2924, 3072, 3220, 3368]
+
+    def test_bisection_batch_all_certified(self, monkeypatch):
+        # the hit 2628 has a key and every size below it is certified, so
+        # the bisection reads no size and searches no batch
+        certified = frozenset(range(1000, 2628))
+        got, calls, batches = self.search(
+            monkeypatch, 1000, 20000, lambda m: m >= 2628, certified
+        )
+        assert got == 2628
+        assert calls == [2628]
+        assert batches == [[2628, 2776, 2924, 3072, 3220, 3368, 3516]]
+
+
+def edge_of_each_k(model, m, k):
+    """`_Model._edge` of one ``k`` per row, with ``n = m - k`` formed once."""
+    n = m - k
+    need = 2.0 * math.log(2.0 / model.room)
+    if not model.two_term:
+        return np.sqrt(0.5 * need / _serfling_rate(m, k, n))
+    c_max = _hush_scovel_factor(k, n, _gamma_factor(m, np.floor(m * model.delta)))
+    sample = np.sqrt(need / _sample_rate(m, k, n))
+    return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
+
+
+class TestKeyless:
+    """`optimizer._keyless`, the closed-form certificate that a block size has no key."""
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("s", [1, 6, 10])
+    @pytest.mark.parametrize("delta", [0.01, 0.0451, 0.2])
+    def test_largest_certified_sizes_have_no_key(self, delta, s, variant):
+        # at delta = 0.2 the leakage exceeds the entropy, so every size of
+        # the grid is certified, 10^7 included
+        budget = SecurityBudget(s)
+        model = _Model(delta, budget, variant)
+        grid = np.unique(np.geomspace(10, 10**7, 200).astype(int)).tolist()
+        certified = [m for m in grid if optimizer._keyless(model, m)]
+        assert certified
+        for m in certified[-2:]:
+            assert optimize(m, delta, budget, variant).ell == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(10, 20000),
+        beta=st.floats(0.05, 0.5),
+        nu=st.floats(0.005, 0.45),
+        split=st.floats(0.05, 0.95),
+        delta=st.sampled_from([0.01, 0.0451, 0.2]),
+        s=st.sampled_from([1, 6, 10]),
+        variant=st.sampled_from(["lemma2", "serfling"]),
+    )
+    def test_no_certificate_where_a_point_has_a_key(self, m, beta, nu, split, delta, s, variant):
+        budget = SecurityBudget(s)
+        shape = BlockShape(m=m, k=max(1, min(m // 2, round(beta * m))))
+        slack = SlackParams(nu=nu, xi=split * nu if variant == "lemma2" else 0.0)
+        if max_ell_at(ProtocolSettings(shape, delta), budget, slack, variant) >= 1:
+            assert not optimizer._keyless(_Model(delta, budget, variant), m)
+
+    @pytest.mark.parametrize("s, m_lo, m_hi", [(6, 3000, 5000), (10, 5000, 8000)])
+    def test_single_term_certificates_below_the_exact_threshold(self, s, m_lo, m_hi):
+        threshold = single_term_threshold(0.0451, s, m_lo, m_hi)[0]
+        model = _Model(0.0451, SecurityBudget(s), "serfling")
+        certified = [m for m in range(m_lo, m_hi + 1) if optimizer._keyless(model, m)]
+        assert certified and max(certified) < threshold
+
+    @pytest.mark.parametrize("delta", [0.0451, 0.2])
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_largest_block_size_in_little_memory(self, delta, variant):
+        # the runs over k are at most _K_POINTS, whatever m is
+        model = _Model(delta, BUDGET6, variant)
+        tracemalloc.start()
+        try:
+            keyless = optimizer._keyless(model, 2**53 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keyless == (delta == 0.2)
+        assert peak < 16 * 8 * (optimizer._K_POINTS + 1)
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.2, 1)])
+    def test_edge_of_a_run_bounds_each_k_in_it(self, delta, s, variant):
+        # each factor is taken at its worse end of [k1, k2], so the run's
+        # edge is at most the edge of every k in it; runs start and end
+        # log-uniformly, so narrow runs and small k are drawn too
+        model = _Model(delta, SecurityBudget(s), variant)
+        rng = np.random.default_rng(20261019)
+        for m in (300, 3100, 20000, 10**6, 10**12, 2**53 - 1):
+            half = m // 2
+            k1 = np.floor(np.exp(rng.random(256) * math.log(half)))
+            k2 = np.minimum(k1 + np.floor(np.exp(rng.random(256) * math.log(half))) - 1.0, half)
+            k = np.floor(k1 + rng.random(256) * (k2 - k1 + 1.0))
+            run = model._edge(float(m), k1, k2)
+            assert np.all(run <= model._edge(float(m), k, k)), m
+            assert np.all(run <= model._edge(float(m), k2, k2))
+            assert np.all(run <= model._edge(float(m), k1, k1))
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.4999, 1)])
+    def test_edge_of_one_k_unchanged(self, delta, s, variant):
+        # _seed calls the interval edge at [k, k]: its grid must stay bit for bit
+        model = _Model(delta, SecurityBudget(s), variant)
+        for m in (10, 3100, 4807, 20000, 10**12, 2**53 - 1):
+            k = np.unique(np.round(np.geomspace(1, m // 2, 300)))
+            m = np.full(k.shape, float(m))
+            assert model._edge(m, k, k).tobytes() == edge_of_each_k(model, m, k).tobytes()
 
 
 class TestSweep:
