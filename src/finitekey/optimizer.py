@@ -254,7 +254,7 @@ class _Model:
             )
         return g, dg, xi, room
 
-    def _edge(self, m, k1, k2):
+    def _edge(self, m, k1, k2, *, headroom=False):
         """A deviation below which no point with ``k1 <= k <= k2`` has headroom.
 
         Headroom needs each exponential term of ``eps_pe^2`` below
@@ -264,17 +264,31 @@ class _Model:
         1)``, with ``c`` the Hush-Scovel factor.  The smallest nu that
         allows this is returned, with each factor at its worse end of the
         interval: the rates at ``k2``, the single-term rate with ``n = m -
-        k1``, the largest factor ``c_max`` (gamma at ``floor(m delta)``
-        errors, ``1/(n + 1)`` at ``n = m - k2`` and ``1/(k + 1)`` at
-        ``k1``), and the key term divided by ``m - k1``.  At ``[k, k]`` it
-        is the edge of that ``k``.
+        k1``, the largest factor ``c_max`` (gamma at ``e0 = floor(m
+        delta)`` errors, ``1/(n + 1)`` at ``n = m - k2`` and ``1/(k + 1)``
+        at ``k1``), and the key term divided by ``m - k1``.  At ``[k, k]``
+        it is the edge of that ``k``, as `_seed` takes it.
+
+        With ``headroom``, which only the certificate sets (`_run_bound`,
+        for `_keyless`), gamma is charged at the least error count that
+        headroom allows instead: ``e1 = min(max(floor(m (delta + sample))
+        - 1, e0), m // 2)``, where ``sample = sqrt(need / a)`` is the first
+        term of the edge, with ``a`` at ``k2``.  The headroom of the sample
+        term already forces ``xi`` above ``sample``, so ``m_err`` cannot
+        fall below ``e1`` (see `_keyless`), and gamma falls as ``m_err``
+        grows.
         """
         n_lo, n_hi = m - k2, m - k1
         need = 2.0 * math.log(2.0 / self.room)
         if not self.two_term:
             return np.sqrt(0.5 * need / _serfling_rate(m, k2, n_hi))
-        c_max = _hush_scovel_factor(k1, n_lo, _gamma_factor(m, np.floor(m * self.delta)))
         sample = np.sqrt(need / _sample_rate(m, k2, n_lo))
+        errors = np.floor(m * self.delta)
+        if headroom:
+            errors = np.minimum(
+                np.maximum(np.floor(m * (self.delta + sample)) - 1.0, errors), m // 2
+            )
+        c_max = _hush_scovel_factor(k1, n_lo, _gamma_factor(m, errors))
         return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n_hi
 
     def _seed(self, m, k, piece):
@@ -656,18 +670,27 @@ def _keyless(model, m):
       in its sharp form, gamma at ``m_err`` equals gamma at ``m - m_err``,
       which lies in ``[e0, m/2]``, and the other term is ``c_max``'s own.
       The single-term edge is ``sqrt(ln(2/room) / rate)``.
+    - The certificate charges gamma at ``e1 = min(max(floor(m (delta +
+      sample)) - 1, e0), m // 2)`` errors instead (``_edge``'s
+      ``headroom``), with ``sample = sqrt(need / a(k2))`` the sample-term
+      half of the run's edge.  Headroom needs ``2 eps_pe < room``, so
+      ``exp(-a xi^2) < (room/2)^2`` and ``xi > sqrt(need / a) >= sample``,
+      since ``a = 2 m k / (n + 1)`` is largest at ``k2``.  Then ``m_err >=
+      m (delta + xi) - 1e-9``, so ``m_err >= e1``; the ``- 1`` also covers
+      a rounded ``xi`` below ``sample``, by up to ``1/m``.  In the relaxed
+      form, ``e1 <= m_err <= m // 2``, and gamma falls on ``[0, m/2]``.  In
+      the sharp form, gamma at ``m_err`` is gamma at ``m - m_err >= floor(m
+      / 2) >= e1``, and the other term is ``c_max``'s own.  Where ``delta +
+      sample`` reaches 1/2, no ``xi < nu < 1/2 - delta`` has headroom at
+      all, and the clip to ``m // 2`` keeps the steps above valid there.
     - ``h2(delta + nu)`` rises in nu below 1/2, and ``headroom <= room``,
       so ``ell <= U(k) = _ell_bound(n, h2(delta + edge), r, t, room)``.
       Where ``delta + edge`` reaches 1/2, no deviation at or above the edge
       keeps ``delta + nu < 1/2``, which `eps_pa` requires.
 
     ``U`` is bounded on at most `_K_POINTS` runs ``[k1, k2]`` of
-    consecutive ``k`` that cover ``[1, m // 2]``, each factor at its worse
-    end: ``n <= m - k1``; ``r >= ceil(1.19 h2(delta) (m - k2))``, since
-    ``r`` grows with ``n``; the edge from below by ``_edge(m, k1, k2)``;
-    and ``n (1 - h2)`` as the larger of its values at ``n = m - k1`` and
-    ``n = m - k2``, which also holds where a rounded ``1 - h2`` is
-    negative.  So the cost does not grow with ``m``.
+    consecutive ``k`` that cover ``[1, m // 2]`` (`_run_bound`), so the
+    cost does not grow with ``m``.
 
     ``m`` is certified when, on every run, the edge reaches ``1/2 -
     delta`` or the bound is below ``1 - 1e-9 m``; a NaN bound does not
@@ -682,15 +705,28 @@ def _keyless(model, m):
     below 1e-12 ``m`` bits for ``m >= 10``.  A deviation that rounding puts
     just below an edge that reaches ``1/2 - delta`` leaves ``1 - h2(delta +
     nu)`` below ``3 (1/2 - delta - nu)^2``, so its bound is below ``-t``.
-    ``r`` and ``floor(m delta)`` are formed by the same rounded operations
-    as in the scalar path, which keep their order.
+    ``r``, ``floor(m delta)`` and ``floor(m (delta + sample))`` are formed
+    by rounded operations that keep their order, as in the scalar path.
     """
     ends = np.round(np.linspace(1.0, m // 2 + 1.0, _K_POINTS + 1))
     ends = ends[_first(ends)]
-    k1, k2 = ends[:-1], ends[1:] - 1.0
-    m = float(m)
+    bound = _run_bound(model, float(m), ends[:-1], ends[1:] - 1.0)
+    return bool(np.all(bound < 1.0 - 1e-9 * m))
+
+
+def _run_bound(model, m, k1, k2):
+    """`_keyless`'s bound on ``U`` over each run ``[k1, k2]``; -inf where the edge reaches 1/2.
+
+    Each factor is taken at its worse end of the run: ``n <= m - k1``; ``r
+    >= ceil(1.19 h2(delta) (m - k2))``, since ``r`` grows with ``n``; the
+    edge from below by ``_edge(m, k1, k2)``; and ``n (1 - h2)`` as the
+    larger of its values at ``n = m - k1`` and ``n = m - k2``, which also
+    holds where a rounded ``1 - h2`` is negative.  So the bound of a run
+    is at least the bound at ``[k, k]`` of each ``k`` in it, up to a few
+    float spacings of ``m``, which `_keyless`'s margin covers.
+    """
     n_lo, n_hi = m - k2, m - k1
-    q = model.delta + model._edge(m, k1, k2)
+    q = model.delta + model._edge(m, k1, k2, headroom=True)
     r = np.ceil(_leakage(n_lo, model.h))
     with np.errstate(all="ignore"):
         h = _h2(q)
@@ -698,7 +734,7 @@ def _keyless(model, m):
             _ell_bound(n_hi, h, r, model.t, model.room),
             _ell_bound(n_lo, h, r, model.t, model.room),
         )
-    return bool(np.all((q >= 0.5) | (bound < 1.0 - 1e-9 * m)))
+    return np.where(q >= 0.5, -np.inf, bound)
 
 
 def _tree(bad, good, depth):

@@ -1,5 +1,6 @@
 """Tests for the parameter search and block-length threshold scan."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -14,8 +15,8 @@ from oracle_utils import single_term_threshold
 
 import finitekey.optimizer as optimizer
 from finitekey.bounds import (
-    BlockShape, SlackParams, _gamma_factor, _hush_scovel_factor, _sample_rate,
-    _serfling_rate, lemma2_ppe_detail,
+    BlockShape, BoundUnavailableError, SlackParams, _gamma_factor, _hush_scovel_factor,
+    _sample_rate, _serfling_rate, lemma2_ppe_detail,
 )
 from finitekey.optimizer import (
     OptimizationPoint,
@@ -254,9 +255,10 @@ class TestRootSearch:
 
     def test_root_searches_do_not_grow(self, monkeypatch):
         # a round is one root search whatever its rows: 31 for these eight
-        # calls, and 12, 12, 15 and 10 for the four min_block_length calls,
+        # calls, and 13, 12, 12 and 10 for the four min_block_length calls,
         # which search no block size that _keyless certifies (19, 19, 21
-        # and 21 when they searched every size they read)
+        # and 21 when they searched every size they read; 12, 12, 15 and
+        # 10 when the two-term certificate charged gamma at floor(m delta))
         searches = count_root_searches(monkeypatch)
         for variant in ("lemma2", "serfling"):
             for m in (2151, 11105, 18251, 19686):
@@ -266,14 +268,15 @@ class TestRootSearch:
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert len(searches) <= 49
+        assert len(searches) <= 47
 
     def test_verifications_do_not_grow(self, monkeypatch):
         # the pieces searched ahead of the leader wait until the search
         # asks for them, so no more candidates reach _verify than when
         # each k was refined alone: 13 for the eight optimize calls above
-        # and 50 for the four min_block_length calls, which read no block
-        # size that _keyless certifies (133 when they read every one)
+        # and 39 for the four min_block_length calls, which read no block
+        # size that _keyless certifies (133 when they read every one, 50
+        # when the two-term certificate charged gamma at floor(m delta))
         calls = [0]
         max_ell_at = optimizer.max_ell_at
 
@@ -290,7 +293,7 @@ class TestRootSearch:
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert calls[0] <= 50
+        assert calls[0] <= 39
 
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
     @pytest.mark.parametrize("m", [20000, 10**6, 10**9, 10**12, 2**53 - 1])
@@ -773,6 +776,19 @@ class TestMinBlockSearch:
         assert batches == [[2628, 2776, 2924, 3072, 3220, 3368, 3516]]
 
 
+def random_runs(rng, m):
+    """256 runs ``[k1, k2]`` in ``[1, m // 2]`` and one ``k`` in each.
+
+    Both the start and the length are log-uniform, so narrow runs and
+    small ``k`` are drawn as often as wide ones.
+    """
+    half = m // 2
+    k1 = np.floor(np.exp(rng.random(256) * math.log(half)))
+    k2 = np.minimum(k1 + np.floor(np.exp(rng.random(256) * math.log(half))) - 1.0, half)
+    k = np.floor(k1 + rng.random(256) * (k2 - k1 + 1.0))
+    return k1, k2, k
+
+
 def edge_of_each_k(model, m, k):
     """`_Model._edge` of one ``k`` per row, with ``n = m - k`` formed once."""
     n = m - k
@@ -843,19 +859,126 @@ class TestKeyless:
     @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.2, 1)])
     def test_edge_of_a_run_bounds_each_k_in_it(self, delta, s, variant):
         # each factor is taken at its worse end of [k1, k2], so the run's
-        # edge is at most the edge of every k in it; runs start and end
-        # log-uniformly, so narrow runs and small k are drawn too
+        # edge is at most the edge of every k in it, as _seed takes it and
+        # as the certificate does; runs start and end log-uniformly, so
+        # narrow runs and small k are drawn too
         model = _Model(delta, SecurityBudget(s), variant)
         rng = np.random.default_rng(20261019)
         for m in (300, 3100, 20000, 10**6, 10**12, 2**53 - 1):
-            half = m // 2
-            k1 = np.floor(np.exp(rng.random(256) * math.log(half)))
-            k2 = np.minimum(k1 + np.floor(np.exp(rng.random(256) * math.log(half))) - 1.0, half)
-            k = np.floor(k1 + rng.random(256) * (k2 - k1 + 1.0))
-            run = model._edge(float(m), k1, k2)
-            assert np.all(run <= model._edge(float(m), k, k)), m
-            assert np.all(run <= model._edge(float(m), k2, k2))
-            assert np.all(run <= model._edge(float(m), k1, k1))
+            k1, k2, k = random_runs(rng, m)
+            m = float(m)
+            for headroom in (False, True):
+                run = model._edge(m, k1, k2, headroom=headroom)
+                for each in (k, k1, k2):
+                    assert np.all(run <= model._edge(m, each, each, headroom=headroom)), m
+
+    @pytest.mark.parametrize("headroom", [False, True])
+    @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.2, 1), (0.4, 10)])
+    def test_key_half_of_a_run_edge_bounds_each_k_in_it(self, delta, s, headroom):
+        # the two-term edge is a sample half plus a key half, and each half
+        # of a run's edge is at most the same half of every k in it.  The
+        # whole edge hides a c_max taken at (k2, m - k1): the sample half
+        # at k2 and the key half's 1/(m - k1) keep the run's edge below
+        # each k's, but where 1/(k1 + 1) exceeds gamma, the key half of
+        # the run then exceeds that of k1
+        model = _Model(delta, SecurityBudget(s), "lemma2")
+        need = 2.0 * math.log(2.0 / model.room)
+        rng = np.random.default_rng(20261021)
+        for m in (300, 3100, 20000, 10**6, 10**12, 2**53 - 1):
+            k1, k2, k = random_runs(rng, m)
+            m = float(m)
+
+            def key_half(a, b):
+                edge = model._edge(m, a, b, headroom=headroom)
+                return edge - np.sqrt(need / _sample_rate(m, b, m - b)), edge
+
+            run, edge = key_half(k1, k2)
+            for each in (k, k1, k2):
+                half, each_edge = key_half(each, each)
+                ulps = 4.0 * np.spacing(np.maximum(edge, each_edge))
+                assert np.all(run <= half + ulps), m
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.2, 1), (0.4, 10)])
+    def test_bound_of_a_run_bounds_each_k_in_it(self, delta, s, variant):
+        # the certificate's bound over a run is at least the bound of each
+        # k in it: a factor taken at the wrong end of the run, say r at
+        # m - k1, lowers it below the bound of some k
+        model = _Model(delta, SecurityBudget(s), variant)
+        rng = np.random.default_rng(20261020)
+        for m in (300, 3100, 20000, 10**6, 10**12, 2**53 - 1):
+            k1, k2, k = random_runs(rng, m)
+            m = float(m)
+            run = optimizer._run_bound(model, m, k1, k2)
+            # the bounds are sums of terms of size m, rounded to its spacing
+            ulps = 4.0 * np.spacing(m)
+            for each in (k, k1, k2):
+                assert np.all(run >= optimizer._run_bound(model, m, each, each) - ulps), m
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_m=st.floats(math.log(10), math.log(10**9)),
+        log_k=st.floats(0.0, 1.0),
+        log_lift=st.floats(-9.0, 0.0),
+        delta=st.sampled_from([0.01, 0.0451, 0.2, 0.4]),
+        s=st.sampled_from([1, 6, 10]),
+    )
+    def test_headroom_lies_above_the_certificate_edge(self, log_m, log_k, log_lift, delta, s):
+        # the scalar two-term bound leaves headroom only where each of its
+        # terms is below (room/2)^2; wherever both are, nu is at least the
+        # certificate's edge at [k, k], which charges gamma at the least
+        # error count that the sample term allows.  xi is drawn just above
+        # the least xi that the sample term allows, where that count is
+        # tight, and nu is the least deviation at that xi where both terms
+        # are below, to 1e-12 relative by bisection
+        budget = SecurityBudget(s)
+        m = round(math.exp(log_m))
+        shape = BlockShape(m=m, k=round(math.exp(log_k * math.log(m // 2))))
+        n, k = shape.n, shape.k
+        least = math.sqrt(2.0 * math.log(2.0 / budget.room) * (n + 1) / (2.0 * m * k))
+        xi = least * (1.0 + 10.0**log_lift)
+        cap = (0.5 * budget.room) ** 2
+
+        def below(nu):
+            try:
+                detail = lemma2_ppe_detail(shape, delta, SlackParams(nu=nu, xi=xi))
+            except BoundUnavailableError:
+                return False
+            return detail["sample_term"] < cap and detail["key_term"] < cap
+
+        lo, hi = xi, (0.5 - delta) * (1.0 - 1e-12)
+        if not (lo < hi and below(hi)):
+            return
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        model = _Model(delta, budget, "lemma2")
+        assert hi >= model._edge(float(m), float(k), float(k), headroom=True)
+
+    @pytest.mark.parametrize(
+        "delta, s, threshold",
+        [(0.01, 6, 974), (0.01, 10, 1550), (0.0451, 6, 3006), (0.0451, 10, 4807)],
+    )
+    def test_largest_two_term_certificates_below_the_threshold(self, delta, s, threshold):
+        # the thresholds are test_acceptance's; the 25 certified sizes
+        # nearest below each have no key
+        budget = SecurityBudget(s)
+        model = _Model(delta, budget, "lemma2")
+        below = (m for m in range(threshold - 1, 9, -1) if optimizer._keyless(model, m))
+        certified = list(itertools.islice(below, 25))
+        assert len(certified) == 25
+        for m in certified:
+            assert optimize(m, delta, budget, "lemma2").ell == 0, m
+
+    @pytest.mark.parametrize("s, threshold, reach", [
+        (10, 4807, [*range(10, 4593), 4595, 4596]),
+        (6, 3006, list(range(10, 2830))),
+    ])
+    def test_two_term_reach(self, s, threshold, reach):
+        # the package's own reach at delta = 0.0451, pinned against drift:
+        # the certificate covers about 95% of the way to the threshold
+        model = _Model(0.0451, SecurityBudget(s), "lemma2")
+        assert [m for m in range(10, threshold) if optimizer._keyless(model, m)] == reach
 
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
     @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.4999, 1)])
