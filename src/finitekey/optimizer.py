@@ -33,11 +33,11 @@ rows it gets alone.  `_optimize_each` batches a sequence of block sizes,
 search's input, and `optimize` runs `_optimize_each` on one block size.
 `min_block_length` inverts the search over ``m``.  A block size that
 `_keyless` certifies, by a closed-form bound on the length over runs of
-``k``, is read as keyless with no search.  The forward scan reads
-`_optimize_each`'s results at the other grid points up to the first with
-a key, and a bisection inside that stride hands the uncertified midpoints
-of its next `_DEPTH` levels (`_tree`) to `_lock_step` itself.  Each
-result is verified only when it is read.
+``k``, is read as keyless with no search.  One loop walks the decision
+tree of a forward scan and a bisection: it reads block sizes in their
+sequential order, and hands `_lock_step` the uncertified nodes ahead that
+the lengths already searched predict it will read.  Each result is
+verified only when it is read.
 """
 
 from __future__ import annotations
@@ -81,11 +81,9 @@ _ROOT_STEPS = 60
 _ROOT_TOL = 1e-9
 # Candidates re-evaluated through the scalar path.
 _VERIFY = 3
-# Block sizes searched in lock step: the levels of min_block_length's
-# bisection tree searched at once, and the batch they make, which is also
-# the batch of _optimize_each.
-_DEPTH = 3
-_BATCH = 2**_DEPTH - 1
+# Block sizes searched in lock step: the batch of _optimize_each, and the
+# nodes of min_block_length's decision tree searched at once.
+_BATCH = 7
 _LOG2E = 1.0 / math.log(2.0)
 
 
@@ -737,14 +735,6 @@ def _run_bound(model, m, k1, k2):
     return np.where(q >= 0.5, -np.inf, bound)
 
 
-def _tree(bad, good, depth):
-    """The midpoints that the next ``depth`` bisection steps in ``(bad, good)`` can probe."""
-    if depth == 0 or good - bad <= 1:
-        return []
-    mid = (bad + good) // 2
-    return [mid, *_tree(bad, mid, depth - 1), *_tree(mid, good, depth - 1)]
-
-
 def min_block_length(
     delta: float,
     budget: SecurityBudget,
@@ -766,23 +756,33 @@ def min_block_length(
     A block size that `_keyless` certifies is read as keyless without a
     search: the closed-form bound shows that no point there has ``ell >=
     1``, so `optimize` would give ``ell = 0`` there.  Every other block
-    size is searched.  The forward scan reads `_optimize_each`'s results
-    along the grid points left uncertified, each with its block size, so
-    it searches `_BATCH` of them at once.  The bisection certifies the
-    midpoints of the next `_DEPTH` levels of its decision tree (`_tree`),
-    `_BATCH` of them, and searches the rest in lock step (`_lock_step`),
-    with no search when none is left.  Each batch is read in order, as a
-    sequential scan or bisection would read it, and only the block sizes
-    read are verified as `optimize` verifies them; so the result is the one
-    the sequential search returns.  The input is checked as `optimize`
-    checks it before any block size is certified, so a certificate cannot
-    hide a refusal.  The search costs one certificate per grid point up to
-    the hit and per tree node, about the forward probes left uncertified
-    over `_BATCH`, and ``log2(stride)`` over `_DEPTH` batches, each a few
-    rounds of root searches.  ``m_lo`` and ``m_hi`` are integers below
-    2^53 with ``m_lo <= m_hi``.  The forward grid is lazy, and a
-    certificate's cost does not grow with ``m``, so neither does the
-    search's memory.
+    size is searched, `_BATCH` at a time in lock step (`_lock_step`), and
+    the block sizes are read in the order of the sequential scan and
+    bisection; only those read are verified as `optimize` verifies them, so
+    the result is the one the sequential search returns.
+
+    Each batch holds the next `_BATCH` uncertified nodes of the sequential
+    search's decision tree, below the next block size to read.  A node is
+    a block size, and its two successors are the sizes read next when it
+    has a key and when it has none; a certified size passes at once to its
+    keyless successor.  The nodes are taken in order of how many branches
+    on their path go against the predicted outcome, then by depth, the
+    keyless branch first.  The prediction compares with 1 the best
+    unrounded length of the searched sizes, interpolated linearly between
+    the nearest on either side; past the last it is keyless, as in a
+    forward scan.  Only the sizes searched from the keyless end of the
+    search to its keyed end (or ``m_hi``) are kept, and with none there is
+    no prediction.  A prediction chooses only which sizes are searched,
+    never what is read.  Near the threshold the best length is close to
+    linear in ``m``, so after the first batch or two the predicted path
+    holds the rest of the reads; a batch costs a few rounds of root
+    searches, and a certificate is spent on each node visited.
+
+    The input is checked as `optimize` checks it before any block size is
+    certified, so a certificate cannot hide a refusal.  ``m_lo`` and
+    ``m_hi`` are integers below 2^53 with ``m_lo <= m_hi``.  The grid is
+    not built, and a certificate's cost does not grow with ``m``, so
+    neither does the search's memory.
     """
     m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
     if m_lo > m_hi:
@@ -790,28 +790,69 @@ def min_block_length(
     _check_search(delta, variant, [m_lo])
     model = _Model(delta, budget, variant)
     stride = max(1, min(500, (m_hi - m_lo) // 128))
-    grid = itertools.chain(range(m_lo, m_hi, stride), [m_hi])
-    searched = (m for m in grid if not _keyless(model, m))
-    for result in _optimize_each(searched, delta, budget, variant):
-        if result.ell >= 1:
-            break
-    else:
-        return None
-    # good has a key and bad, the grid point before it, has none; m_lo - 1
-    # stands for below the range
-    good = result.m
-    bad = max(m_lo - 1, m_lo + (good - 1 - m_lo) // stride * stride)
-    while good - bad > 1:
-        batch = _tree(bad, good, _DEPTH)
-        keyless = {m for m in batch if _keyless(model, m)}
-        searched = [m for m in batch if m not in keyless]
-        rows = {}
-        if searched:
-            rows = dict(zip(searched, _lock_step(delta, budget, variant, searched)))
-        # the tree holds the next _DEPTH midpoints, and no later one
-        while good - bad > 1 and (mid := (bad + good) // 2) in batch:
-            if mid in keyless or _verify(mid, delta, budget, variant, rows[mid]).ell < 1:
-                bad = mid
-            else:
-                good = mid
-    return good
+    size = -(-(m_hi - m_lo) // stride) + 1  # grid points: strides from m_lo, then m_hi
+
+    # a state (i, bad, good) of the sequential search: the forward scan
+    # reads grid point i while good is None, and the bisection the midpoint
+    # of (bad, good) after it; bad is the last size read as keyless, with
+    # m_lo - 1 standing for below the range
+    def probe(state):
+        """The block size that ``state`` reads next; None where the search ends."""
+        i, bad, good = state
+        if good is None:
+            return min(m_lo + i * stride, m_hi) if i < size else None
+        return (bad + good) // 2 if good - bad > 1 else None
+
+    def step(state, m, keyed):
+        """The state after ``state`` reads ``m``."""
+        i, bad, good = state
+        return (i, bad, m) if keyed else (i + (good is None), m, good)
+
+    def guess(m):
+        """Whether the lengths searched put a key at ``m``; None with none searched."""
+        if not searched:
+            return None
+        a = max((x for x in searched if x < m), default=None)
+        b = min((x for x in searched if x > m), default=None)
+        if a is None or b is None:
+            return False
+        return searched[a][0][0] * (b - m) + searched[b][0][0] * (m - a) >= b - a
+
+    def search(root):
+        """Searches the next `_BATCH` uncertified nodes of the tree below ``root``."""
+        # nodes (misses, depth, order, state), the least taken first
+        nodes, batch, order = [(0, 0, 0, root)], [], itertools.count(1)
+        while nodes and len(batch) < _BATCH:
+            nodes.sort(reverse=True)
+            misses, depth, _, state = nodes.pop()
+            m = probe(state)
+            if m is None:
+                continue
+            if batch and _keyless(model, m):  # the root is known to be uncertified
+                certified.add(m)
+                nodes.append((misses, depth, next(order), step(state, m, False)))
+                continue
+            batch.append(m)
+            likely = guess(m)
+            for keyed in (False, True):
+                miss = likely is not None and likely != keyed
+                nodes.append((misses + miss, depth + 1, next(order), step(state, m, keyed)))
+        searched.update(zip(batch, _lock_step(delta, budget, variant, batch)))
+
+    searched, certified = {}, set()
+    state = (0, m_lo - 1, None)
+    while (m := probe(state)) is not None:
+        if m in searched:
+            keyed = _verify(m, delta, budget, variant, searched[m]).ell >= 1
+        elif m in certified or _keyless(model, m):
+            keyed = False
+        else:
+            # no size outside [bad, top] is read again, and none steers a guess
+            _, bad, good = state
+            top = m_hi if good is None else good
+            searched = {x: rows for x, rows in searched.items() if bad <= x <= top}
+            certified = {x for x in certified if bad <= x <= top}
+            search(state)
+            continue
+        state = step(state, m, keyed)
+    return state[2]

@@ -255,10 +255,11 @@ class TestRootSearch:
 
     def test_root_searches_do_not_grow(self, monkeypatch):
         # a round is one root search whatever its rows: 31 for these eight
-        # calls, and 13, 12, 12 and 10 for the four min_block_length calls,
-        # which search no block size that _keyless certifies (19, 19, 21
-        # and 21 when they searched every size they read; 12, 12, 15 and
-        # 10 when the two-term certificate charged gamma at floor(m delta))
+        # calls, and 9, 6, 9 and 6 for the four min_block_length calls,
+        # which search no block size that _keyless certifies and steer
+        # their batches by the lengths already searched (13, 12, 12 and 10
+        # with a forward batch and a bisection tree; 19, 19, 21 and 21 when
+        # they searched every size they read)
         searches = count_root_searches(monkeypatch)
         for variant in ("lemma2", "serfling"):
             for m in (2151, 11105, 18251, 19686):
@@ -268,7 +269,7 @@ class TestRootSearch:
         for budget in (BUDGET6, BUDGET10):
             for variant in ("lemma2", "serfling"):
                 min_block_length(0.0451, budget, variant, 1000, 20000)
-        assert len(searches) <= 47
+        assert len(searches) <= 30
 
     def test_verifications_do_not_grow(self, monkeypatch):
         # the pieces searched ahead of the leader wait until the search
@@ -641,23 +642,30 @@ class TestMinBlockSearch:
     """The search over m against a step oracle.
 
     The oracle stands in for both halves of a probe: the batched search
-    (`optimizer._lock_step`), which records each batch of block sizes, and
+    (`optimizer._lock_step`), which records each batch of block sizes and
+    gives each size one row of its unrounded length, ``length(m)``, and
     the read of one block size (`optimizer._verify`), which records it in
-    ``calls`` and says whether it has a key.  A fake certificate
-    (`optimizer._keyless`) certifies the block sizes of ``certified``,
-    none unless a test names some; a certified size is never searched.
+    ``calls`` and says whether it has a key.  The lengths only steer which
+    sizes are searched; by default a size's length is 1 where it has a key
+    and 0 where it has none.  A fake certificate (`optimizer._keyless`)
+    certifies the block sizes of ``certified``, none unless a test names
+    some; a certified size is never searched.  Each batch is followed by
+    at least one read before the next batch.
     """
 
     @staticmethod
-    def search(monkeypatch, m_lo, m_hi, keyed, certified=frozenset()):
-        calls, batches = [], []
+    def search(monkeypatch, m_lo, m_hi, keyed, certified=frozenset(), length=None):
+        calls, batches, reads_before = [], [], []
+        length = length or (lambda m: float(keyed(m)))
 
         def lock_step(delta, budget, variant, ms):
             batches.append(list(ms))
-            return list(ms)  # each block size's rows stand in as the size itself
+            reads_before.append(len(calls))
+            # each block size's rows: one row of its length, then the size itself
+            return [[(length(m), m)] for m in ms]
 
         def read(m, delta, budget, variant, rows):
-            assert rows == m  # the rows of m, from a batch already searched
+            assert rows[0][1] == m  # the rows of m, from a batch already searched
             calls.append(m)
             return SimpleNamespace(m=m, ell=int(keyed(m)))
 
@@ -670,6 +678,7 @@ class TestMinBlockSearch:
             assert len(set(batch)) == len(batch)
             assert all(m_lo <= m <= m_hi for m in batch)
             assert not certified.intersection(batch)
+        assert all(a < b for a, b in zip(reads_before, reads_before[1:] + [len(calls)]))
         return got, calls, batches
 
     @pytest.mark.parametrize(
@@ -687,8 +696,10 @@ class TestMinBlockSearch:
         ],
     )
     def test_step(self, monkeypatch, m_lo, m_hi, threshold):
+        # a length linear in m that reaches 1 at the threshold, exact in floats
         got, calls, batches = self.search(
-            monkeypatch, m_lo, m_hi, lambda m: m >= threshold
+            monkeypatch, m_lo, m_hi, lambda m: m >= threshold,
+            length=lambda m: 1.0 + (m - threshold) / 8,
         )
         stride, grid = _grid(m_lo, m_hi)
         if threshold > m_hi:
@@ -748,11 +759,38 @@ class TestMinBlockSearch:
         assert got == want
         assert calls == [m for m in reads if m not in certified]
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_misleading_lengths_match_sequential_search(self, monkeypatch, seed):
+        # a step in m with a seeded share of its keys flipped, and lengths
+        # that contradict the keys: high where a size is keyless and low
+        # where it is keyed.  A wrong prediction costs batches, but the
+        # reads and the result are those of the sequential search, and each
+        # batch still leads to a read
+        rng = np.random.default_rng(seed)
+        m_lo = int(rng.integers(10, 3000))
+        m_hi = m_lo + int(rng.integers(0, 30000))
+        sizes = np.arange(m_lo, m_hi + 1)
+        threshold = int(rng.integers(m_lo, m_hi + 2))
+        flipped = rng.random(len(sizes)) < float(rng.choice([0.0, 0.01, 0.1]))
+        keyed_mask = (sizes >= threshold) ^ flipped
+        keyed = set(sizes[keyed_mask].tolist())
+        lengths = np.where(
+            keyed_mask,
+            rng.uniform(-3.0, 0.5, len(sizes)),
+            rng.uniform(1.5, 4.0, len(sizes)),
+        )
+        got, calls, _ = self.search(
+            monkeypatch, m_lo, m_hi, keyed.__contains__,
+            length=lambda m: float(lengths[m - m_lo]),
+        )
+        assert (got, calls) == sequential_search(m_lo, m_hi, keyed.__contains__)
+
     def test_certified_size_past_the_hit(self, monkeypatch):
         # the grid runs 1000, 1148, ..., 2480, 2628, 2776, 2924; the key
-        # starts at 2481, but 2776 is keyless and certified, so the batch
-        # of the hit 2628 reaches past it to 2924.  The bisection starts
-        # from 2480, the grid point before the hit, not from 2776.
+        # starts at 2481, but 2776 is keyless and certified, so the keyless
+        # branch of the hit 2628 passes it and the batch reaches 2924.  The
+        # bisection starts from 2480, the grid point before the hit, not
+        # from 2776.
         certified = frozenset([2332, 2480, 2776])
 
         def keyed(m):
@@ -762,18 +800,19 @@ class TestMinBlockSearch:
         want, reads = sequential_search(1000, 20000, keyed)
         assert got == want == 2481
         assert calls == [m for m in reads if m not in certified]
-        assert batches[1] == [2036, 2184, 2628, 2924, 3072, 3220, 3368]
+        assert batches[1] == [1592, 1740, 1888, 2036, 2184, 2628, 2924]
 
     def test_bisection_batch_all_certified(self, monkeypatch):
         # the hit 2628 has a key and every size below it is certified, so
-        # the bisection reads no size and searches no batch
+        # the bisection reads no size and adds no batch: the one batch holds
+        # the hit and the uncertified sizes of the tree above it
         certified = frozenset(range(1000, 2628))
         got, calls, batches = self.search(
             monkeypatch, 1000, 20000, lambda m: m >= 2628, certified
         )
         assert got == 2628
         assert calls == [2628]
-        assert batches == [[2628, 2776, 2924, 3072, 3220, 3368, 3516]]
+        assert batches == [[2628, 2776, 2924, 2702, 3072, 2850, 2739]]
 
 
 def random_runs(rng, m):
