@@ -20,6 +20,16 @@ trials, the interval's half-width is a median 104% of the exact value and
 it catches an error of the exact oracle only above about 5% relative.
 The sharp checks of the oracle are the enumeration and the rational and
 high-precision references of the tests.
+
+The Clopper-Pearson limits need no library beyond the standard one.  Each
+limit inverts a binomial tail, that is a regularized incomplete beta
+function, by Newton steps in the log-odds of the limit, held inside a
+bracket.  The tail is Lentz's continued fraction in the contracted,
+cancellation-free form of DiDonato and Morris, and its prefactor is
+Loader's saddle-point form of the binomial density.  On every tested
+case, up to 10^12 trials, each tail is within 1e-9 relative of 0.5%, or a
+limit near 1 is within one float spacing of the exact one; an interval
+costs 60-190 µs at 100,000 trials (see `_confidence_interval`).
 """
 
 from __future__ import annotations
@@ -136,19 +146,203 @@ class ValidationRow:
     note: Optional[str] = None
 
 
+# Log of the mass of each tail of the 99% interval, and the standard normal
+# quantile that leaves that mass, for the starting point of each search.
+_LOG_TAIL = math.log(0.005)
+_Z = 2.5758293035489004
+
+# Newton steps in the log-odds stop when one moves it by at most _LOG_ODDS_TOL,
+# which moves the limit and its complement by at most that much relative.
+# At most 5 steps get there on every tested case; _NEWTON_STEPS is a guard.
+_LOG_ODDS_TOL = 1e-12
+_NEWTON_STEPS = 64
+_FRACTION_TERMS = 10_000
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SMALL_STIRLERR = [
+    math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI for n in range(1, 16)
+]
+
+
+def _stirlerr(n):
+    """``log(n!) - log(sqrt(2 pi n) (n / e)^n)`` for an integer ``n >= 1``.
+
+    ``lgamma`` below 16, where the difference loses no more than 1e-14; the
+    Stirling series above, where five terms are exact to rounding.
+    """
+    if n < 16:
+        return _SMALL_STIRLERR[n - 1]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x, mu):
+    """``x log(x / mu) + mu - x`` without its cancellation near ``x = mu``.
+
+    There it is the series ``(x - mu) v + 2 x sum_{j >= 1} v^(2j+1) / (2j+1)``
+    in ``v = (x - mu) / (x + mu)`` (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000).
+    """
+    d = x - mu
+    if abs(d) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) - d
+    v = d / (x + mu)
+    s, term, v2, j = d * v, 2.0 * x * v, v * v, 3
+    while True:
+        term *= v2
+        nxt = s + term / j
+        if nxt == s:
+            return s
+        s, j = nxt, j + 2
+
+
+def _beta_density(k, n, p, q):
+    """``p^k q^(n-k+1) / B(k, n-k+1)``, which is ``k q P[Bin(n, p) = k]``.
+
+    For ``1 <= k < n`` and ``p + q = 1``, each given to full relative
+    precision.  Loader's saddle-point form, within 1e-14 relative up to
+    ``10^12``.  It takes no difference of ``lgamma`` values, whose rounding
+    grows with ``n`` (1.5e-8 relative at ``10^7``, 1.6e-3 at ``10^12``), and
+    forms no power of ``q`` from ``p`` or back.
+    """
+    exponent = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+    )
+    return k * q * math.exp(exponent) * math.sqrt(n / (2.0 * math.pi * k * (n - k)))
+
+
+def _beta_fraction(a, b, x, y, lam):
+    """``I_x(a, b) B(a, b) / (x^a y^b)`` by a continued fraction.
+
+    ``y = 1 - x`` and ``lam = (a + b) y - b >= 0``, that is ``x`` at or
+    below the mean of Beta(a, b).  This is Lentz's fraction (W. J. Lentz,
+    Appl. Opt. 15 (1976) 668-671; *Numerical Recipes* sec. 6.4) contracted
+    to its even part, in the form of A. R. DiDonato and A. H. Morris (ACM
+    TOMS 18 (1992) 360-373, ``bfrac``): ``y`` enters through ``lam`` alone,
+    and every ``beta`` term is a sum of positive terms, so an ``x`` near 1
+    cancels nothing.  Evaluated to 1e-15 relative, in at most 63 terms on
+    the tested cases and on 5,000 random ones up to 10^12 trials.
+    """
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 / a + 1.0
+    yp1 = y + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, _FRACTION_TERMS):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 1e-15 * r:
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise ArithmeticError(f"beta continued fraction did not converge at a={a}, b={b}")
+
+
+def _upper_tail(k, n, p, q):
+    """``P[Bin(n, p) >= k]`` and its derivative in the log-odds ``log(p / q)``.
+
+    For ``1 <= k < n``.  The tail is ``I_p(k, n - k + 1)``, and the
+    derivative is the prefactor of its fraction.  The fraction runs at
+    whichever of ``p`` and ``q`` lies at or below its beta mean, so the tail
+    is formed directly on the side where it is the smaller one.
+    """
+    slope = _beta_density(k, n, p, q)
+    a, b = k, n - k + 1
+    lam = (n + 1) * q - b if a > b else a - (n + 1) * p
+    if lam >= 0.0:
+        return slope * _beta_fraction(a, b, p, q, lam), slope
+    return 1.0 - slope * _beta_fraction(b, a, q, p, -lam), slope
+
+
+def _lower_log_odds(count, trials):
+    """Log-odds of the lower Clopper-Pearson limit at ``0 < count < trials``.
+
+    The root ``v`` of ``log P[Bin(trials, p) >= count] = log 0.005`` at ``p
+    = 1 / (1 + exp(-v))``.  That log-tail is increasing and concave in
+    ``v`` (the log-CDF of a log-concave density), so Newton steps reach the
+    root from below without passing it, and pass it at most once from
+    above.  A step that leaves the bracket of the points seen so far, which
+    only rounding or an underflowed tail can cause, is replaced by
+    bisection.  The search starts at the Wilson score limit.  It raises
+    when it does not converge.
+    """
+    n, c = trials, count
+    half = 0.5 * _Z * _Z
+    h = _Z * math.sqrt(c * (n - c) / n + 0.5 * half)
+    v = math.log(c * c * (n + 2.0 * half) / (n * (c + half + h) * (n - c + half + h)))
+    below, above = -math.inf, math.inf
+    for _ in range(_NEWTON_STEPS):
+        tail, slope = _upper_tail(c, n, _probability(v), _probability(-v))
+        if tail > 0.0:
+            miss = math.log(tail) - _LOG_TAIL
+            nxt = v - miss * tail / slope
+        else:
+            miss = nxt = -math.inf
+        if miss < 0.0:
+            below = v
+        else:
+            above = v
+        if abs(nxt - v) <= _LOG_ODDS_TOL:
+            return nxt
+        if not below < nxt < above:
+            nxt = 0.5 * (below + above)
+            if not math.isfinite(nxt):
+                break
+        v = nxt
+    raise ArithmeticError(f"Clopper-Pearson limit did not converge at {count} of {trials}")
+
+
+def _probability(v):
+    """The probability of log-odds ``v``.
+
+    Above 1/2 it is one minus its complement, which rounds once; so the
+    probabilities of ``v`` and ``-v`` sum to 1 up to that rounding.
+    """
+    if v > 0.0:
+        return 1.0 - 1.0 / (1.0 + math.exp(v))
+    return 1.0 / (1.0 + math.exp(-v))
+
+
 def _confidence_interval(count: int, trials: int):
     """Exact two-sided 99% Clopper-Pearson interval for a binomial proportion.
 
     At every count, ``Bin(trials, lo)`` puts 0.5% of its mass at or above
     ``count`` and ``Bin(trials, hi)`` 0.5% at or below it; ``lo`` is 0 at a
     count of 0 and ``hi`` is 1 at ``trials`` (C. J. Clopper and E. S.
-    Pearson, Biometrika 26 (1934) 404-413).  scipy is imported here, not at
-    start-up: only the audit needs it.
-    """
-    from scipy.special import betaincinv
+    Pearson, Biometrika 26 (1934) 404-413).  The other limit at those two
+    counts has a closed form.  Otherwise ``hi`` at ``count`` is one minus
+    ``lo`` at ``trials - count``, so both come from `_lower_log_odds`, and
+    the log-odds carries the small side of a limit near 1 to full precision.
 
-    lo = 0.0 if count == 0 else float(betaincinv(count, trials - count + 1, 0.005))
-    hi = 1.0 if count == trials else float(betaincinv(count + 1, trials - count, 0.995))
+    Accuracy: on every tested case, up to 10^12 trials, each tail is within
+    1e-9 relative of 0.5%.  A limit near 1 is a float64 with a spacing of
+    1.1e-16, which can move a tail by more than that; there the limit is
+    within one float spacing of the exact one.  Cost: at most 5 tail
+    evaluations per limit, 60-190 µs per interval at 100,000 trials on a
+    shared 2-vCPU VM.
+    """
+    if count == 0:
+        lo = 0.0
+    elif count == trials:
+        lo = math.exp(_LOG_TAIL / trials)
+    else:
+        lo = _probability(_lower_log_odds(count, trials))
+    if count == trials:
+        hi = 1.0
+    elif count == 0:
+        hi = -math.expm1(_LOG_TAIL / trials)
+    else:
+        hi = _probability(-_lower_log_odds(trials - count, trials))
     return lo, hi
 
 

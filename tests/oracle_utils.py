@@ -112,22 +112,47 @@ def mp_window_tail(m, w, n, j_lo, dps=50):
         return tail / total
 
 
+def _binomial_sum(n, c, p, ratio, js):
+    """Sum of the binomial pmf from ``j = c`` on, in 30-digit arithmetic.
+
+    The first term is ``mpmath.binomial`` times the powers, at working
+    precision; the term after ``j`` is the last times ``ratio(j, p / (1 -
+    p))``, for each ``j`` of ``js``.  The sum ends there, or at the first
+    term below 1e-40 of the sum.
+    """
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        t = mp.binomial(n, c) * p**c * (1 - p) ** (n - c)
+        total = t
+        odds = p / (1 - p)
+        for j in js:
+            t *= ratio(j, odds)
+            total += t
+            if t < total * mp.mpf("1e-40"):
+                break
+        return total
+
+
 def binomial_tail(n, c, p):
     """``P[Bin(n, p) >= c]``, a 30-digit sum of the binomial pmf.
 
     The terms from ``j = c`` up are formed by the ratio ``(n - j) p / ((j
-    + 1) (1 - p))`` from the first, whose binomial coefficient is exact.
-    ``mpmath.betainc``, the closed form, did not converge at ``n = 2000``.
+    + 1) (1 - p))``.  ``mpmath.betainc``, the closed form, did not converge
+    at ``n = 2000``.  Where the tail is small, ``c`` lies above the mean:
+    the terms fall from the first on, and so does their ratio.  So once a
+    term is below 1e-40 of the sum, all the rest add less than 1e-40 of it
+    over one minus that ratio.
     """
-    with mp.workdps(30):
-        p = mp.mpf(p)
-        odds = p / (1 - p)
-        t = math.comb(n, c) * p**c * (1 - p) ** (n - c)
-        total = t
-        for j in range(c, n):
-            t *= odds * (n - j) / (j + 1)
-            total += t
-        return total
+    return _binomial_sum(n, c, p, lambda j, odds: odds * (n - j) / (j + 1), range(c, n))
+
+
+def binomial_lower_tail(n, c, p):
+    """``P[Bin(n, p) <= c]``, the same sum from ``j = c`` down.
+
+    The ratio is ``j (1 - p) / ((n - j + 1) p)``.  Summing the lower tail
+    itself, not one minus the upper, keeps its 30 digits when it is small.
+    """
+    return _binomial_sum(n, c, p, lambda j, odds: j / ((n - j + 1) * odds), range(c, 0, -1))
 
 
 def loop_window_tail(m, w, n, j_lo):

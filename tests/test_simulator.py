@@ -5,7 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import binomial_tail, enum_joint, enumeration_tables, urn_pe_errors
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import (
+    binomial_lower_tail,
+    binomial_tail,
+    enum_joint,
+    enumeration_tables,
+    urn_pe_errors,
+)
 
 import finitekey.simulator as simulator
 from finitekey.bounds import (
@@ -244,10 +252,33 @@ class TestSampler:
 
 
 def _interval_cases():
+    yield from ((c, 1) for c in (0, 1))
     for trials in (20, 200, 2000):
         counts = (0, 1, 29, 30, 31, trials // 2, trials - 31, trials - 30, trials - 29,
                   trials - 1, trials)
         yield from ((c, trials) for c in sorted(set(counts)) if 0 <= c <= trials)
+    # counts of the default grid at 100,000 trials, as the bench's seed-1 pass draws them
+    yield from ((c, 100_000) for c in (4, 97, 448, 2846))
+    for trials in (10**9, 10**12):
+        for c in (1, 3, 1000, 10**4):
+            yield from ((c, trials), (trials - c, trials))
+
+
+def _holds_half_a_percent(tail, limit):
+    """``tail(limit)`` is 0.5% to 1e-9 relative, or a limit above 1/2 is
+    within one float step of the exact one.
+
+    Near 1 the float64 spacing, 1.1e-16, is a coarse step in ``1 - limit``:
+    at 10^12 trials and a count of ``trials - 1`` one step moves the tail by
+    2%.  No float meets 1e-9 there; the best is the float next to the root,
+    which puts the tails at the two neighbouring floats on either side of
+    0.5%.  Below 1/2 a step is at most 2.2e-16 relative, and no limit is
+    let off.
+    """
+    if tail(limit) == pytest.approx(0.005, rel=1e-9):
+        return True
+    below, above = tail(math.nextafter(limit, 0.0)), tail(math.nextafter(limit, 1.0))
+    return limit > 0.5 and min(below, above) <= 0.005 <= max(below, above)
 
 
 class TestConfidenceInterval:
@@ -261,12 +292,33 @@ class TestConfidenceInterval:
         if count == 0:
             assert lo == 0.0
         else:
-            assert binomial_tail(trials, count, lo) == pytest.approx(0.005, rel=1e-9)
+            assert _holds_half_a_percent(lambda p: binomial_tail(trials, count, p), lo)
         if count == trials:
             assert hi == 1.0
         else:
-            below = 1 - binomial_tail(trials, count + 1, hi)
-            assert below == pytest.approx(0.005, rel=1e-9)
+            assert _holds_half_a_percent(lambda p: binomial_lower_tail(trials, count, p), hi)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), trials=st.integers(1, 10**12))
+    def test_limits_hold_the_frequency_and_grow_with_the_count(self, data, trials):
+        count = data.draw(st.integers(0, trials - 1))
+        lo, hi = simulator._confidence_interval(count, trials)
+        next_lo, next_hi = simulator._confidence_interval(count + 1, trials)
+        assert 0.0 <= lo <= count / trials <= hi <= 1.0
+        assert 0.0 <= next_lo <= (count + 1) / trials <= next_hi <= 1.0
+        assert lo <= next_lo and hi <= next_hi
+
+    def test_search_that_does_not_converge_raises(self, monkeypatch):
+        # the limits at 30 of 2,000 take 5 and 4 Newton steps, so one is too few
+        monkeypatch.setattr(simulator, "_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge at 30 of 2000"):
+            simulator._confidence_interval(30, 2000)
+
+    def test_tail_lost_everywhere_raises(self, monkeypatch):
+        # no bracket can form, so bisection has nothing to halve
+        monkeypatch.setattr(simulator, "_upper_tail", lambda k, n, p, q: (0.0, 0.0))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            simulator._confidence_interval(30, 2000)
 
 
 class TestOperatingPoint:
