@@ -24,13 +24,14 @@ the reported result never rests on the vectorised path alone.
 Each layer has one job.  `_Model.best_nu` is the root search over nu at
 rows of ``(m, k)``, with one ``m_err`` piece per row or none for the
 smooth gain.  `_search` is the search over ``k`` at one block size: a
-generator that yields the rows it needs searched and keeps the better of
-the two pieces of each ``k`` it refines.  `_lock_step` answers the
-requests of several block sizes with one `best_nu` call per kind and
-round; a row does not depend on its batch, so each block size gets the
-rows it gets alone.  `_optimize_each` batches a sequence of block sizes,
-`_BATCH` at a time; `_check_search` is the one place that checks a
-search's input, and `optimize` runs `_optimize_each` on one block size.
+generator that yields the rows it needs searched and returns the best
+piece row it searched, then every row that its smooth bound cannot rule
+out.  `_lock_step` answers the requests of several block sizes with one
+`best_nu` call per kind and round; a row does not depend on its batch, so
+each block size gets the rows it gets alone.  `_optimize_each` batches a
+sequence of block sizes, `_BATCH` at a time; `_check_search` is the one
+place that checks a search's input, and `optimize` runs `_optimize_each`
+on one block size.
 `min_block_length` inverts the search over ``m``.  A block size that
 `_keyless` certifies, by a closed-form bound on the length over runs of
 ``k``, is read as keyless with no search.  One loop walks the decision
@@ -405,8 +406,9 @@ def _search(model, m):
     `_Model.best_nu`'s rows of those ``k`` at block size ``m``, with
     ``piece`` as its ``piece``: None for smooth rows.  `_lock_step`
     answers the requests of many block sizes at once.  The search returns
-    (as ``StopIteration.value``) the rows of every k searched in its
-    pieces, best first.
+    (as ``StopIteration.value``) the best piece row it searched, then the
+    piece rows of every other visited k whose smooth length reaches that
+    row's length, best first.
 
     A zoom on the smooth envelope ``gain - 1.19 h2(delta) n`` finds its
     peak, one root search on up to `_K_POINTS` block sizes per round: one
@@ -437,19 +439,21 @@ def _search(model, m):
     length reaches the best piece length found: both pieces of `_PIECES`
     around the smooth optimum of xi, of which the better is kept.  The
     leader, the k of the largest smooth length (the smallest such k), is
-    refined first; when it has no piece rows yet, the request that searches
-    its pieces also searches those of the next leaders, up to `_VERIFY` in
-    all.  Every piece row is kept in ``pieces``, by k, and a k enters
-    ``admitted``, the set whose rows are returned, only when the rule above
-    asks for it, so the rows returned are those of refining one k at a
-    time.  The visited k are kept in ``seen``, one array sorted by k and
-    sparse in it, since ``m`` may be as large as 2^53 - 1: one row per k
-    of its smooth row, its leakage and its envelope.
+    searched first; when it has no piece rows yet, the request that
+    searches its pieces also searches those of the next leaders, up to
+    `_VERIFY` in all.  Every piece row is kept in ``pieces``, by k, and
+    ``target`` is the best length among them.  Which rows are returned
+    depends on ``target`` alone, not on the order of the search: a k whose
+    smooth length falls short of it is taken as ruled out, and the best
+    row is returned whatever its smooth length, which the last Newton
+    iterate and rounding can put below it (see `_Model`).  The visited k
+    are kept in ``seen``, one array sorted by k and sparse in it, since
+    ``m`` may be as large as 2^53 - 1: one row per k of its smooth row, its
+    leakage and its envelope.
     """
     half = m // 2
     seen = np.empty((0, 7))  # columns: k, gain, nu, xi, headroom, leakage, envelope
-    pieces, admitted = {}, set()
-    target = -math.inf
+    pieces = {}
 
     def visit(ks):
         """Searches and records the smooth rows of the k in ``ks`` not visited yet."""
@@ -479,12 +483,6 @@ def _search(model, m):
         rows = zip((gain - seen[i, 5]).tolist(), new, nu.tolist(), xi.tolist(), room.tolist())
         pieces.update(zip(new, rows))
 
-    def refine(ks):
-        """Admits the piece rows of ``ks``; keeps ``target`` the best length admitted."""
-        nonlocal target
-        admitted.update(ks)
-        target = max(pieces[k][0] for k in admitted)
-
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
         ks = np.round(np.linspace(lo, hi, _K_POINTS))
@@ -496,17 +494,16 @@ def _search(model, m):
     while True:
         yield from visit(np.arange(lo, hi + 1, dtype=float))
         k, length = seen[:, 0], seen[:, 1] - seen[:, 5]
-        # the smooth lengths bound the piece lengths: refine the leader,
-        # whose request also searches the next leaders' pieces, then every
-        # k whose smooth length reaches the best piece length
+        # the smooth lengths bound the piece lengths: search the leader's
+        # pieces, with the next leaders' in the same request, then those of
+        # every k whose smooth length reaches the best piece length
         leader = int(k[length.argmax()])
         if leader not in pieces:
             leaders = k[(-length).argsort(kind="stable")[:_VERIFY]]
             yield from search_pieces(leaders.astype(int).tolist())
-        refine([leader])
-        reach = k[length >= target].astype(int).tolist()
-        yield from search_pieces(reach)
-        refine(reach)
+        target = max(row[0] for row in pieces.values())
+        yield from search_pieces(k[length >= target].astype(int).tolist())
+        target = max(row[0] for row in pieces.values())
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
         # the nearest visited k at or beyond each end whose envelope falls
@@ -517,8 +514,8 @@ def _search(model, m):
         if ends == (lo, hi):
             break
         lo, hi = ends
-    rows = [pieces[k] for k in admitted]
-    return sorted(rows, key=lambda row: (row[0], row[4], -row[1]), reverse=True)
+    rows = sorted(pieces.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
+    return rows[:1] + [row for row in rows[1:] if length[k.searchsorted(row[1])] >= target]
 
 
 def _lock_step(delta, budget, variant, ms):
@@ -639,8 +636,10 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     exhaustive.  Above that, no ``k`` outside the window can do better
     provided the envelope has a single peak in ``k``; that is assumed, not
     proven (see `_search`).  The search is the lock-step driver
-    (`_lock_step`) on the one block size ``m``; the leading candidates are
-    then re-evaluated with `max_ell_at` and `feasible`.  Ties in ``ell`` go
+    (`_lock_step`) on the one block size ``m``.  Its candidates are the
+    best row it searched, then the rows of every other ``k`` whose smooth
+    length reaches that row's length, best first; the leading `_VERIFY`
+    are re-evaluated with `max_ell_at` and `feasible`.  Ties in ``ell`` go
     to the larger unrounded length.  Deterministic, and each ``k``'s result
     is the same whichever other ``k`` or block sizes it is searched with.
     ``m`` is an integer of any integer type below 2^53; a float, even

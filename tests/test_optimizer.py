@@ -15,7 +15,7 @@ from oracle_utils import single_term_threshold
 
 import finitekey.optimizer as optimizer
 from finitekey.bounds import (
-    BlockShape, BoundUnavailableError, SlackParams, _gamma_factor, _hush_scovel_factor,
+    BlockShape, BoundUnavailableError, SlackParams, _gamma_factor, _h2, _hush_scovel_factor,
     _sample_rate, _serfling_rate, lemma2_ppe_detail,
 )
 from finitekey.optimizer import (
@@ -25,7 +25,8 @@ from finitekey.optimizer import (
     optimize,
 )
 from finitekey.security import (
-    ProtocolSettings, SecurityBudget, _leakage, feasible, max_ell_at,
+    ProtocolSettings, SecurityBudget, _ell_bound, _headroom, _leakage, feasible,
+    max_ell_at,
 )
 
 BUDGET6 = SecurityBudget(6)
@@ -272,12 +273,12 @@ class TestRootSearch:
         assert len(searches) <= 30
 
     def test_verifications_do_not_grow(self, monkeypatch):
-        # the pieces searched ahead of the leader wait until the search
-        # asks for them, so no more candidates reach _verify than when
-        # each k was refined alone: 13 for the eight optimize calls above
-        # and 39 for the four min_block_length calls, which read no block
-        # size that _keyless certifies (133 when they read every one, 50
-        # when the two-term certificate charged gamma at floor(m delta))
+        # a search returns its best row and the rows that its smooth bound
+        # cannot rule out, and _verify reads at most _VERIFY of them: 13
+        # for the eight optimize calls above and 39 for the four
+        # min_block_length calls, which read no block size that _keyless
+        # certifies (133 when they read every one, 50 when the two-term
+        # certificate charged gamma at floor(m delta))
         calls = [0]
         max_ell_at = optimizer.max_ell_at
 
@@ -543,6 +544,54 @@ class TestSearchOverK:
         assert single_term_threshold(0.0451, s, m, m, ell=res.ell + 1) is None
         if res.ell >= 1:
             assert single_term_threshold(0.0451, s, m, m, ell=res.ell) is not None
+
+
+# the block sizes of the bench's keyrate workload at seed 1
+KEYRATE_SIZES = [2151, 4078, 5109, 5661, 7057, 8130, 9483, 10762, 11105, 12156,
+                 14190, 14861, 16357, 16627, 18251, 19686]
+
+
+def scalar_length(res, budget):
+    """The unrounded length at ``res``'s point, through the scalar path."""
+    m, point = res.m, res.point
+    settings = ProtocolSettings(BlockShape(m, round(point.beta * m)), 0.0451)
+    slack = SlackParams(nu=point.nu, xi=point.xi)
+    bd, _ = feasible(settings, budget, slack, res.variant)
+    h = float(_h2(0.0451 + point.nu))
+    return _ell_bound(settings.shape.n, h, settings.r, budget.t, _headroom(budget.room, bd.eps_pe))
+
+
+class TestCandidateRows:
+    """`_search` returns its best piece row, then only rows its bound cannot rule out."""
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_rows_after_the_first_reach_its_length(self, variant):
+        # rows admitted under an earlier, lower target used to stay: at m =
+        # 7057 (two-term) k = 2881, whose smooth length 530.4226 is below
+        # the best piece's 530.4264
+        model = _Model(0.0451, BUDGET6, variant)
+        found = optimizer._lock_step(0.0451, BUDGET6, variant, KEYRATE_SIZES)
+        for m, rows in zip(KEYRATE_SIZES, found):
+            ks = np.array([row[1] for row in rows[1:]], dtype=float)
+            smooth = model.best_nu(m, ks)[0] - np.ceil(_leakage(m - ks, model.h))
+            assert np.all(smooth >= rows[0][0]), (m, ks[smooth < rows[0][0]])
+
+    @pytest.mark.parametrize(
+        "m, s, least",
+        [
+            # k = 868415290, searched ahead of the leader, holds the best
+            # piece; returning only the rows admitted one k at a time gave
+            # k = 868415534 at 418104332342.4155 bits, with the same ell
+            (10**12, 10, 418104332342.42),
+            # k = 710582847 against 710583129 at .8665 bits
+            (2079420981037, 1, 870796268558.867),
+        ],
+    )
+    def test_best_piece_searched_is_kept(self, m, s, least):
+        budget = SecurityBudget(s)
+        res = optimize(m, 0.0451, budget, "lemma2")
+        assert res.ell == math.floor(least)
+        assert scalar_length(res, budget) >= least
 
 
 class TestMinBlockLength:

@@ -320,6 +320,12 @@ class TestConfidenceInterval:
         with pytest.raises(ArithmeticError, match="did not converge"):
             simulator._confidence_interval(30, 2000)
 
+    def test_tail_above_its_mean_raises(self):
+        # the limits' searches never ask above k / (n + 1) = 3/11, so a
+        # tail there would be a path that no search and no test runs
+        with pytest.raises(ArithmeticError, match="above its mean"):
+            simulator._upper_tail(3, 10, 0.9, 0.1)
+
 
 class TestOperatingPoint:
     """Audit cases at the operating block sizes, ``w`` at the sup of the exact value."""
