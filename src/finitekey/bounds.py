@@ -391,23 +391,33 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
     return snap_ceil((delta + nu) * shape.n)
 
 
-# Terms per numpy block in `_run`.  A run's range is as long as min(w, n),
-# but its ratios are evaluated one block at a time, so memory grows with the
-# terms kept, not with the range.  The run stops in the block where its
-# product falls below `_TINY`, so at most one block of subnormal products is
-# formed.
+# Terms per numpy block in `_products`.  A run's range is as long as
+# min(w, n), but its ratios are evaluated one block at a time, so memory
+# grows with the products formed, not with the range, and `_window_tail`
+# turns into Python floats only the slices that it sums.  A run stops in the
+# block where its product falls below `_TINY` or its cut, so it forms at
+# most one block of products that it does not keep.
 _BLOCK = 4096
-# The smallest normal float64.
+# The smallest normal float64: every run stops before its first product
+# below it.
 _TINY = 2.0**-1022
+# The certified cut of `_window_tail`: a sum may stop where what is left of
+# its run is below 2^-_CUT of its scale.
+_CUT = 70
 
 
-def _run(ratio, js: range) -> list:
+def _products(ratio, js: range, keep: int = -1, floor: float = 0.0) -> np.ndarray:
     """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
 
     Every ratio lies in ``(0, 1]``, as the oracle's do on runs that lead
     away from the mode, so the products never increase.  The run ends
-    before its first product below `_TINY` and returns the list of the
-    products before it.
+    before its first product below `_TINY`.  It also ends before its first
+    product ``p_i`` with ``p_i (len(js) - i) < scale floor``, the float
+    ``scale floor`` being its cut: ``scale`` is the product at index
+    ``keep``, or 1.0, the anchor before the first product, when ``keep`` is
+    -1.  The cut applies only past ``keep``, so the run reaches ``keep``
+    unless a product below `_TINY` ends it first.  With ``floor = 0`` only
+    `_TINY` ends it.  Returns the products before the end as a float array.
 
     ``ratio`` is evaluated on float64 arrays of ``j``, one block of at most
     `_BLOCK` terms at a time.  The product carried in from the previous
@@ -415,19 +425,70 @@ def _run(ratio, js: range) -> list:
     prepending it, so ``np.multiply.accumulate`` forms every product left to
     right exactly as a scalar loop would.
     """
-    terms = []
+    size = len(js)
+    cut = floor if keep < 0 else 0.0
+    blocks = []
     t = 1.0
-    for b in range(0, len(js), _BLOCK):
+    for b in range(0, size, _BLOCK):
         block = js[b : b + _BLOCK]
         r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
         r[0] *= t
         np.multiply.accumulate(r, out=r)
-        keep = np.count_nonzero(r >= _TINY)
-        terms += r[:keep].tolist()
-        if keep < r.size:
+        if 0 <= keep - b < r.size:
+            cut = float(r[keep - b]) * floor
+        count = _count(r, size - b, cut, keep - b + 1)
+        blocks.append(r[:count])
+        if count < r.size:
             break
-        t = terms[-1]
-    return terms
+        t = r[-1]
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _count(terms: np.ndarray, left: int, cut: float, first: int = 0) -> int:
+    """How many running products come before the first one that ends a run.
+
+    The products ``p_0, p_1, ...`` of ``terms`` have ``left, left - 1, ...``
+    terms left in their run's range.  A run ends before its first product
+    below `_TINY`, or with ``p_i (left - i) < cut`` at ``i >= first``.  The
+    products never increase and rounding is monotone, so both tests pass on
+    a prefix, and its end is found by bisection.  The first look is at the
+    last product: every block of a run but its last passes whole.
+    """
+    lo, hi = 0, terms.size
+    i = hi - 1
+    while lo < hi:
+        p = float(terms[i])
+        if p >= _TINY and (i < first or p * (left - i) >= cut):
+            lo = i + 1
+        else:
+            hi = i
+        i = (lo + hi) // 2
+    return lo
+
+
+def _run(ratio, js: range) -> list:
+    """The uncut run of `_products`, as a list of Python floats.
+
+    It ends before its first product below `_TINY`, so it holds every term
+    that the reference sums of `_window_tail` take: the form in which the
+    tests compare a run with a scalar loop and a cut sum with the uncut one.
+    """
+    return _products(ratio, js).tolist()
+
+
+def _certified_fsum(terms: list, bound: float):
+    """``math.fsum(terms)`` if no addend up to ``bound`` can change it, else None.
+
+    `math.fsum` rounds the exact sum once to nearest, and rounding is
+    monotone.  So when the sum with ``bound`` added rounds to the same
+    float, so does the sum with any addend in ``[0, bound]``.
+    """
+    total = math.fsum(terms)
+    if bound and math.fsum(terms + [bound]) != total:
+        return None
+    return total
 
 
 def _pmf_ratio(w: int, n: int, k: int):
@@ -450,21 +511,41 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     summed with compensated summation, and normalised by the same-method
     total so the anchor scale cancels.
 
-    One run goes up from the mode to ``hi`` and one down to ``lo``.  Each
-    ends before its first term below `_TINY` (2^-1022), which is left out
-    with every term past it.  Fewer than 2^53 terms are dropped, each below
-    2^-1022, and the total is at least 1 (the mode's term), so the result
-    is within 2^-969 (about 4e-292) of the same sum over every term, up to
-    rounding.  Below that the value can be 0.0 where the tail is not.
+    One run goes up from the mode to ``hi`` and one down to ``lo``.  The
+    reference sums take each run up to its first term below `_TINY`
+    (2^-1022), which is left out with every term past it.  Fewer than 2^53
+    terms are dropped, each below 2^-1022, and the total is at least 1 (the
+    mode's term), so the result is within 2^-969 (about 4e-292) of the same
+    sum over every term, up to rounding.  Below that the value can be 0.0
+    where the tail is not.
 
-    `_run` forms each run in numpy blocks of `_BLOCK` terms.  The values are
-    bit-identical to a scalar loop that multiplies Python ratios one by one,
-    provided ``m < 2^53``: every integer in a ratio is then exact in
-    float64, so each product of two of them is rounded once, as Python
-    rounds the exact integer product when it divides it by a float, and the
-    running product is formed in the same order.  The three sums are
-    `math.fsum` over the lists of that loop cut at the same term, so they
-    are the same floats.
+    The sums here stop earlier, at a certified cut, and return the same
+    floats.  Each sum has a scale: 1.0, the mode's term, for the total and
+    for a tail that holds the mode, and the term at ``j_lo`` for a tail
+    that starts past the mode.  Its slice of a run ends before the first
+    product ``p_i`` past the scale's with ``p_i L_i < B``, where ``L_i``
+    counts the terms left in the run's range and ``B`` is the float
+    ``2^-_CUT scale`` (`_products`, `_count`); an up-run that meets a term
+    below `_TINY` before ``j_lo`` gives a tail of 0.0, as the reference
+    does.  Rounding is monotone and ``B`` is a float, so the float
+    comparison implies the exact one.  The products never increase, so the
+    terms that the reference takes past the slice, at most ``L_i`` of them
+    and none above ``p_i``, sum to less than ``B``.  So the reference sum
+    lies between the exact sum ``H`` of the slices and ``H`` plus their
+    bounds.  `math.fsum` rounds an exact sum once to nearest: when adding
+    the bounds leaves it unchanged, the reference rounds to the same float
+    (`_certified_fsum`).  A sum that left nothing out skips that second
+    sum.  If a check fails, the call is made again without the cut, as the
+    reference.
+
+    `_products` forms each run in numpy blocks of `_BLOCK` terms.  The
+    values are bit-identical to a scalar loop that multiplies Python ratios
+    one by one, provided ``m < 2^53``: every integer in a ratio is then
+    exact in float64, so each product of two of them is rounded once, as
+    Python rounds the exact integer product when it divides it by a float,
+    and the running product is formed in the same order.  The reference
+    sums are `math.fsum` over the lists of that loop cut at the same term,
+    so they are the same floats.
     """
     k = m - n
     lo = max(0, w - k)
@@ -476,16 +557,36 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     # the mode lies in [lo, hi]: the quotient is below both w + 1 and n + 1,
     # and (n + 1)(w + 1) - (w - k)(m + 2) = (1 + k)(1 + m - w) > 0
     mode = (n + 1) * (w + 1) // (m + 2)
-    # terms at j = mode+1 .. hi
-    up = _run(_pmf_ratio(w, n, k), range(mode, hi))
+    # terms at j = mode+1 .. hi; j_lo's is at index keep, if j_lo > mode
+    up_js = range(mode, hi)
+    keep = max(j_lo - mode - 1, -1)
     # terms at j = mode-1 .. lo, in decreasing j order: the down-run's ratio
     # at j is the up-run's with n and k swapped, taken at w - j
-    down = _run(_pmf_ratio(w, k, n), range(w - mode, w - lo))
-    total = math.fsum([1.0] + up + down)
-    if j_lo <= mode:
-        tail = math.fsum([1.0] + up + down[: mode - j_lo])
-    else:
-        tail = math.fsum(up[j_lo - mode - 1 :])
+    down_js = range(w - mode, w - lo)
+    for floor in (math.ldexp(1.0, -_CUT), 0.0):
+        up = _products(_pmf_ratio(w, n, k), up_js, keep, floor)
+        down = _products(_pmf_ratio(w, k, n), down_js, -1, floor)
+        # the total's slices: the down-run, and the up-run up to its own
+        # cut at scale 1.0, which is the run's end unless it goes on to j_lo
+        up_end = _count(up, len(up_js), floor)
+        # each *_rest bounds what the uncut run adds past a slice
+        up_rest = floor if up_end < len(up_js) else 0.0
+        down_rest = floor if down.size < len(down_js) else 0.0
+        head = [1.0] + up[:up_end].tolist()
+        down_head = down.tolist()
+        total = _certified_fsum(head + down_head, up_rest + down_rest)
+        if j_lo <= mode:
+            below = mode - j_lo
+            if below <= down.size:
+                down_rest = 0.0
+            tail = _certified_fsum(head + down_head[:below], up_rest + down_rest)
+        elif keep < up.size:
+            tail_rest = float(up[keep]) * floor if up.size < len(up_js) else 0.0
+            tail = _certified_fsum(up[keep:].tolist(), tail_rest)
+        else:
+            tail = 0.0
+        if total is not None and tail is not None:
+            break
     return tail / total
 
 
@@ -502,7 +603,9 @@ def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float
     `_window_tail`), so its absolute error is below 2^-969 (about 4e-292)
     beyond rounding.  A relative error of 1e-12 therefore holds only for
     values above about 4e-280, and a possible event far out in the tail can
-    read 0.0.
+    read 0.0.  The float returned is that sum's, but each sum adds only the
+    terms down to about 2^-70 of its largest and certifies that the rest
+    cannot change its rounding; where it cannot, the call sums every term.
     """
     w = check_error_count(w, shape.m)
     pe_max = max_passing_pe_errors(shape, delta)

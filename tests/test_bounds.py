@@ -1,6 +1,7 @@
 """Unit tests for the tail bounds, their kernels and the exact oracle."""
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -480,6 +481,32 @@ def _edge_windows(sizes):
     return cases
 
 
+def _loop_reference_windows():
+    """2,000 random cases, the edge windows and every window up to m = 12.
+
+    A call at m = 1e6 costs about 10 ms in the loop, so 100 of the random
+    cases span 1e5..1e6 and the rest 2..1e5.
+    """
+    small = [
+        (m, w, n, j_lo)
+        for m in range(2, 13)
+        for n in range(1, m)
+        for w in range(m + 1)
+        for j_lo in range(-1, n + 2)
+    ]
+    return (
+        _random_windows(8, 1900, 2, 100_000)
+        + _random_windows(9, 100, 100_000, 1_000_000)
+        + _edge_windows(TestWindowTail.EDGE_SIZES)
+        + small
+    )
+
+
+def _block_end_windows(block):
+    """The windows checked with ``block`` terms per numpy block."""
+    return _random_windows(block, 300, 2, 2000) + _edge_windows((2, 3, 10, 100))
+
+
 # The oracle leaves out the pmf terms below 2^-1022 that the loop keeps:
 # fewer than 2^53 of them, against a total of at least 1.
 _BAND = 2.0**-969
@@ -552,22 +579,7 @@ class TestWindowTail:
     EDGE_SIZES = (2, 3, 10, 1000, 1_000_000)
 
     def test_matches_loop_reference(self):
-        # 2,000 random cases; a call at m = 1e6 costs about 10 ms in the
-        # loop, so 100 of them span 1e5..1e6 and the rest 2..1e5
-        small = [
-            (m, w, n, j_lo)
-            for m in range(2, 13)
-            for n in range(1, m)
-            for w in range(m + 1)
-            for j_lo in range(-1, n + 2)
-        ]
-        cases = (
-            _random_windows(8, 1900, 2, 100_000)
-            + _random_windows(9, 100, 100_000, 1_000_000)
-            + _edge_windows(self.EDGE_SIZES)
-            + small
-        )
-        for case in cases:
+        for case in _loop_reference_windows():
             assert_matches_loop(case)
 
     # m = 1e7, k = m/2, w = m/20: each run keeps 12,968 normal terms, and the
@@ -663,9 +675,170 @@ class TestWindowTail:
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_block_ends_match_loop_reference(self, monkeypatch, block):
         monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
-        cases = _random_windows(block, 300, 2, 2000) + _edge_windows((2, 3, 10, 100))
+        for case in _block_end_windows(block):
+            assert_matches_loop(case)
+
+    # The certified cut must leave every value as it was.  A cut of 2^-1
+    # fails the certificate wherever a term is dropped, and one of 2^1023
+    # ends every run right after the term that its sum is scaled by, so
+    # both fall back on the uncut sums wherever the cut drops a term.
+    @pytest.mark.parametrize("cut", [1, -1023])
+    def test_fallback_matches_loop_reference(self, monkeypatch, cut):
+        cases = (
+            _loop_reference_windows()
+            + list(self.DEEP_CASES)
+            + [case for block in (1, 2, 7) for case in _block_end_windows(block)]
+        )
+        want = [_window_tail(*case) for case in cases]
+        failed = []
+
+        def certified_fsum(terms, bound):
+            total = certify(terms, bound)
+            failed.append(total is None)
+            return total
+
+        certify = finitekey.bounds._certified_fsum
+        monkeypatch.setattr(finitekey.bounds, "_certified_fsum", certified_fsum)
+        monkeypatch.setattr(finitekey.bounds, "_CUT", cut)
+        for case, value in zip(cases, want):
+            assert _window_tail(*case) == value, case
+            assert_matches_loop(case)
+        assert any(failed)
+
+    @staticmethod
+    def _heads(m, w, n):
+        """The mode, and the terms that the total keeps of each run.
+
+        Each run that is not empty must drop a term, so that its head ends
+        at the cut.
+        """
+        k = m - n
+        lo, hi, mode = _limits(m, w, n)
+        floor = 2.0**-finitekey.bounds._CUT
+        up = finitekey.bounds._products(
+            finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi), -1, floor
+        ).size
+        down = finitekey.bounds._products(
+            finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo), -1, floor
+        ).size
+        assert up < hi - mode or hi == mode
+        assert down < mode - lo or mode == lo
+        return mode, up, down
+
+    def test_cut_edges_match_loop_reference(self):
+        # j_lo at the last term that the total keeps of each run, and one
+        # term on each side of it
+        cases = []
+        for m, w, n in ((10**4, 500, 5_000), (10**6, 50_100, 500_000), (10**6, 30_000, 200_000)):
+            mode, up, down = self._heads(m, w, n)
+            cases += [(m, w, n, mode + up + d) for d in (-1, 0, 1)]
+            cases += [(m, w, n, mode - down + d) for d in (-1, 0, 1)]
+        # heads of a single term: at m = 2^52, w = 2 and n = 10, the up-run's
+        # second term is about 1e-15 of its first, and so is the down-run's
+        # at n = m - 10
+        m = 2**52
+        up_heads = self._heads(m, 2, 10)
+        down_heads = self._heads(m, 2, m - 10)
+        assert up_heads == (0, 1, 0) and down_heads == (2, 0, 1)
+        cases += [(m, 2, n, j_lo) for n in (10, m - 10) for j_lo in (1, 2)]
+        # a tail that starts past the first subnormal term of the up-run
+        cases.append((10**6, 58_565, 500_000, 36_015))
         for case in cases:
             assert_matches_loop(case)
+        assert _window_tail(10**6, 58_565, 500_000, 36_015) == 0.0
+
+    def test_cut_run_reaches_its_keep_index(self):
+        # the cut applies only past keep: with a floor of 2^1023 each run
+        # stops right after the product at keep, also across a block end
+        w, n, k = 500_000, 5_000_000, 5_000_000
+        js = range(250_000, w)
+        uncut = finitekey.bounds._run(finitekey.bounds._pmf_ratio(w, n, k), js)
+        for keep in (-1, 0, 5, 4095, 4096, 10_000):
+            run = finitekey.bounds._products(
+                finitekey.bounds._pmf_ratio(w, n, k), js, keep, 2.0**1023
+            )
+            assert run.tolist() == uncut[: keep + 1]
+
+    def test_bounds_cover_the_terms_left_out(self, monkeypatch):
+        # Each sum's bound is at least what the uncut sum adds to it.  At
+        # (1e6, 5000, 995000) the up-run keeps all of its 25 terms and the
+        # down-run 68 of 4,975, so the tails below its head drop down-run
+        # terms alone.
+        cases = _random_windows(3, 200, 1000, 10**6)
+        cases += [(10**6, 5_000, 995_000, 4_975 - 68 - d) for d in (-1, 0, 1, 5, 100)]
+        for m, w, n in ((10**4, 500, 5_000), (10**6, 50_100, 500_000)):
+            mode, up, down = self._heads(m, w, n)
+            cases += [(m, w, n, j_lo) for j_lo in (mode - down - 1, mode + 5, mode + up + 1)]
+        sums = []
+
+        def certified_fsum(terms, bound):
+            sums.append((terms, bound))
+            return certify(terms, bound)
+
+        certify = finitekey.bounds._certified_fsum
+        monkeypatch.setattr(finitekey.bounds, "_certified_fsum", certified_fsum)
+        for m, w, n, j_lo in cases:
+            lo, hi, mode = _limits(m, w, n)
+            if not lo < j_lo <= hi:
+                continue
+            sums.clear()
+            _window_tail(m, w, n, j_lo)
+            k = m - n
+            up = finitekey.bounds._run(finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi))
+            down = finitekey.bounds._run(
+                finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo)
+            )
+            # the total, then the tail unless the up-run ends before j_lo
+            uncut_sums = [[1.0] + up + down]
+            if j_lo <= mode:
+                uncut_sums.append([1.0] + up + down[: mode - j_lo])
+            elif j_lo - mode - 1 < len(up):
+                uncut_sums.append(up[j_lo - mode - 1 :])
+            for (terms, bound), uncut in zip(sums, uncut_sums):
+                left_out = math.fsum(uncut + [-t for t in terms])
+                assert 0.0 <= left_out <= bound, (m, w, n, j_lo)
+
+    @staticmethod
+    def _count_fsum(monkeypatch):
+        """Patch `math.fsum` to record the length of each list it sums."""
+        sizes = []
+
+        def fsum(terms):
+            sizes.append(len(terms))
+            return real(terms)
+
+        real = math.fsum
+        monkeypatch.setattr(math, "fsum", fsum)
+        return sizes
+
+    def test_certified_sums_take_less_work(self, monkeypatch):
+        # the 50 windows of the bench's audit at m = 1e6 and seed 1: k = m/2,
+        # w on 0.0451 m .. 0.0551 m, nu = 0.01.  The uncut sums hand
+        # math.fsum 434,945 floats there, the certified ones 248,729, so a
+        # path that skips the cut or falls back on every call fails.
+        m, delta, nu = 10**6, 0.0451, 0.01
+        offset, step = m * delta, m * nu / 50
+        rng = random.Random(1)
+        u = [rng.random() for _ in range(4)][-1]  # the draw for the 4th size
+        shape = BlockShape(m=m, k=m // 2)
+        sizes = self._count_fsum(monkeypatch)
+        for i in range(50):
+            exact_joint_ppe(shape, delta, nu, int(offset + (i + u) * step))
+        assert sum(sizes) < 0.6 * 434_945
+
+    def test_no_second_sum_when_nothing_is_dropped(self, monkeypatch):
+        # up to m = 60 every term is above 2^-70 of the mode's, so each run
+        # reaches its range end and the total and the tail are summed once
+        sizes = self._count_fsum(monkeypatch)
+        calls = 0
+        for m in (10, 37, 60):
+            for n in range(1, m, 3):
+                for w in range(0, m + 1, 3):
+                    lo, hi, mode = _limits(m, w, n)
+                    for j_lo in {lo + 1, mode, mode + 1, hi} & set(range(lo + 1, hi + 1)):
+                        _window_tail(m, w, n, j_lo)
+                        calls += 1
+        assert calls > 1000 and len(sizes) == 2 * calls
 
 
 class TestExactJoint:
