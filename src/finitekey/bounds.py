@@ -391,12 +391,14 @@ def min_alarming_key_errors(shape: BlockShape, delta: float, nu: float) -> int:
     return snap_ceil((delta + nu) * shape.n)
 
 
-# Terms per numpy block in `_products`.  A run's range is as long as
+# The longest numpy block in `_products`.  A run's range is as long as
 # min(w, n), but its ratios are evaluated one block at a time, so memory
 # grows with the products formed, not with the range, and `_window_tail`
-# turns into Python floats only the slices that it sums.  A run stops in the
-# block where its product falls below `_TINY` or its cut, so it forms at
-# most one block of products that it does not keep.
+# turns into Python floats only the slices that it sums.  `_window_tail`
+# sizes a run's first block to reach the run's expected end, and each later
+# block doubles, up to this cap.  A run stops in the block where its product
+# falls below `_TINY` or its cut, so it forms at most one block of products
+# that it does not keep.
 _BLOCK = 4096
 # The smallest normal float64: every run stops before its first product
 # below it.
@@ -404,9 +406,16 @@ _TINY = 2.0**-1022
 # The certified cut of `_window_tail`: a sum may stop where what is left of
 # its run is below 2^-_CUT of its scale.
 _CUT = 70
+# The most segments of `_zero_tail`'s bound, each charged the ratio at its
+# start.  Near a Gaussian, the bound loses about 1/_SEGMENTS of the
+# exponent, so it certifies zero tails from about 37.8 standard deviations
+# past the mode, against 37.6 for the term itself to fall below `_TINY`.
+_SEGMENTS = 128
 
 
-def _products(ratio, js: range, keep: int = -1, floor: float = 0.0) -> np.ndarray:
+def _products(
+    ratio, js: range, keep: int = -1, floor: float = 0.0, first: int = _BLOCK
+) -> np.ndarray:
     """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
 
     Every ratio lies in ``(0, 1]``, as the oracle's do on runs that lead
@@ -419,18 +428,22 @@ def _products(ratio, js: range, keep: int = -1, floor: float = 0.0) -> np.ndarra
     unless a product below `_TINY` ends it first.  With ``floor = 0`` only
     `_TINY` ends it.  Returns the products before the end as a float array.
 
-    ``ratio`` is evaluated on float64 arrays of ``j``, one block of at most
-    `_BLOCK` terms at a time.  The product carried in from the previous
-    block is folded into the block's first ratio, which is the same as
-    prepending it, so ``np.multiply.accumulate`` forms every product left to
-    right exactly as a scalar loop would.
+    ``ratio`` is evaluated on float64 arrays of ``j``, one block at a time:
+    the first of ``first`` terms, each later one twice as long as the last,
+    and none longer than `_BLOCK`.  A caller that knows where the run will
+    end sizes its first block to reach there, so most runs form one block.
+    The product carried in from the previous block is folded into the
+    block's first ratio, which is the same as prepending it, so
+    ``np.multiply.accumulate`` forms every product left to right exactly as
+    a scalar loop would, whatever the block sizes.
     """
     size = len(js)
     cut = floor if keep < 0 else 0.0
     blocks = []
     t = 1.0
-    for b in range(0, size, _BLOCK):
-        block = js[b : b + _BLOCK]
+    b, step = 0, min(first, _BLOCK)
+    while b < size:
+        block = js[b : b + step]
         r = ratio(np.arange(block.start, block.stop, block.step, dtype=float))
         r[0] *= t
         np.multiply.accumulate(r, out=r)
@@ -441,6 +454,8 @@ def _products(ratio, js: range, keep: int = -1, floor: float = 0.0) -> np.ndarra
         if count < r.size:
             break
         t = r[-1]
+        b += step
+        step = min(2 * step, _BLOCK)
     if len(blocks) == 1:
         return blocks[0]
     return np.concatenate(blocks) if blocks else np.empty(0)
@@ -494,13 +509,74 @@ def _certified_fsum(terms: list, bound: float):
 def _pmf_ratio(w: int, n: int, k: int):
     """The hypergeometric ratio ``j -> pmf(j + 1) / pmf(j)`` on arrays of ``j``.
 
+    The ratio is ``(w - j)(n - j) / ((j + 1)(k - w + j + 1))``, where
     ``pmf(j)`` is the probability that ``j`` of ``w`` special items land in
     the ``n`` part of a block of ``n + k``.  Swapping ``n`` and ``k`` and
     reading at ``w - j`` gives ``pmf(j - 1) / pmf(j)``.  Below 2^53 every
     factor is an exact integer in float64, so that is the same float as the
     down-ratio written out in ``j``.
     """
-    return lambda j: ((w - j) * (n - j)) / ((j + 1.0) * (k - w + j + 1))
+    # k - w + 1 folded into one addend, exact like every partial sum below
+    # 2^53; and in place: four arrays, where the formula written out makes
+    # eight
+    c = k - w + 1
+
+    def ratio(j):
+        r = w - j
+        r *= n - j
+        den = j + 1.0
+        den *= j + c
+        r /= den
+        return r
+
+    return ratio
+
+
+def _zero_tail(w: int, n: int, k: int, mode: int, j_lo: int) -> bool:
+    """Whether the up-run from ``mode`` surely ends before the term at ``j_lo``.
+
+    ``j_lo > mode``.  The term at ``j_lo`` is the run's product at ``keep =
+    j_lo - mode - 1``: the product of the ``d = j_lo - mode`` up-ratios
+    ``r(j)`` over ``[mode, j_lo)``.  When the run of `_products` ends
+    before ``keep`` (it meets a product below `_TINY` first), the tail of
+    `_window_tail` is 0.0, as the reference's is.  This decides that
+    without forming the run.
+
+    The bound.  ``r(j) = (w - j)(n - j) / ((j + 1)(k - w + j + 1))`` falls
+    in ``j``: its numerator falls and its denominator grows.  So the exact
+    product over ``[mode, j_lo)`` is at most ``prod_s r(a_s)^len_s`` over
+    segments ``[a_s, a_s + len_s)`` of that range, each charged the ratio
+    at its start: at most `_SEGMENTS` of them, all ``step = ceil(d /
+    _SEGMENTS)`` long but the last.  Its log2, ``L = sum_s len_s log2
+    r(a_s)``, is a sum of terms at most 0, so it has no cancellation.  The
+    call certifies a zero tail when the computed ``L`` is below ``-1023 -
+    d 2^-49``.
+
+    The proof.  Suppose that the float run reached ``keep``.  Then every
+    product up to it is at least `_TINY`, and so is every ratio (each
+    product is at most the ratio that formed it), so all are normal floats
+    and each rounding is within a factor ``1 +- u``, ``u = 2^-53``.  A
+    float ratio is two exact integer products, each rounded once, and their
+    rounded quotient; each running product is rounded once.  So the float
+    product at ``keep`` is at most the exact one times ``((1 + u)^3 / (1 -
+    u))^d``, which is under ``2^(5.78 d u)``: under e^4, 5.8 bits, for
+    ``d < 2^53``.  The charged ratios here are the same float ratios
+    (`_pmf_ratio`), so each log2 is off by under ``4.33 u`` through the
+    ratio, ``4.33 d u`` bits over the sum, and by a relative error of order
+    ``_SEGMENTS u`` through ``log2``, the products by the lengths and the
+    sum: well under a bit at the ~1,023 bits in question.  The margin ``1 +
+    d 2^-49 = 1 + 16 d u`` bits covers all three, so the float product at
+    ``keep`` would be below 2^-1022 = `_TINY`, and the run would have ended
+    before it.
+    """
+    d = j_lo - mode
+    step = -(-d // _SEGMENTS)
+    ratios = _pmf_ratio(w, n, k)(np.arange(mode, j_lo, step, dtype=float)).tolist()
+    # every segment is step long but the last, which ends at j_lo.  Python's
+    # log2: numpy's would load more of its code and add to peak memory.
+    last = d - step * (len(ratios) - 1)
+    bits = step * sum(map(math.log2, ratios[:-1])) + last * math.log2(ratios[-1])
+    return bits < -1023.0 - d * 2.0**-49
 
 
 def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
@@ -538,14 +614,35 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     sum.  If a check fails, the call is made again without the cut, as the
     reference.
 
-    `_products` forms each run in numpy blocks of `_BLOCK` terms.  The
-    values are bit-identical to a scalar loop that multiplies Python ratios
-    one by one, provided ``m < 2^53``: every integer in a ratio is then
-    exact in float64, so each product of two of them is rounded once, as
-    Python rounds the exact integer product when it divides it by a float,
-    and the running product is formed in the same order.  The reference
-    sums are `math.fsum` over the lists of that loop cut at the same term,
-    so they are the same floats.
+    Two more shortcuts form fewer products and move no value.  A tail that
+    starts past the mode is 0.0 where `_zero_tail` proves that the up-run
+    ends before ``j_lo``: the call then forms no run and no total, as
+    ``0.0 / total`` is 0.0 for any total.  The proof, in full in
+    `_zero_tail`: the up-ratio falls in ``j``, so charging each of a few
+    segments of ``[mode, j_lo)`` the ratio at its start bounds the term at
+    ``j_lo`` from above, with no cancellation in its log2.  The float run
+    can exceed the exact products by at most ``((1 + u)^3 / (1 - u))^d``,
+    ``u = 2^-53``, over ``d = j_lo - mode`` ratios: under e^4 (5.8 bits)
+    for ``d < 2^53``.  And the bound must lie ``1 + 16 d u`` bits below 2^-1022, a
+    margin that covers this drift and the rounding of the log2 sum.  So the
+    float run would fall below `_TINY` before ``j_lo``, and the tail is 0.0
+    there as in the reference.  The certificate is tried only where the
+    Gaussian of the same variance ``sd^2`` puts the term at ``j_lo`` below
+    `_TINY`: ``d = j_lo - mode`` at least ``sqrt(2 ln 2 * 1022) sd``, about
+    37.6 sd.  And the first block of each run is sized to its expected
+    end: that Gaussian falls by ``2^-_CUT / m`` over ``r = sqrt(2 ln 2
+    (_CUT + log2 m)) sd`` past the mode, or over ``sqrt(d^2 + r^2)`` past
+    the mode from the term at ``j_lo``.  A run that goes further forms
+    doubling blocks.
+
+    `_products` forms each run in numpy blocks of at most `_BLOCK` terms.
+    The values are bit-identical to a scalar loop that multiplies Python
+    ratios one by one, provided ``m < 2^53``: every integer in a ratio is
+    then exact in float64, so each product of two of them is rounded once,
+    as Python rounds the exact integer product when it divides it by a
+    float, and the running product is formed in the same order.  The
+    reference sums are `math.fsum` over the lists of that loop cut at the
+    same term, so they are the same floats.
     """
     k = m - n
     lo = max(0, w - k)
@@ -560,12 +657,26 @@ def _window_tail(m: int, w: int, n: int, j_lo: int) -> float:
     # terms at j = mode+1 .. hi; j_lo's is at index keep, if j_lo > mode
     up_js = range(mode, hi)
     keep = max(j_lo - mode - 1, -1)
+    # 2 ln 2 sd^2: a Gaussian term x past the mode is x^2 / per_bit bits
+    # below the mode's.  sd^2 = n k w (m - w) / (m^2 (m - 1)) is formed in
+    # Python ints, which cannot overflow, and lo < j_lo <= hi gives 0 < w <
+    # m and 0 < n < m, so it is positive.
+    per_bit = n * k * w * (m - w) / (m * m * (m - 1)) * math.log(4.0)
+    # try the certificate where that Gaussian's term at j_lo is below _TINY
+    far = keep >= 0 and (keep + 1) ** 2 >= 1022 * per_bit
+    if far and _zero_tail(w, n, k, mode, j_lo):
+        return 0.0
+    # the cut's reach, squared; m < 2^bit_length, and a negative _CUT
+    # reaches nowhere
+    reach2 = per_bit * max(_CUT + m.bit_length(), 0)
+    down_first = 1 + int(math.sqrt(reach2))
+    up_first = 1 + int(math.sqrt(reach2 + (keep + 1) ** 2))
     # terms at j = mode-1 .. lo, in decreasing j order: the down-run's ratio
     # at j is the up-run's with n and k swapped, taken at w - j
     down_js = range(w - mode, w - lo)
     for floor in (math.ldexp(1.0, -_CUT), 0.0):
-        up = _products(_pmf_ratio(w, n, k), up_js, keep, floor)
-        down = _products(_pmf_ratio(w, k, n), down_js, -1, floor)
+        up = _products(_pmf_ratio(w, n, k), up_js, keep, floor, up_first)
+        down = _products(_pmf_ratio(w, k, n), down_js, -1, floor, down_first)
         # the total's slices: the down-run, and the up-run up to its own
         # cut at scale 1.0, which is the run's end unless it goes on to j_lo
         up_end = _count(up, len(up_js), floor)
@@ -606,6 +717,8 @@ def exact_joint_ppe(shape: BlockShape, delta: float, nu: float, w: int) -> float
     read 0.0.  The float returned is that sum's, but each sum adds only the
     terms down to about 2^-70 of its largest and certifies that the rest
     cannot change its rounding; where it cannot, the call sums every term.
+    A window that starts far enough past the mode is certified 0.0 with no
+    sum at all.
     """
     w = check_error_count(w, shape.m)
     pe_max = max_passing_pe_errors(shape, delta)

@@ -507,6 +507,55 @@ def _block_end_windows(block):
     return _random_windows(block, 300, 2, 2000) + _edge_windows((2, 3, 10, 100))
 
 
+def _first_blocks(end):
+    """First-block sizes to form a run with that keeps ``end`` products.
+
+    Small sizes, the size whose block holds every product kept, so that the
+    product that ends the run opens the second block, and `_BLOCK`.
+    """
+    return (1, 2, 7, max(end, 1), finitekey.bounds._BLOCK)
+
+
+def _audit_calls(m):
+    """The 50 ``exact_joint_ppe`` calls of the bench's audit at ``m``, seed 1.
+
+    ``k = m/2``, ``delta = 0.0451``, ``nu = 0.01`` and ``w`` on ``0.0451 m
+    .. 0.0551 m``, at an offset drawn for each of the sizes 1e3..1e6 in
+    turn.
+    """
+    m_index = (10**3, 10**4, 10**5, 10**6).index(m)
+    rng = random.Random(1)
+    u = [rng.random() for _ in range(m_index + 1)][-1]
+    delta, nu = 0.0451, 0.01
+    offset, step = m * delta, m * nu / 50
+    shape = BlockShape(m=m, k=m // 2)
+    return [(shape, delta, nu, int(offset + (i + u) * step)) for i in range(50)]
+
+
+def _far_windows(seed, count, m_max):
+    """Seeded ``(m, w, n, j_lo)`` with ``j_lo`` 30 to 45 sd past the mode.
+
+    ``m`` is log-uniform on ``[1000, m_max]``, and half the error counts
+    are at rates up to 0.2, as in `_random_windows`.  The Gaussian term at
+    ``j_lo`` would fall below 2^-1022 at 37.6 sd.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m = int(round(math.exp(rng.uniform(math.log(1000), math.log(m_max)))))
+        n = int(rng.integers(1, m))
+        if rng.random() < 0.5:
+            w = int(rng.integers(1, m))
+        else:
+            w = max(1, int(m * rng.uniform(0.0, 0.2)))
+        lo, hi, mode = _limits(m, w, n)
+        sd = math.sqrt(n * (m - n) * w * (m - w) / (m * m * (m - 1)))
+        j_lo = mode + int(rng.uniform(30.0, 45.0) * sd)
+        if mode < j_lo <= hi:
+            cases.append((m, w, n, j_lo))
+    return cases
+
+
 # The oracle leaves out the pmf terms below 2^-1022 that the loop keeps:
 # fewer than 2^53 of them, against a total of at least 1.
 _BAND = 2.0**-969
@@ -660,6 +709,8 @@ class TestWindowTail:
         np.concatenate(([2.0**-1050], 1.0 - np.arange(1, 1100) / 2000.0)),
     )
 
+    # Each of these tests also runs at every first-block size of
+    # `_first_blocks`, the later blocks doubling up to `_BLOCK`.
     @pytest.mark.parametrize("block", [1, 2, 7, 4096])
     def test_run_matches_loop_products(self, monkeypatch, block):
         monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
@@ -670,13 +721,30 @@ class TestWindowTail:
                 if t < 2.0**-1022:
                     break
                 want.append(t)
-            assert finitekey.bounds._run(lambda j: qs[j.astype(int)], range(qs.size)) == want
+
+            def ratio(j):
+                return qs[j.astype(int)]
+
+            assert finitekey.bounds._run(ratio, range(qs.size)) == want
+            for first in _first_blocks(len(want)):
+                run = finitekey.bounds._products(ratio, range(qs.size), first=first)
+                assert run.tolist() == want, first
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     def test_block_ends_match_loop_reference(self, monkeypatch, block):
         monkeypatch.setattr(finitekey.bounds, "_BLOCK", block)
         for case in _block_end_windows(block):
             assert_matches_loop(case)
+        real = finitekey.bounds._products
+        for pick in range(len(_first_blocks(0))):
+
+            def products(ratio, js, keep, floor, first):
+                end = real(ratio, js, keep, floor).size
+                return real(ratio, js, keep, floor, _first_blocks(end)[pick])
+
+            monkeypatch.setattr(finitekey.bounds, "_products", products)
+            for case in _block_end_windows(block):
+                assert_matches_loop(case)
 
     # The certified cut must leave every value as it was.  A cut of 2^-1
     # fails the certificate wherever a term is dropped, and one of 2^1023
@@ -752,12 +820,12 @@ class TestWindowTail:
         # stops right after the product at keep, also across a block end
         w, n, k = 500_000, 5_000_000, 5_000_000
         js = range(250_000, w)
-        uncut = finitekey.bounds._run(finitekey.bounds._pmf_ratio(w, n, k), js)
+        ratio = finitekey.bounds._pmf_ratio(w, n, k)
+        uncut = finitekey.bounds._run(ratio, js)
         for keep in (-1, 0, 5, 4095, 4096, 10_000):
-            run = finitekey.bounds._products(
-                finitekey.bounds._pmf_ratio(w, n, k), js, keep, 2.0**1023
-            )
-            assert run.tolist() == uncut[: keep + 1]
+            for first in _first_blocks(keep + 1):
+                run = finitekey.bounds._products(ratio, js, keep, 2.0**1023, first)
+                assert run.tolist() == uncut[: keep + 1], (keep, first)
 
     def test_bounds_cover_the_terms_left_out(self, monkeypatch):
         # Each sum's bound is at least what the uncut sum adds to it.  At
@@ -812,19 +880,111 @@ class TestWindowTail:
         return sizes
 
     def test_certified_sums_take_less_work(self, monkeypatch):
-        # the 50 windows of the bench's audit at m = 1e6 and seed 1: k = m/2,
-        # w on 0.0451 m .. 0.0551 m, nu = 0.01.  The uncut sums hand
-        # math.fsum 434,945 floats there, the certified ones 248,729, so a
-        # path that skips the cut or falls back on every call fails.
-        m, delta, nu = 10**6, 0.0451, 0.01
-        offset, step = m * delta, m * nu / 50
-        rng = random.Random(1)
-        u = [rng.random() for _ in range(4)][-1]  # the draw for the 4th size
-        shape = BlockShape(m=m, k=m // 2)
+        # the 50 windows of the bench's audit at m = 1e6 and seed 1.  The
+        # uncut sums hand math.fsum 434,945 floats there, the certified ones
+        # 248,729, so a path that skips the cut or falls back on every call
+        # fails.
         sizes = self._count_fsum(monkeypatch)
-        for i in range(50):
-            exact_joint_ppe(shape, delta, nu, int(offset + (i + u) * step))
+        for call in _audit_calls(10**6):
+            exact_joint_ppe(*call)
         assert sum(sizes) < 0.6 * 434_945
+
+    def test_runs_form_few_ratios_past_their_cut(self, monkeypatch):
+        # On the bench's audit windows at seed 1, whole blocks of 4,096
+        # ratios with no zero certificate evaluate 250,750 ratios at m = 1e5
+        # and 454,656 at 1e6.  First blocks sized to the cut and the
+        # certificate make 45,753 and 175,287; without the sizing the first
+        # count stays at 250,750, and without the certificate the second is
+        # 292,012.  No block is longer than _BLOCK.
+        sizes = []
+        real = finitekey.bounds._pmf_ratio
+
+        def pmf_ratio(w, n, k):
+            ratio = real(w, n, k)
+
+            def counted(j):
+                sizes.append(j.size)
+                return ratio(j)
+
+            return counted
+
+        monkeypatch.setattr(finitekey.bounds, "_pmf_ratio", pmf_ratio)
+        for m, parent, share in ((10**5, 250_750, 0.3), (10**6, 454_656, 0.5)):
+            sizes.clear()
+            for call in _audit_calls(m):
+                exact_joint_ppe(*call)
+            assert sum(sizes) < share * parent, m
+            assert max(sizes) <= finitekey.bounds._BLOCK
+
+    def test_zero_tails_form_no_run(self, monkeypatch):
+        # 17 of the bench's 50 audit windows at m = 1e6, seed 1, are 0.0,
+        # and each is certified before a run is formed
+        calls = _audit_calls(10**6)
+        values = [exact_joint_ppe(*call) for call in calls]
+        formed = []
+        real = finitekey.bounds._products
+
+        def products(*args):
+            formed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(finitekey.bounds, "_products", products)
+        zeros = 0
+        for call, value in zip(calls, values):
+            formed.clear()
+            assert exact_joint_ppe(*call) == value
+            if value == 0.0:
+                zeros += 1
+                assert not formed, call
+        assert zeros == 17
+
+    def test_zero_certificate_is_sound(self, monkeypatch):
+        # windows 30 to 45 sd past the mode, where the tails turn 0.0: each
+        # value equals the call with no certificate, and wherever the
+        # certificate fires, the uncut up-run ends before the term at j_lo
+        cases = _far_windows(41, 400, 10**7)
+        with monkeypatch.context() as patch:
+            patch.setattr(finitekey.bounds, "_zero_tail", lambda *args: False)
+            want = [_window_tail(*case) for case in cases]
+        fired = []
+        real = finitekey.bounds._zero_tail
+
+        def zero_tail(*args):
+            certified = real(*args)
+            if certified:
+                fired.append(args)
+            return certified
+
+        monkeypatch.setattr(finitekey.bounds, "_zero_tail", zero_tail)
+        for case, value in zip(cases, want):
+            assert _window_tail(*case) == value, case
+        for w, n, k, mode, j_lo in fired:
+            ratio = finitekey.bounds._pmf_ratio(w, n, k)
+            up = finitekey.bounds._run(ratio, range(mode, min(w, n)))
+            assert len(up) <= j_lo - mode - 1, (w, n, k, j_lo)
+        zeros = sum(value == 0.0 for value in want)
+        assert zeros > 100 and len(fired) > 0.8 * zeros
+
+    def test_zero_certificate_holds_far_out(self):
+        # up to m = 2^52, where the runs are too long to form: wherever the
+        # certificate fires, log2 of pmf(j_lo) / pmf(mode) is below -1022
+        def log2_pmf_ratio(m, w, n, j, mode):
+            def log_comb(a, b):
+                return mp.loggamma(a + 1) - mp.loggamma(b + 1) - mp.loggamma(a - b + 1)
+
+            return (
+                log_comb(w, j) + log_comb(m - w, n - j)
+                - log_comb(w, mode) - log_comb(m - w, n - mode)
+            ) / mp.log(2)
+
+        fired = 0
+        for m, w, n, j_lo in _far_windows(43, 300, 2**52):
+            mode = _limits(m, w, n)[2]
+            if finitekey.bounds._zero_tail(w, n, m - n, mode, j_lo):
+                fired += 1
+                with mp.workdps(60):
+                    assert log2_pmf_ratio(m, w, n, j_lo, mode) < -1022, (m, w, n, j_lo)
+        assert fired > 100
 
     def test_no_second_sum_when_nothing_is_dropped(self, monkeypatch):
         # up to m = 60 every term is above 2^-70 of the mode's, so each run
