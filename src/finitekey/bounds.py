@@ -413,9 +413,7 @@ _CUT = 70
 _SEGMENTS = 128
 
 
-def _products(
-    ratio, js: range, keep: int = -1, floor: float = 0.0, first: int = _BLOCK
-) -> np.ndarray:
+def _products(ratio, js: range, keep: int, floor: float, first: int) -> np.ndarray:
     """Running products ``ratio(j0)``, ``ratio(j0) ratio(j1)``, ... over ``js``.
 
     Every ratio lies in ``(0, 1]``, as the oracle's do on runs that lead
@@ -481,16 +479,6 @@ def _count(terms: np.ndarray, left: int, cut: float, first: int = 0) -> int:
             hi = i
         i = (lo + hi) // 2
     return lo
-
-
-def _run(ratio, js: range) -> list:
-    """The uncut run of `_products`, as a list of Python floats.
-
-    It ends before its first product below `_TINY`, so it holds every term
-    that the reference sums of `_window_tail` take: the form in which the
-    tests compare a run with a scalar loop and a cut sum with the uncut one.
-    """
-    return _products(ratio, js).tolist()
 
 
 def _certified_fsum(terms: list, bound: float):

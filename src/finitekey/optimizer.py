@@ -143,9 +143,11 @@ class _Model:
     ``m_err`` grows, so the smooth factor is never below the factor of the
     piece.  The smooth gain bounds each piece's gain from above only up to
     `_split`'s last Newton iterate, whose ``eps_pe`` may sit above its
-    minimum over xi, and up to rounding: at ``m = 10^12`` (``s = 6``) a
-    piece's length can exceed the smooth length of its ``k`` by two float
-    spacings, 2^-13 bit at 4.2e11 bits.
+    minimum over xi, and up to rounding.  That gap is not always a few
+    float spacings: at ``s = 1`` a piece's length exceeds the smooth length
+    of ``k = 1659513095`` at ``m = 7421877367005`` and ``delta = 0.0451``
+    by 0.073 bit, and that of ``k = 594716622`` at ``m = 2079420981037``
+    and ``delta = 0.01`` by 0.038 bit.
     Maximised over nu, the smooth gain is unimodal in xi and meets each
     piece's gain at the piece's right end, so a piece after the one holding
     the smooth optimum stays below that piece's right end: the best piece
@@ -393,9 +395,10 @@ def _chandrupatla(evaluate, a, b, fa, fb, live):
     return x, found
 
 
-def _first(sorted_values):
-    """Mask of the first of each run of equal values in a sorted array."""
-    return np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+def _spread(lo, hi, count):
+    """``count`` evenly spaced points from ``lo`` to ``hi``, rounded, each value once."""
+    points = np.round(np.linspace(lo, hi, count))
+    return points[np.concatenate(([True], points[1:] != points[:-1]))]
 
 
 def _search(model, m):
@@ -485,8 +488,7 @@ def _search(model, m):
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
-        ks = np.round(np.linspace(lo, hi, _K_POINTS))
-        ks = ks[_first(ks)]
+        ks = _spread(lo, hi, _K_POINTS)
         yield from visit(ks)
         i = int(np.argmax(seen[seen[:, 0].searchsorted(ks), 6]))
         lo, hi = int(ks[max(i - 1, 0)]), int(ks[min(i + 1, len(ks) - 1)])
@@ -705,8 +707,7 @@ def _keyless(model, m):
     ``r``, ``floor(m delta)`` and ``floor(m (delta + sample))`` are formed
     by rounded operations that keep their order, as in the scalar path.
     """
-    ends = np.round(np.linspace(1.0, m // 2 + 1.0, _K_POINTS + 1))
-    ends = ends[_first(ends)]
+    ends = _spread(1.0, m // 2 + 1.0, _K_POINTS + 1)
     bound = _run_bound(model, float(m), ends[:-1], ends[1:] - 1.0)
     return bool(np.all(bound < 1.0 - 1e-9 * m))
 

@@ -314,10 +314,9 @@ def stream_budget(eps_stream: float, eps_qkd: float) -> int:
     as, so decimal inputs like 1e-4/1e-5 do not lose an attempt to float
     rounding, and an attempt that the budget cannot pay for is never funded.
     """
-    if is_flag(eps_stream) or not (math.isfinite(eps_stream) and eps_stream > 0.0):
-        raise ValueError(f"eps_stream must be positive and finite, got {eps_stream}")
-    if is_flag(eps_qkd) or not (math.isfinite(eps_qkd) and eps_qkd > 0.0):
-        raise ValueError(f"eps_qkd must be positive and finite, got {eps_qkd}")
+    for name, value in (("eps_stream", eps_stream), ("eps_qkd", eps_qkd)):
+        if is_flag(value) or not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not math.isfinite(eps_stream / eps_qkd):
         raise ValueError(
             f"eps_stream / eps_qkd overflows: {eps_stream} / {eps_qkd}"

@@ -10,9 +10,10 @@ audit stays independent of what it checks.  A case whose bad event
 cannot happen makes no draw (see `run`); that is 29 of the 50 cases of
 `default_validation_grid`.
 `validate_bounds` runs a whole grid of such cases and checks each one
-against both closed-form bounds.  It looks the bounds up by module name at
-call time, so a test can swap one for a broken double (``monkeypatch``)
-and prove that the check would catch it.
+against both closed-form bounds.  It looks `serfling_epe` and
+`lemma2_ppe_bound` up by module name at call time, so a test can swap one
+for a broken double (``monkeypatch``) and prove that the check would catch
+it.
 
 The audit is coarse.  On the 21 default cases that can fire, at 100,000
 trials, the interval's half-width is a median 104% of the exact value and
@@ -61,7 +62,6 @@ __all__ = [
     "ValidationRow",
     "run",
     "validate_bounds",
-    "default_serfling_bound",
     "default_validation_grid",
 ]
 
@@ -409,13 +409,6 @@ def run(config: SimConfig) -> SimReport:
     )
 
 
-def default_serfling_bound(
-    shape: BlockShape, delta: float, slack: SlackParams
-) -> float:
-    """Single-application bound on the bad-event probability: epe squared."""
-    return min(1.0, serfling_epe(shape, slack.nu) ** 2)
-
-
 def validate_bounds(cases: Sequence[ValidationCase]) -> List[ValidationRow]:
     """Check every case: exact value within CI and below both bounds.
 
@@ -423,14 +416,15 @@ def validate_bounds(cases: Sequence[ValidationCase]) -> List[ValidationRow]:
     the exact probability does not exceed either closed-form bound.  Cases
     where a bound precondition fails are reported as failed rows with a
     note rather than raised, so one bad grid entry cannot hide the rest.
-    The bounds are `default_serfling_bound` and `lemma2_ppe_bound`, looked
-    up in this module at call time; tests monkeypatch them.
+    The bounds are the square of `serfling_epe`, capped at 1, and
+    `lemma2_ppe_bound`, looked up in this module at call time; tests
+    monkeypatch them.
     """
     rows = []
     for case in cases:
         slack = SlackParams(nu=case.nu, xi=case.xi)
         try:
-            s_bound = default_serfling_bound(case.shape, case.delta, slack)
+            s_bound = min(1.0, serfling_epe(case.shape, case.nu) ** 2)
             l_bound = lemma2_ppe_bound(case.shape, case.delta, slack)
         except ValueError as exc:
             rows.append(ValidationRow(case=case, passed=False, note=str(exc)))

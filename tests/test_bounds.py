@@ -516,6 +516,16 @@ def _first_blocks(end):
     return (1, 2, 7, max(end, 1), finitekey.bounds._BLOCK)
 
 
+def _uncut_run(ratio, js):
+    """The run of `_products` with no cut, as a list of Python floats.
+
+    It ends before its first product below `_TINY`, so it holds every term
+    that the reference sums of `_window_tail` take: the form in which the
+    tests compare a run with a scalar loop and a cut sum with the uncut one.
+    """
+    return finitekey.bounds._products(ratio, js, -1, 0.0, finitekey.bounds._BLOCK).tolist()
+
+
 def _audit_calls(m):
     """The 50 ``exact_joint_ppe`` calls of the bench's audit at ``m``, seed 1.
 
@@ -692,7 +702,7 @@ class TestWindowTail:
             sizes.append(j.size)
             return np.full(j.size, 0.5)
 
-        terms = finitekey.bounds._run(half, range(10**7))
+        terms = _uncut_run(half, range(10**7))
         # 2^-1, ..., 2^-1022: the run ends before 2^-1023, a subnormal
         assert len(terms) == 1022 and terms[-1] == 2.0**-1022
         assert sizes == [finitekey.bounds._BLOCK]
@@ -725,9 +735,9 @@ class TestWindowTail:
             def ratio(j):
                 return qs[j.astype(int)]
 
-            assert finitekey.bounds._run(ratio, range(qs.size)) == want
+            assert _uncut_run(ratio, range(qs.size)) == want
             for first in _first_blocks(len(want)):
-                run = finitekey.bounds._products(ratio, range(qs.size), first=first)
+                run = finitekey.bounds._products(ratio, range(qs.size), -1, 0.0, first)
                 assert run.tolist() == want, first
 
     @pytest.mark.parametrize("block", [1, 2, 7])
@@ -739,7 +749,7 @@ class TestWindowTail:
         for pick in range(len(_first_blocks(0))):
 
             def products(ratio, js, keep, floor, first):
-                end = real(ratio, js, keep, floor).size
+                end = real(ratio, js, keep, floor, finitekey.bounds._BLOCK).size
                 return real(ratio, js, keep, floor, _first_blocks(end)[pick])
 
             monkeypatch.setattr(finitekey.bounds, "_products", products)
@@ -783,11 +793,12 @@ class TestWindowTail:
         k = m - n
         lo, hi, mode = _limits(m, w, n)
         floor = 2.0**-finitekey.bounds._CUT
+        first = finitekey.bounds._BLOCK
         up = finitekey.bounds._products(
-            finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi), -1, floor
+            finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi), -1, floor, first
         ).size
         down = finitekey.bounds._products(
-            finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo), -1, floor
+            finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo), -1, floor, first
         ).size
         assert up < hi - mode or hi == mode
         assert down < mode - lo or mode == lo
@@ -821,7 +832,7 @@ class TestWindowTail:
         w, n, k = 500_000, 5_000_000, 5_000_000
         js = range(250_000, w)
         ratio = finitekey.bounds._pmf_ratio(w, n, k)
-        uncut = finitekey.bounds._run(ratio, js)
+        uncut = _uncut_run(ratio, js)
         for keep in (-1, 0, 5, 4095, 4096, 10_000):
             for first in _first_blocks(keep + 1):
                 run = finitekey.bounds._products(ratio, js, keep, 2.0**1023, first)
@@ -852,10 +863,8 @@ class TestWindowTail:
             sums.clear()
             _window_tail(m, w, n, j_lo)
             k = m - n
-            up = finitekey.bounds._run(finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi))
-            down = finitekey.bounds._run(
-                finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo)
-            )
+            up = _uncut_run(finitekey.bounds._pmf_ratio(w, n, k), range(mode, hi))
+            down = _uncut_run(finitekey.bounds._pmf_ratio(w, k, n), range(w - mode, w - lo))
             # the total, then the tail unless the up-run ends before j_lo
             uncut_sums = [[1.0] + up + down]
             if j_lo <= mode:
@@ -960,7 +969,7 @@ class TestWindowTail:
             assert _window_tail(*case) == value, case
         for w, n, k, mode, j_lo in fired:
             ratio = finitekey.bounds._pmf_ratio(w, n, k)
-            up = finitekey.bounds._run(ratio, range(mode, min(w, n)))
+            up = _uncut_run(ratio, range(mode, min(w, n)))
             assert len(up) <= j_lo - mode - 1, (w, n, k, j_lo)
         zeros = sum(value == 0.0 for value in want)
         assert zeros > 100 and len(fired) > 0.8 * zeros

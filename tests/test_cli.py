@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import os
 import re
 import subprocess
@@ -245,12 +246,12 @@ class TestValidate:
         assert sum(passed) >= 0.95 * len(rows)
 
     def test_corrupted_bound_exits_one(self, capsys, monkeypatch):
-        original = simulator.default_serfling_bound
+        original = simulator.serfling_epe
 
-        def corrupted(shape, delta, slack):
-            return 0.001 * original(shape, delta, slack)
+        def corrupted(shape, nu):
+            return math.sqrt(0.001) * original(shape, nu)
 
-        monkeypatch.setattr(simulator, "default_serfling_bound", corrupted)
+        monkeypatch.setattr(simulator, "serfling_epe", corrupted)
         code, out, _ = run_cli(["validate", "--trials", "500"], capsys)
         assert code == 1
         _, rows = parse_csv(out)

@@ -23,11 +23,11 @@ from finitekey.bounds import (
     lemma2_ppe_bound,
     max_passing_pe_errors,
     min_alarming_key_errors,
+    serfling_epe,
 )
 from finitekey.simulator import (
     SimConfig,
     ValidationCase,
-    default_serfling_bound,
     default_validation_grid,
     run,
     validate_bounds,
@@ -340,7 +340,7 @@ class TestOperatingPoint:
             SimConfig(shape=shape, w=w_sup, delta=delta, nu=slack.nu, trials=trials, seed=m)
         )
         assert within(report.frequency, report.exact, trials)
-        assert report.exact <= default_serfling_bound(shape, delta, slack)
+        assert report.exact <= serfling_epe(shape, slack.nu) ** 2
         assert report.exact <= lemma2_ppe_bound(shape, delta, slack)
 
 
@@ -384,10 +384,10 @@ class TestValidateBounds:
         assert row.serfling_bound < 2.0 * row.exact
 
     def test_halved_bound_is_flagged(self, monkeypatch):
-        def halved(shape, delta, slack):
-            return 0.5 * default_serfling_bound(shape, delta, slack)
+        def halved(shape, nu):
+            return math.sqrt(0.5) * serfling_epe(shape, nu)
 
-        monkeypatch.setattr(simulator, "default_serfling_bound", halved)
+        monkeypatch.setattr(simulator, "serfling_epe", halved)
         (row,) = validate_bounds([TIGHT_CASE])
         assert not row.passed
         assert row.exact > row.serfling_bound
