@@ -29,9 +29,10 @@ piece row it searched, then every row that its smooth bound cannot rule
 out.  `_lock_step` answers the requests of several block sizes with one
 `best_nu` call per kind and round; a row does not depend on its batch, so
 each block size gets the rows it gets alone.  `_optimize_each` batches a
-sequence of block sizes, `_BATCH` at a time; `_check_search` is the one
-place that checks a search's input, and `optimize` runs `_optimize_each`
-on one block size.
+sequence of block sizes, `_BATCH` at a time, and `optimize` runs it on
+one block size.  Each query builds one `_Model`, which checks ``delta``
+and the variant and is handed to every stage; `_check_sizes` checks the
+block sizes.
 `min_block_length` inverts the search over ``m``.  A block size that
 `_keyless` certifies, by a closed-form bound on the length over runs of
 ``k``, is read as keyless with no search.  One loop walks the decision
@@ -157,12 +158,18 @@ class _Model:
     only the other derivatives that steer the search are this class's own.
     Each row has its own block size ``m``, and a row's result does not
     depend on the other rows of its call; ``delta``, the budget and the
-    variant are the model's.  The model searches nu at given rows; which
-    rows and pieces to search is `_search`'s choice.
+    variant are the model's, checked when it is built, so one model is one
+    valid query, which every stage of a search receives.  The model
+    searches nu at given rows; which rows and pieces to search is
+    `_search`'s choice.
     """
 
     def __init__(self, delta: float, budget: SecurityBudget, variant: str):
+        check_variant(variant)
+        check_protocol_rate(delta)
         self.delta = delta
+        self.budget = budget
+        self.variant = variant
         self.two_term = variant == "lemma2"
         self.t = budget.t
         self.room = budget.room
@@ -520,18 +527,17 @@ def _search(model, m):
     return rows[:1] + [row for row in rows[1:] if length[k.searchsorted(row[1])] >= target]
 
 
-def _lock_step(delta, budget, variant, ms):
-    """`_search`'s rows at each block size of ``ms``, searched in lock step.
+def _lock_step(model, ms):
+    """`_search`'s rows of ``model``'s query at each block size of ``ms``, in lock step.
 
     Each round, every search still running yields one request; ``running``
     maps each such search to the reply it is sent next.  The round's smooth
     requests share one `_Model.best_nu` call and its piece requests
     another, so a round costs at most two root searches however many block
     sizes it serves.  A row does not depend on its batch, so
-    each block size gets the rows it would get alone.  The block sizes are
-    taken as checked (see `_optimize_each`).
+    each block size gets the rows it would get alone.  The block sizes
+    have passed `_check_sizes`.
     """
-    model = _Model(delta, budget, variant)
     searches = [_search(model, m) for m in ms]
     results = [None] * len(ms)
     running = dict.fromkeys(range(len(ms)))
@@ -557,8 +563,8 @@ def _lock_step(delta, budget, variant, ms):
     return results
 
 
-def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
-    """The result at block size ``m`` from its `_search` rows.
+def _verify(model, m, rows) -> KeyRateResult:
+    """The result of ``model``'s query at block size ``m`` from its `_search` rows.
 
     Each of the leading `_VERIFY` candidates with a defined bound (headroom
     above -inf) is re-evaluated with `max_ell_at` and `feasible` into a
@@ -566,6 +572,7 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
     returned, so ties in ``ell`` go to the larger unrounded length; with no
     such candidate, the result has ``ell = 0`` and no point.
     """
+    delta, budget, variant = model.delta, model.budget, model.variant
     results = []
     for length, k, nu, xi, room in rows[:_VERIFY]:
         if room == -math.inf:
@@ -584,14 +591,8 @@ def _verify(m, delta, budget, variant, rows) -> KeyRateResult:
     return max(results, key=lambda result: (result.feasible, result.ell), default=empty)
 
 
-def _check_search(delta, variant, ms):
-    """The block sizes of ``ms`` as a list, after the variant and ``delta``.
-
-    The one check of a search's input: the variant, ``delta``, and each
-    block size, an integer below 2^53 and at least 10.
-    """
-    check_variant(variant)
-    check_protocol_rate(delta)
+def _check_sizes(ms):
+    """The block sizes of ``ms`` as a list, each an integer below 2^53 and at least 10."""
     ms = [_check_block_size(m, "m") for m in ms]
     if min(ms, default=10) < 10:
         raise ValueError(f"m must be at least 10, got {min(ms)}")
@@ -601,16 +602,17 @@ def _check_search(delta, variant, ms):
 def _optimize_each(ms, delta, budget, variant):
     """`optimize` at each block size of ``ms``, yielded in order.
 
-    The block sizes are searched in lock step, `_BATCH` at a time, so the
-    rows of one root search stay bounded however many block sizes there
-    are, and each result is verified only when it is read.  Each batch is
-    checked by `_check_search` before it is searched, the variant and
-    ``delta`` also when ``ms`` is empty.
+    One `_Model`, which checks the variant and ``delta`` even when ``ms``
+    is empty, serves every block size.  They are searched in lock step,
+    `_BATCH` at a time and each batch checked by `_check_sizes` first, so
+    the rows of one root search stay bounded however many block sizes
+    there are, and each result is verified only when it is read.
     """
+    model = _Model(delta, budget, variant)
     ms = iter(ms)
-    while batch := _check_search(delta, variant, itertools.islice(ms, _BATCH)):
-        for m, rows in zip(batch, _lock_step(delta, budget, variant, batch)):
-            yield _verify(m, delta, budget, variant, rows)
+    while batch := _check_sizes(itertools.islice(ms, _BATCH)):
+        for m, rows in zip(batch, _lock_step(model, batch)):
+            yield _verify(model, m, rows)
 
 
 def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyRateResult:
@@ -625,27 +627,20 @@ def optimize(m: int, delta: float, budget: SecurityBudget, variant: str) -> KeyR
     the search.
 
     At each ``k`` the best ``(nu, xi)`` is found to within rounding (see
-    `_Model`).  Over ``k``, the search visits a window around the peak of
-    the smooth envelope, whose factor bounds each piece's from above, so
-    that it bounds the length from above up to the last Newton iterate of
-    the split and rounding (see `_Model`), and widens it
-    until the envelope at both ends falls short of the best length found;
-    each round moves an end that reaches it to the nearest visited ``k``
-    beyond it that falls short, by at most `_K_POINTS`, so no root search
-    has more than ``2 * _K_POINTS`` rows of smooth ``k``.
-    Every ``k`` in the window whose envelope reaches that length is
-    searched.  For ``m <= 261`` every ``k`` is visited, so the search is
-    exhaustive.  Above that, no ``k`` outside the window can do better
-    provided the envelope has a single peak in ``k``; that is assumed, not
-    proven (see `_search`).  The search is the lock-step driver
-    (`_lock_step`) on the one block size ``m``.  Its candidates are the
-    best row it searched, then the rows of every other ``k`` whose smooth
-    length reaches that row's length, best first; the leading `_VERIFY`
-    are re-evaluated with `max_ell_at` and `feasible`.  Ties in ``ell`` go
-    to the larger unrounded length.  Deterministic, and each ``k``'s result
-    is the same whichever other ``k`` or block sizes it is searched with.
-    ``m`` is an integer of any integer type below 2^53; a float, even
-    ``3100.0``, or a larger ``m`` raises ``ValueError`` before any search.
+    `_Model`).  Over ``k``, a window around the peak of the smooth
+    envelope is searched (`_search` describes the zoom and the window).
+    For ``m <= 261`` every ``k`` is visited, so the search is exhaustive.
+    Above that, no ``k`` outside the window can do better provided the
+    envelope has a single peak in ``k``; that is assumed, not proven.  The
+    leading `_VERIFY` candidates are re-evaluated with `max_ell_at` and
+    `feasible`, and ties in ``ell`` go to the larger unrounded length.
+    Deterministic, and each ``k``'s result is the same whichever other
+    ``k`` or block sizes it is searched with.
+
+    ``variant`` is one of `security.VARIANTS`, ``0 < delta < 1/2``, and
+    ``m`` an integer of any integer type below 2^53 and at least 10, so a
+    float ``m``, even ``3100.0``, is refused.  A refused input raises
+    ``ValueError`` before any search.
     """
     return next(_optimize_each([m], delta, budget, variant))
 
@@ -787,26 +782,27 @@ def min_block_length(
     m_lo, m_hi = _check_block_size(m_lo, "m_lo"), _check_block_size(m_hi, "m_hi")
     if m_lo > m_hi:
         raise ValueError(f"need m_lo <= m_hi, got [{m_lo}, {m_hi}]")
-    _check_search(delta, variant, [m_lo])
     model = _Model(delta, budget, variant)
+    _check_sizes([m_lo])
     stride = max(1, min(500, (m_hi - m_lo) // 128))
-    size = -(-(m_hi - m_lo) // stride) + 1  # grid points: strides from m_lo, then m_hi
 
-    # a state (i, bad, good) of the sequential search: the forward scan
-    # reads grid point i while good is None, and the bisection the midpoint
-    # of (bad, good) after it; bad is the last size read as keyless, with
-    # m_lo - 1 standing for below the range
+    # a state (bad, good) of the sequential search: bad is the last size
+    # read as keyless, with m_lo - 1 standing for below the range.  While
+    # good is None the forward scan reads the grid point after bad (strides
+    # from m_lo, then m_hi), and then the bisection the midpoint of (bad,
+    # good)
     def probe(state):
         """The block size that ``state`` reads next; None where the search ends."""
-        i, bad, good = state
+        bad, good = state
         if good is None:
-            return min(m_lo + i * stride, m_hi) if i < size else None
+            if bad < m_lo:
+                return m_lo
+            return min(bad + stride, m_hi) if bad < m_hi else None
         return (bad + good) // 2 if good - bad > 1 else None
 
     def step(state, m, keyed):
         """The state after ``state`` reads ``m``."""
-        i, bad, good = state
-        return (i, bad, m) if keyed else (i + (good is None), m, good)
+        return (state[0], m) if keyed else (m, state[1])
 
     def guess(m):
         """Whether the lengths searched put a key at ``m``; None with none searched."""
@@ -837,22 +833,22 @@ def min_block_length(
             for keyed in (False, True):
                 miss = likely is not None and likely != keyed
                 nodes.append((misses + miss, depth + 1, next(order), step(state, m, keyed)))
-        searched.update(zip(batch, _lock_step(delta, budget, variant, batch)))
+        searched.update(zip(batch, _lock_step(model, batch)))
 
     searched, certified = {}, set()
-    state = (0, m_lo - 1, None)
+    state = (m_lo - 1, None)
     while (m := probe(state)) is not None:
         if m in searched:
-            keyed = _verify(m, delta, budget, variant, searched[m]).ell >= 1
+            keyed = _verify(model, m, searched[m]).ell >= 1
         elif m in certified or _keyless(model, m):
             keyed = False
         else:
             # no size outside [bad, top] is read again, and none steers a guess
-            _, bad, good = state
+            bad, good = state
             top = m_hi if good is None else good
             searched = {x: rows for x, rows in searched.items() if bad <= x <= top}
             certified = {x for x in certified if bad <= x <= top}
             search(state)
             continue
         state = step(state, m, keyed)
-    return state[2]
+    return state[1]

@@ -357,11 +357,79 @@ class TestRootSearch:
         # searches, and each gets the rows it gets alone
         ms = [20000, 259, 4807, 3100, 20]
         searches = count_root_searches(monkeypatch)
-        together = optimizer._lock_step(0.0451, BUDGET10, variant, ms)
+        model = _Model(0.0451, BUDGET10, variant)
+        together = optimizer._lock_step(model, ms)
         shared = len(searches)
-        alone = [optimizer._lock_step(0.0451, BUDGET10, variant, [m]) for m in ms]
+        alone = [optimizer._lock_step(model, [m]) for m in ms]
         assert together == [rows for (rows,) in alone]
         assert shared < len(searches) - shared
+
+
+def count_models(monkeypatch):
+    """Count the `_Model` instances built from now on."""
+    built = [0]
+    init = _Model.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Model, "__init__", counted)
+    return built
+
+
+class TestQuery:
+    """A query builds one `_Model`, which every stage receives and which refuses a bad query."""
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    def test_one_model_per_query(self, monkeypatch, variant):
+        # each _lock_step batch built its own model: 6 for the 37 block
+        # sizes, and 4 (two-term) and 3 (single-term) for min_block_length
+        built = count_models(monkeypatch)
+        optimize(3100, 0.0451, BUDGET6, variant)
+        assert built[0] == 1
+        built[0] = 0
+        list(optimizer._optimize_each(range(2000, 20001, 500), 0.0451, BUDGET6, variant))
+        assert built[0] == 1
+        built[0] = 0
+        min_block_length(0.0451, BUDGET10, variant, 1000, 20000)
+        assert built[0] == 1
+
+    @pytest.mark.parametrize(
+        "variant, delta, message",
+        [
+            ("chernoff", 0.0451, "unknown variant"),
+            ("lemma2", 0.6, "delta must lie in \\(0, 0.5\\)"),
+            ("chernoff", 0.6, "unknown variant"),
+        ],
+    )
+    def test_refused_query_does_no_work(self, monkeypatch, variant, delta, message):
+        searches = count_root_searches(monkeypatch)
+        certificates = []
+        monkeypatch.setattr(optimizer, "_keyless", lambda model, m: certificates.append(m))
+        queries = [
+            lambda: min_block_length(delta, BUDGET6, variant, 1000, 20000),
+            lambda: optimize(3100, delta, BUDGET6, variant),
+            lambda: list(optimizer._optimize_each([], delta, BUDGET6, variant)),
+        ]
+        for query in queries:
+            with pytest.raises(ValueError, match=message):
+                query()
+        assert searches == [] and certificates == []
+
+    def test_min_block_length_refusal_order(self):
+        # the block sizes, then m_lo <= m_hi, then the variant, then delta,
+        # then the floor of 10
+        cases = [
+            ((3000.0, 100), "chernoff", 0.6, "integer"),
+            ((500, 100), "chernoff", 0.6, "need m_lo <= m_hi"),
+            ((5, 100), "chernoff", 0.6, "unknown variant"),
+            ((5, 100), "lemma2", 0.6, "delta must lie"),
+            ((5, 100), "lemma2", 0.0451, "at least 10"),
+        ]
+        for (m_lo, m_hi), variant, delta, message in cases:
+            with pytest.raises(ValueError, match=message):
+                min_block_length(delta, BUDGET6, variant, m_lo, m_hi)
 
 
 def record_smooth_errors(monkeypatch):
@@ -570,7 +638,7 @@ class TestCandidateRows:
         # 7057 (two-term) k = 2881, whose smooth length 530.4226 is below
         # the best piece's 530.4264
         model = _Model(0.0451, BUDGET6, variant)
-        found = optimizer._lock_step(0.0451, BUDGET6, variant, KEYRATE_SIZES)
+        found = optimizer._lock_step(model, KEYRATE_SIZES)
         for m, rows in zip(KEYRATE_SIZES, found):
             ks = np.array([row[1] for row in rows[1:]], dtype=float)
             smooth = model.best_nu(m, ks)[0] - np.ceil(_leakage(m - ks, model.h))
@@ -699,29 +767,37 @@ class TestMinBlockSearch:
     and 0 where it has none.  A fake certificate (`optimizer._keyless`)
     certifies the block sizes of ``certified``, none unless a test names
     some; a certified size is never searched.  Each batch is followed by
-    at least one read before the next batch.
+    at least one read before the next batch, and every batch, read and
+    certificate of one search receives the same model.
     """
 
     @staticmethod
     def search(monkeypatch, m_lo, m_hi, keyed, certified=frozenset(), length=None):
-        calls, batches, reads_before = [], [], []
+        calls, batches, reads_before, models = [], [], [], []
         length = length or (lambda m: float(keyed(m)))
 
-        def lock_step(delta, budget, variant, ms):
+        def lock_step(model, ms):
+            models.append(model)
             batches.append(list(ms))
             reads_before.append(len(calls))
             # each block size's rows: one row of its length, then the size itself
             return [[(length(m), m)] for m in ms]
 
-        def read(m, delta, budget, variant, rows):
+        def read(model, m, rows):
+            models.append(model)
             assert rows[0][1] == m  # the rows of m, from a batch already searched
             calls.append(m)
             return SimpleNamespace(m=m, ell=int(keyed(m)))
 
+        def keyless(model, m):
+            models.append(model)
+            return m in certified
+
         monkeypatch.setattr(optimizer, "_lock_step", lock_step)
         monkeypatch.setattr(optimizer, "_verify", read)
-        monkeypatch.setattr(optimizer, "_keyless", lambda model, m: m in certified)
+        monkeypatch.setattr(optimizer, "_keyless", keyless)
         got = min_block_length(0.0451, BUDGET6, "lemma2", m_lo, m_hi)
+        assert all(model is models[0] for model in models)
         for batch in batches:
             assert 1 <= len(batch) <= 7
             assert len(set(batch)) == len(batch)
@@ -1066,6 +1142,16 @@ class TestKeyless:
         # the package's own reach at delta = 0.0451, pinned against drift:
         # the certificate covers about 95% of the way to the threshold
         model = _Model(0.0451, SecurityBudget(s), "lemma2")
+        assert [m for m in range(10, threshold) if optimizer._keyless(model, m)] == reach
+
+    @pytest.mark.parametrize("s, threshold, reach", [
+        (10, 6402, list(range(10, 6191))),
+        (6, 3967, list(range(10, 3805))),
+    ])
+    def test_single_term_reach(self, s, threshold, reach):
+        # the README's single-term reach at delta = 0.0451, pinned against
+        # drift: the certificate covers about 96% of the way to the threshold
+        model = _Model(0.0451, SecurityBudget(s), "serfling")
         assert [m for m in range(10, threshold) if optimizer._keyless(model, m)] == reach
 
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
