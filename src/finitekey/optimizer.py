@@ -449,49 +449,48 @@ def _search(model, m):
     length reaches the best piece length found: both pieces of `_PIECES`
     around the smooth optimum of xi, of which the better is kept.  The
     leader, the k of the largest smooth length (the smallest such k), is
-    searched first; when it has no piece rows yet, the request that
+    searched first; when it has no piece row yet, the request that
     searches its pieces also searches those of the next leaders, up to
-    `_VERIFY` in all.  Every piece row is kept in ``pieces``, by k, and
-    ``target`` is the best length among them.  Which rows are returned
-    depends on ``target`` alone, not on the order of the search: a k whose
-    smooth length falls short of it is taken as ruled out, and the best
-    row is returned whatever its smooth length, which the last Newton
-    iterate and rounding can put below it (see `_Model`).  The visited k
-    are kept in ``seen``, one array sorted by k and sparse in it, since
-    ``m`` may be as large as 2^53 - 1: one row per k of its smooth row, its
-    leakage and its envelope.
+    `_VERIFY` in all.  Each visited k has one row of ``seen``, an array
+    sorted by k and sparse in it, since ``m`` may be as large as 2^53 - 1:
+    its smooth row, then its best piece row once it is refined (for the
+    single-term bound, a copy of the smooth row), and ``target`` is the
+    best piece length.  Which rows are returned depends on ``target``
+    alone, not on the order of the search: a k whose smooth length falls
+    short of it is taken as ruled out, and the best row is returned
+    whatever its smooth length, which the last Newton iterate and rounding
+    can put below it (see `_Model`).
     """
     half = m // 2
-    seen = np.empty((0, 7))  # columns: k, gain, nu, xi, headroom, leakage, envelope
-    pieces = {}
+    # columns: k, length, nu, xi, headroom, leakage, envelope, then the best
+    # piece's length, nu, xi and headroom, NaN until the k is refined
+    seen = np.empty((0, 11))
 
     def visit(ks):
         """Searches and records the smooth rows of the k in ``ks`` not visited yet."""
         nonlocal seen
         ks = ks[seen[:, 0].searchsorted(ks) == seen[:, 0].searchsorted(ks, "right")]
         if len(ks):
-            rows = yield ks, None
+            gain, nu, xi, room = yield ks, None
             leakage = _leakage(m - ks, model.h)
-            new = np.array((ks, *rows, np.ceil(leakage), rows[0] - leakage)).T
+            r = np.ceil(leakage)
+            unrefined = np.full(len(ks), np.nan)
+            new = np.array((ks, gain - r, nu, xi, room, r, gain - leakage, *[unrefined] * 4)).T
             seen = np.concatenate((seen, new))
             seen = seen[seen[:, 0].argsort(kind="stable")]
 
-    def search_pieces(ks):
-        """Puts in ``pieces`` the best piece rows of the k in ``ks`` that have none yet."""
-        new = [k for k in ks if k not in pieces]
-        if not new:
-            return
-        i = seen[:, 0].searchsorted(new)
-        if model.two_term:
+    def search_pieces(i):
+        """Puts in their rows of ``seen`` the best pieces of the rows ``i`` not refined yet."""
+        i = i[np.isnan(seen[i, 7])]
+        if not model.two_term:
+            seen[i, 7:] = seen[i, 1:5]
+        elif len(i):
             errs = np.ceil(m * (model.delta + seen[i, 3])) + np.array(_PIECES)[:, None]
             reply = yield np.tile(seen[i, 0], len(_PIECES)), errs.ravel()
             cols = [col.reshape(len(_PIECES), -1) for col in reply]
             best = _argbest(cols[0].T, cols[3].T)
-            gain, nu, xi, room = (col[best, np.arange(len(new))] for col in cols)
-        else:
-            gain, nu, xi, room = seen[i, 1:5].T
-        rows = zip((gain - seen[i, 5]).tolist(), new, nu.tolist(), xi.tolist(), room.tolist())
-        pieces.update(zip(new, rows))
+            gain, nu, xi, room = (col[best, np.arange(len(i))] for col in cols)
+            seen[i, 7:] = np.array((gain - seen[i, 5], nu, xi, room)).T
 
     lo, hi = 1, half
     while hi - lo > _K_POINTS:
@@ -502,29 +501,29 @@ def _search(model, m):
 
     while True:
         yield from visit(np.arange(lo, hi + 1, dtype=float))
-        k, length = seen[:, 0], seen[:, 1] - seen[:, 5]
         # the smooth lengths bound the piece lengths: search the leader's
         # pieces, with the next leaders' in the same request, then those of
-        # every k whose smooth length reaches the best piece length
-        leader = int(k[length.argmax()])
-        if leader not in pieces:
-            leaders = k[(-length).argsort(kind="stable")[:_VERIFY]]
-            yield from search_pieces(leaders.astype(int).tolist())
-        target = max(row[0] for row in pieces.values())
-        yield from search_pieces(k[length >= target].astype(int).tolist())
-        target = max(row[0] for row in pieces.values())
+        # every k whose smooth length reaches the best piece length (the
+        # leader has a piece by then, so the piece column is not all NaN)
+        if math.isnan(seen[seen[:, 1].argmax(), 7]):
+            yield from search_pieces((-seen[:, 1]).argsort(kind="stable")[:_VERIFY])
+        yield from search_pieces(np.flatnonzero(seen[:, 1] >= np.fmax.reduce(seen[:, 7])))
+        target = np.fmax.reduce(seen[:, 7])
         if target == -math.inf:
             break  # no k has headroom: no window can hold a key
         # the nearest visited k at or beyond each end whose envelope falls
         # short, with the ends of the range standing in where there is none
-        short = np.concatenate(([1], k[seen[:, 6] < target], [half]))
+        short = np.concatenate(([1], seen[seen[:, 6] < target, 0], [half]))
         i, j = short.searchsorted((lo + 1, hi))
         ends = max(int(short[i - 1]), lo - _K_POINTS), min(int(short[j]), hi + _K_POINTS)
         if ends == (lo, hi):
             break
         lo, hi = ends
-    rows = sorted(pieces.values(), key=lambda row: (row[0], row[4], -row[1]), reverse=True)
-    return rows[:1] + [row for row in rows[1:] if length[k.searchsorted(row[1])] >= target]
+    rows = seen[~np.isnan(seen[:, 7])]
+    rows = rows[np.lexsort((rows[:, 0], -rows[:, 10], -rows[:, 7]))].tolist()
+    # the best row, then every other row whose smooth length reaches it
+    rows = rows[:1] + [row for row in rows[1:] if row[1] >= target]
+    return [(row[7], int(row[0]), *row[8:]) for row in rows]
 
 
 def _lock_step(model, ms):

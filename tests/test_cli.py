@@ -337,6 +337,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code)
 """
 
+# Runs the CLI's help, then a stream command, with stdout discarded, and
+# prints whether fractions was loaded after each.
+_FRACTIONS_PROBE = """
+import contextlib, io, sys
+import finitekey.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    finitekey.cli.main(["--help"])
+    started = "fractions" in sys.modules
+    finitekey.cli.main("stream --eps-stream 1e-5 --eps-qkd 1e-6".split())
+print(started, "fractions" in sys.modules)
+"""
+
 
 class TestImport:
     def test_module_runs_as_the_console_script(self):
@@ -377,6 +389,18 @@ class TestImport:
                 capture_output=True, text=True, check=True, timeout=120,
             ).stdout
             assert out.strip() == "0", argv
+
+    def test_fractions_loaded_only_by_stream(self):
+        # stream_budget imports it when it is called: after numpy, loading
+        # it at start-up would cost about 2 ms of every command
+        src = str(Path(finitekey.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _FRACTIONS_PROBE], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert out.split() == ["False", "True"]
 
 
     def test_parsers_built_once(self, monkeypatch, capsys):

@@ -3,8 +3,10 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -324,6 +326,29 @@ class TestRootSearch:
         optimize(m, 0.0451, BUDGET6, variant)
         ks = np.concatenate(smooth)
         assert len(np.unique(ks)) == len(ks)
+
+    @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
+    @pytest.mark.parametrize("m", [20000, 10**6, 10**12, 2**53 - 1])
+    def test_no_piece_searched_twice(self, monkeypatch, m, variant):
+        # each refined k asks for each of its pieces once (two-term: 3, 4, 3
+        # and 12 refined k at these m); the single-term bound's pieces are
+        # its smooth rows, so it asks for none
+        rows = []
+        best_nu = _Model.best_nu
+
+        def recorded(self, m, k, piece=None):
+            if piece is not None:
+                rows.extend(zip(np.asarray(k).tolist(), np.asarray(piece).tolist()))
+            return best_nu(self, m, k, piece)
+
+        monkeypatch.setattr(_Model, "best_nu", recorded)
+        optimize(m, 0.0451, BUDGET6, variant)
+        if variant == "serfling":
+            assert rows == []
+            return
+        assert rows and len(set(rows)) == len(rows)
+        ks = [k for k, _ in rows]
+        assert {ks.count(k) for k in ks} == {len(optimizer._PIECES)}
 
     @pytest.mark.parametrize(
         "m, s, variant",
@@ -964,6 +989,16 @@ def edge_of_each_k(model, m, k):
     return sample + np.sqrt(need / (2.0 * c_max) + 1.0) / n
 
 
+# The certificate's reach at delta = 0.0451, by variant and s: the
+# threshold, and every block size below it that _keyless certifies.
+REACH = {
+    ("lemma2", 10): (4807, [*range(10, 4593), 4595, 4596]),
+    ("lemma2", 6): (3006, list(range(10, 2830))),
+    ("serfling", 10): (6402, list(range(10, 6191))),
+    ("serfling", 6): (3967, list(range(10, 3805))),
+}
+
+
 class TestKeyless:
     """`optimizer._keyless`, the closed-form certificate that a block size has no key."""
 
@@ -1135,8 +1170,8 @@ class TestKeyless:
             assert optimize(m, delta, budget, "lemma2").ell == 0, m
 
     @pytest.mark.parametrize("s, threshold, reach", [
-        (10, 4807, [*range(10, 4593), 4595, 4596]),
-        (6, 3006, list(range(10, 2830))),
+        (10, *REACH["lemma2", 10]),
+        (6, *REACH["lemma2", 6]),
     ])
     def test_two_term_reach(self, s, threshold, reach):
         # the package's own reach at delta = 0.0451, pinned against drift:
@@ -1145,14 +1180,30 @@ class TestKeyless:
         assert [m for m in range(10, threshold) if optimizer._keyless(model, m)] == reach
 
     @pytest.mark.parametrize("s, threshold, reach", [
-        (10, 6402, list(range(10, 6191))),
-        (6, 3967, list(range(10, 3805))),
+        (10, *REACH["serfling", 10]),
+        (6, *REACH["serfling", 6]),
     ])
     def test_single_term_reach(self, s, threshold, reach):
         # the README's single-term reach at delta = 0.0451, pinned against
         # drift: the certificate covers about 96% of the way to the threshold
         model = _Model(0.0451, SecurityBudget(s), "serfling")
         assert [m for m in range(10, threshold) if optimizer._keyless(model, m)] == reach
+
+    def test_readme_states_the_reach(self):
+        # the README gives each reach as the end of its run of sizes from
+        # 10 and the sizes certified past that run, in this order
+        def told(reach):
+            run = next(i for i, m in enumerate(reach + [None]) if m != 10 + i)
+            return [reach[run - 1], *reach[run:]]
+
+        (t2, two), (t1, one) = REACH["lemma2", 10], REACH["serfling", 10]
+        (t2_6, two_6), (t1_6, one_6) = REACH["lemma2", 6], REACH["serfling", 6]
+        stated = [
+            10, *told(two), *told(one), 10, t2, t1, *told(two_6), *told(one_6), 6, t2_6, t1_6,
+        ]
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        sentence = re.search(r"certifies every block size (.*?\(thresholds \d+ and \d+\))", readme)
+        assert [int(x) for x in re.findall(r"\d+", sentence[1])] == stated
 
     @pytest.mark.parametrize("variant", ["lemma2", "serfling"])
     @pytest.mark.parametrize("delta, s", [(0.0451, 6), (0.01, 10), (0.4999, 1)])

@@ -1,7 +1,10 @@
 """Tests for the Monte Carlo audit of the two closed-form bounds."""
 
 import math
+import re
+import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +371,28 @@ class TestDefaultGrid:
         covered = [r.ci_low <= r.exact <= r.ci_high for r in rows]
         assert [r.passed for r in rows] == covered
         assert sum(covered) >= 0.95 * len(rows)
+
+    def test_readme_and_module_state_the_audit(self):
+        # the cases that make no draw (exact value 0) and those that can
+        # fire; over the latter, the interval's half-width relative to the
+        # exact value, its median and least, and the least ratio of a bound
+        # to the exact value, which the text floors ("at least")
+        rows = validate_bounds(default_validation_grid())
+        fire = [r for r in rows if r.exact > 0.0]
+        width = [(r.ci_high - r.ci_low) / 2.0 / r.exact for r in fire]
+        ratio = min(min(r.serfling_bound, r.lemma2_bound) / r.exact for r in fire)
+        computed = [
+            str(len(rows) - len(fire)), str(len(rows)), str(len(fire)),
+            f"{statistics.median(width):.0%}", f"{min(width):.1%}",
+            str(math.floor(10 * ratio) / 10),
+        ]
+        pattern = re.compile(
+            r"(\d+) of the (\d+) cases.*? the (\d+) (?:default )?cases that can fire.*?"
+            r" a median (\d+%) of the exact value and ([\d.]+%) at best.*? at least ([\d.]+) times"
+        )
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for text in (readme, simulator.__doc__):
+            assert list(pattern.search(" ".join(text.split())).groups()) == computed
 
 
 class TestValidateBounds:
