@@ -453,13 +453,14 @@ def _search(model, m):
     searches its pieces also searches those of the next leaders, up to
     `_VERIFY` in all.  Each visited k has one row of ``seen``, an array
     sorted by k and sparse in it, since ``m`` may be as large as 2^53 - 1:
-    its smooth row, then its best piece row once it is refined (for the
-    single-term bound, a copy of the smooth row), and ``target`` is the
-    best piece length.  Which rows are returned depends on ``target``
-    alone, not on the order of the search: a k whose smooth length falls
-    short of it is taken as ruled out, and the best row is returned
-    whatever its smooth length, which the last Newton iterate and rounding
-    can put below it (see `_Model`).
+    its smooth row, then its best piece row once it is refined.  A
+    single-term row is its own best piece, so `visit` stores it as refined
+    and no piece of it is requested.  ``target`` is the best piece length.
+    Which rows are returned depends on ``target`` alone, not on the order
+    of the search: a k whose smooth length falls short of it is taken as
+    ruled out, and the best row is returned whatever its smooth length,
+    which the last Newton iterate and rounding can put below it (see
+    `_Model`).
     """
     half = m // 2
     # columns: k, length, nu, xi, headroom, leakage, envelope, then the best
@@ -474,17 +475,17 @@ def _search(model, m):
             gain, nu, xi, room = yield ks, None
             leakage = _leakage(m - ks, model.h)
             r = np.ceil(leakage)
-            unrefined = np.full(len(ks), np.nan)
-            new = np.array((ks, gain - r, nu, xi, room, r, gain - leakage, *[unrefined] * 4)).T
+            # a single-term row is its own best piece, so it is refined at once
+            row = (gain - r, nu, xi, room)
+            refined = [np.full(len(ks), np.nan)] * 4 if model.two_term else row
+            new = np.array((ks, *row, r, gain - leakage, *refined)).T
             seen = np.concatenate((seen, new))
             seen = seen[seen[:, 0].argsort(kind="stable")]
 
     def search_pieces(i):
         """Puts in their rows of ``seen`` the best pieces of the rows ``i`` not refined yet."""
         i = i[np.isnan(seen[i, 7])]
-        if not model.two_term:
-            seen[i, 7:] = seen[i, 1:5]
-        elif len(i):
+        if len(i):
             errs = np.ceil(m * (model.delta + seen[i, 3])) + np.array(_PIECES)[:, None]
             reply = yield np.tile(seen[i, 0], len(_PIECES)), errs.ravel()
             cols = [col.reshape(len(_PIECES), -1) for col in reply]
@@ -805,13 +806,14 @@ def min_block_length(
 
     def guess(m):
         """Whether the lengths searched put a key at ``m``; None with none searched."""
+        searched = [x for x, rows in known.items() if rows is not None]
         if not searched:
             return None
         a = max((x for x in searched if x < m), default=None)
         b = min((x for x in searched if x > m), default=None)
         if a is None or b is None:
             return False
-        return searched[a][0][0] * (b - m) + searched[b][0][0] * (m - a) >= b - a
+        return known[a][0][0] * (b - m) + known[b][0][0] * (m - a) >= b - a
 
     def search(root):
         """Searches the next `_BATCH` uncertified nodes of the tree below ``root``."""
@@ -824,7 +826,7 @@ def min_block_length(
             if m is None:
                 continue
             if batch and _keyless(model, m):  # the root is known to be uncertified
-                certified.add(m)
+                known[m] = None
                 nodes.append((misses, depth, next(order), step(state, m, False)))
                 continue
             batch.append(m)
@@ -832,22 +834,21 @@ def min_block_length(
             for keyed in (False, True):
                 miss = likely is not None and likely != keyed
                 nodes.append((misses + miss, depth + 1, next(order), step(state, m, keyed)))
-        searched.update(zip(batch, _lock_step(model, batch)))
+        known.update(zip(batch, _lock_step(model, batch)))
 
-    searched, certified = {}, set()
+    # the block sizes known so far: each searched one with its `_search`
+    # rows, each that `_keyless` certified with None
+    known = {}
     state = (m_lo - 1, None)
     while (m := probe(state)) is not None:
-        if m in searched:
-            keyed = _verify(model, m, searched[m]).ell >= 1
-        elif m in certified or _keyless(model, m):
-            keyed = False
-        else:
-            # no size outside [bad, top] is read again, and none steers a guess
+        if m not in known and not _keyless(model, m):
+            # no size outside [bad, top] is read again, and none steers a
+            # guess, so the record keeps only the sizes between them
             bad, good = state
             top = m_hi if good is None else good
-            searched = {x: rows for x, rows in searched.items() if bad <= x <= top}
-            certified = {x for x in certified if bad <= x <= top}
+            known = {x: rows for x, rows in known.items() if bad <= x <= top}
             search(state)
             continue
-        state = step(state, m, keyed)
+        rows = known.get(m)
+        state = step(state, m, rows is not None and _verify(model, m, rows).ell >= 1)
     return state[1]

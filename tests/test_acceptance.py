@@ -29,7 +29,9 @@ C4's window is the paper's own headline (14-17%, see PAPER.md), so it is
 kept: under the same budget the reduction is not reproduced.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,13 @@ def record(capsys, cid, ok, detail):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line
+
+
+def readme_detail(cid):
+    """The detail cell of criterion ``cid`` in the README's acceptance table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith(f"| {cid} "))
+    return row.split("|")[3]
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +242,8 @@ def test_c5_bounds_dominate_exact_probability(capsys):
         f"({skipped} slack splits below the validity floor skipped), {elapsed:.1f}s"
     )
     record(capsys, "C5", ok, detail)
+    printed = re.search(r"(\d+) violations in (\d+) comparisons", readme_detail("C5"))
+    assert printed.groups() == (str(violations), str(comparisons))
 
 
 def test_c6_exact_joint_matches_enumeration(capsys):
@@ -268,6 +279,8 @@ def test_c6_exact_joint_matches_enumeration(capsys):
         f"error {worst:.2e}, hand value 1/6 off by {hand_err:.1e}, {elapsed:.1f}s"
     )
     record(capsys, "C6", ok, detail)
+    printed = re.search(r"worst relative error (\S+) over (\d+) instances", readme_detail("C6"))
+    assert printed.groups() == (f"{worst:.1e}", str(checked))
 
 
 def test_c7_monte_carlo_audit_default_grid(capsys):

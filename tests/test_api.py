@@ -114,3 +114,24 @@ def test_package_uses_every_private_name():
         and used[name] <= _references(node)[name]
     ]
     assert not unused
+
+
+def test_every_import_is_read():
+    # an import that no code of its module reads is kept only for the
+    # benchmark's TARGETS, which wrap these two module attributes
+    unread = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in read:
+                        unread.add(f"{path.stem}.{name}")
+    assert unread == {"optimizer.ec_leakage", "security.binary_entropy"}

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -100,6 +101,22 @@ class TestKeyrate:
         _, stdout_text, _ = run_cli(argv, capsys)
         assert path.read_text() == stdout_text
 
+    def test_one_optimize_call_per_variant(self, capsys, monkeypatch):
+        # keyrate asks optimize for its one block size, so the benchmark's
+        # optimizer spans see it; sweep batches its block sizes instead
+        calls = []
+        optimize = finitekey.cli.optimize
+
+        def counted(m, delta, budget, variant):
+            calls.append((m, variant))
+            return optimize(m, delta, budget, variant)
+
+        monkeypatch.setattr(finitekey.cli, "optimize", counted)
+        assert run_cli(["keyrate", "--m", "3100", "--variant", "both"], capsys)[0] == 0
+        assert calls == [(3100, "lemma2"), (3100, "serfling")]
+        assert run_cli(["sweep", "--m-range", "3000:3200:100"], capsys)[0] == 0
+        assert len(calls) == 2
+
 
 class TestSweep:
     def test_single_m_matches_keyrate(self, capsys):
@@ -175,6 +192,76 @@ class TestGoldenOutput:
         code, out, _ = run_cli(GOLDEN[name], capsys)
         assert code == 0
         assert out == (GOLDEN_DIR / f"{name}.csv").read_text()
+
+
+# Prints, as one JSON object, the stdout of each command of the JSON object
+# in sys.argv[1], all run in this interpreter.
+_GOLDEN_PROBE = """
+import contextlib, io, json, sys
+import finitekey.cli
+out = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        finitekey.cli.main(argv)
+    out[name] = buf.getvalue()
+print(json.dumps(out))
+"""
+
+# numpy's SIMD levels below AVX-512, as NPY_DISABLE_CPU_FEATURES reaches
+# them: its AVX2 loops, and its X86_V2 baseline
+CPU_LEVELS = {
+    "avx2": "AVX512_SPR AVX512_ICL X86_V4",
+    "baseline": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+# The columns of each command that no CPU level may move; keyrate and sweep
+# rows add k = round(beta * m).  The other columns are floats, whose last
+# bits follow numpy's exp and log loops.
+EXACT_COLUMNS = {
+    "keyrate": ["m", "variant", "ell", "feasible"],
+    "sweep": ["m", "variant", "ell", "feasible"],
+    "minblock": ["variant", "m_min", "found"],
+    "validate": ["m", "k", "n", "w", "trials", "seed", "passed"],
+}
+
+
+def exact_columns(command, text):
+    """Each row's `EXACT_COLUMNS` cells; keyrate and sweep rows add ``k``, None without a point."""
+    header, rows = parse_csv(text)
+    out = []
+    for row in (dict(zip(header, r)) for r in rows):
+        cells = [row[name] for name in EXACT_COLUMNS[command]]
+        if "beta" in row:
+            cells.append(round(float(row["beta"]) * int(row["m"])) if row["beta"] else None)
+        out.append(cells)
+    return out
+
+
+class TestGoldenAtLowerCpuLevels:
+    """The golden files' exact columns at numpy's lower SIMD levels.
+
+    `TestGoldenOutput` holds the files byte for byte, which holds for one
+    numpy build at one CPU level: at the levels below AVX-512 the last bit
+    of a float column can move.  Here every golden command runs in one
+    fresh interpreter per level, and only its exact columns are compared.
+    """
+
+    @pytest.mark.parametrize("level", sorted(CPU_LEVELS))
+    def test_exact_columns_match_files(self, level):
+        src = str(Path(finitekey.__file__).resolve().parent.parent)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=CPU_LEVELS[level])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _GOLDEN_PROBE, json.dumps(GOLDEN)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        if "part of the baseline" in done.stderr:
+            pytest.skip(f"this numpy build's baseline is above the {level} level")
+        assert done.returncode == 0, done.stderr
+        outputs = json.loads(done.stdout)
+        for name, argv in GOLDEN.items():
+            want = (GOLDEN_DIR / f"{name}.csv").read_text()
+            assert exact_columns(argv[0], outputs[name]) == exact_columns(argv[0], want), name
 
 
 def _flag(argv, name, default):
