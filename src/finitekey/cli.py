@@ -27,6 +27,14 @@ usage errors.  A usage error, whether argparse or the library refuses the
 input, prints the subcommand's usage and ``finitekey <subcommand>: error:``;
 only errors found before a subcommand is chosen (``--config`` without a
 path, or a config file that cannot be read) print the top-level ones.
+
+Importing this module loads no library module and no numpy, so ``--help``,
+each subcommand's ``--help`` and every usage error that argparse finds
+finish without them.  The parser needs only `security.VARIANTS`, which it
+reads from the numpy-free module that holds the tuple.  A command imports
+the library modules it calls just before it runs: ``keyrate``, ``sweep``
+and ``minblock`` never load the simulator, and ``validate`` and
+``simulate`` never load the optimizer.
 """
 
 from __future__ import annotations
@@ -34,16 +42,44 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .bounds import BlockShape, _check_block_size
-from .optimizer import min_block_length, optimize, _optimize_each
-from .security import VARIANTS, SecurityBudget, stream_budget
-from .simulator import SimConfig, default_validation_grid, run, validate_bounds
+from ._variants import VARIANTS
 
 __all__ = ["main"]
+
+# The library names the commands call, by defining module.  Importing cli
+# imports none of them: `main` binds the names of the modules a command
+# lists (`_bind`) just before it runs it, and `__getattr__` binds them on
+# first access from outside.  Either way each stays a module attribute
+# that the commands look up when they run, and a name that is bound
+# already, such as a wrapper set from outside, is kept.
+_IMPORTS = {
+    "bounds": ("BlockShape", "_check_block_size"),
+    "optimizer": ("min_block_length", "optimize", "_optimize_each"),
+    "security": ("SecurityBudget", "stream_budget"),
+    "simulator": ("SimConfig", "default_validation_grid", "run", "validate_bounds"),
+}
+
+
+def _bind(modules) -> None:
+    """Import ``modules`` and bind their names of `_IMPORTS` that are unbound."""
+    for module in modules:
+        library = importlib.import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name: str):
+    module = next((m for m, names in _IMPORTS.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((module,))
+    return globals()[name]
+
 
 _KEYRATE_HEADER = [
     "m", "variant", "ell", "alpha", "beta", "nu", "xi",
@@ -240,21 +276,21 @@ def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p = sub.add_parser("keyrate", parents=[search, common],
                        help="optimise one block size")
     p.add_argument("--m", type=int, required=True, help="block size")
-    p.set_defaults(func=cmd_keyrate)
+    p.set_defaults(func=cmd_keyrate, library=("optimizer", "security"))
 
     p = sub.add_parser("sweep", parents=[search, common],
                        help="optimise a range of block sizes")
     p.add_argument("--m-range", required=True, help="start:stop:step, stop inclusive")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, library=("bounds", "optimizer", "security"))
 
     p = sub.add_parser("minblock", parents=[search, common],
                        help="smallest block size with a positive key")
     p.add_argument("--m-range", default="1000:20000", help="search range start:stop")
-    p.set_defaults(func=cmd_minblock)
+    p.set_defaults(func=cmd_minblock, library=("bounds", "optimizer", "security"))
 
     p = sub.add_parser("validate", parents=[sampling, common],
                        help="Monte Carlo audit of the PE bounds")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, library=("simulator",))
 
     p = sub.add_parser("simulate", parents=[rate, sampling, common],
                        help="one Monte Carlo bad-event estimate")
@@ -262,13 +298,13 @@ def _build_parser(common: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="PE sample size")
     p.add_argument("--w", type=int, required=True, help="errors planted in the block")
     p.add_argument("--nu", type=float, required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, library=("bounds", "simulator"))
 
     p = sub.add_parser("stream", parents=[common],
                        help="how many runs a stream failure budget funds")
     p.add_argument("--eps-stream", type=float, required=True)
     p.add_argument("--eps-qkd", type=float, required=True)
-    p.set_defaults(func=cmd_stream)
+    p.set_defaults(func=cmd_stream, library=("security",))
 
     for p in sub.choices.values():
         p.set_defaults(subparser=p)
@@ -333,6 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (argparse.ArgumentError, ValueError) as exc:
             parser.error(str(exc))
         args = parser.parse_args(argv)
+        _bind(args.library)
         try:
             return args.func(args)
         except (ValueError, OSError) as exc:

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._variants import VARIANTS
 from .bounds import (
     BlockShape,
     SlackParams,
@@ -44,9 +45,6 @@ __all__ = [
     "max_ell_at",
     "stream_budget",
 ]
-
-# Recognised PE bound variants, in canonical (reporting) order.
-VARIANTS = ("lemma2", "serfling")
 
 
 def check_variant(variant: str) -> None:

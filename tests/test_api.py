@@ -3,7 +3,11 @@ its names from, and private ones that the package itself uses."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +51,71 @@ def test_deleted_names_are_gone(module, name):
     # validate_bounds squares serfling_epe itself
     assert not hasattr(importlib.import_module(f"finitekey.{module}"), name)
     assert not hasattr(finitekey, name)
+
+
+def fresh(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    package, and return its stdout; a failed assertion in it fails the test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_all_is_the_joined_lists_in_order():
+    # the package imports its modules on first use, and __all__ with them
+    names = [
+        *(name for module in LIBRARY for name in importlib.import_module(f"finitekey.{module}").__all__),
+        "__version__",
+    ]
+    out = fresh("""
+import json, sys, finitekey
+assert "numpy" not in sys.modules
+print(json.dumps(finitekey.__all__))
+""")
+    assert json.loads(out) == names
+
+
+def test_star_import_binds_the_defining_modules_objects():
+    fresh("""
+import importlib, sys
+namespace = {}
+exec("from finitekey import *", namespace)
+for module in sys.argv[1:]:
+    module = importlib.import_module(f"finitekey.{module}")
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), name
+assert namespace["__version__"] == "0.1.0"
+""", *LIBRARY)
+
+
+def test_dir_lists_the_exports_and_the_modules():
+    fresh("""
+import sys, finitekey
+names = set(dir(finitekey))
+assert {"__all__", *finitekey.__all__, *sys.argv[1:]} <= names
+""", *LIBRARY)
+
+
+def test_submodule_attribute_loads_that_module_alone():
+    # `from finitekey import cli` asks for the attribute before it imports
+    # the submodule; searching the library for it would load numpy
+    fresh("""
+import sys, finitekey
+assert finitekey.bounds is sys.modules["finitekey.bounds"]
+assert not hasattr(finitekey, "__wrapped__")
+for module in ("optimizer", "security", "simulator"):
+    assert f"finitekey.{module}" not in sys.modules, module
+""")
+
+
+def test_unknown_name_is_an_attribute_error_naming_it():
+    for name in ("no_such_name", "_no_such_name"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(finitekey, name)
 
 
 def test_readme_lists_every_exported_name():

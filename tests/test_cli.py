@@ -37,6 +37,14 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(finitekey.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestKeyrate:
     def test_schema_and_values(self, capsys):
         code, out, _ = run_cli(["keyrate", "--m", "3100"], capsys)
@@ -248,9 +256,7 @@ class TestGoldenAtLowerCpuLevels:
 
     @pytest.mark.parametrize("level", sorted(CPU_LEVELS))
     def test_exact_columns_match_files(self, level):
-        src = str(Path(finitekey.__file__).resolve().parent.parent)
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=CPU_LEVELS[level])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_env(NPY_DISABLE_CPU_FEATURES=CPU_LEVELS[level])
         done = subprocess.run(
             [sys.executable, "-c", _GOLDEN_PROBE, json.dumps(GOLDEN)],
             env=env, capture_output=True, text=True, timeout=300,
@@ -436,13 +442,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(started, "fractions" in sys.modules)
 """
 
+# Imports the CLI and runs it on argv (JSON in sys.argv[1], null to only
+# import it), with its output discarded; prints the exit code and which of
+# `_LIBRARY_MODULES` are loaded.
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+from finitekey import cli
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = None if argv is None else cli.main(argv)
+print(json.dumps([code, [name for name in watched if name in sys.modules]]))
+"""
+_LIBRARY_MODULES = [
+    "numpy", "finitekey.bounds", "finitekey.optimizer",
+    "finitekey.security", "finitekey.simulator",
+]
+COMMANDS = ["keyrate", "sweep", "minblock", "validate", "simulate", "stream"]
+
+
+def loaded_after(argv):
+    """``[exit code, library modules loaded]`` after a fresh CLI run."""
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv), json.dumps(_LIBRARY_MODULES)],
+        env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
 
 class TestImport:
     def test_module_runs_as_the_console_script(self):
         # python -m finitekey.cli exits with main's status
-        src = str(Path(finitekey.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_env()
         cli = [sys.executable, "-m", "finitekey.cli"]
         done = subprocess.run(
             cli + ["stream", "--eps-stream", "1e-5", "--eps-qkd", "1e-6"],
@@ -459,9 +489,7 @@ class TestImport:
         # scipy took most of the CLI's start-up time, and a third of the
         # audit's memory, for the Clopper-Pearson limits alone; every
         # command runs with it blocked
-        src = str(Path(finitekey.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_env()
         for argv in [
             "--help",
             "keyrate --m 800",
@@ -480,15 +508,45 @@ class TestImport:
     def test_fractions_loaded_only_by_stream(self):
         # stream_budget imports it when it is called: after numpy, loading
         # it at start-up would cost about 2 ms of every command
-        src = str(Path(finitekey.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_env()
         out = subprocess.run(
             [sys.executable, "-c", _FRACTIONS_PROBE], env=env,
             capture_output=True, text=True, check=True, timeout=120,
         ).stdout
         assert out.split() == ["False", "True"]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (None, None),
+            (["--help"], 0),
+            *[([command, "--help"], 0) for command in COMMANDS],
+            (["keyrate"], 2),
+        ],
+        ids=["import", "help", *[f"{command}-help" for command in COMMANDS], "usage-error"],
+    )
+    def test_start_up_loads_no_library_module(self, argv, code):
+        # help and a refused command use none of the library, and loading
+        # numpy was most of their start-up time
+        assert loaded_after(argv) == [code, []]
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            ("keyrate --m 800", ["bounds", "optimizer", "security"]),
+            ("sweep --m-range 600:800:100 --variant lemma2", ["bounds", "optimizer", "security"]),
+            ("minblock --m-range 3000:3050 --variant lemma2", ["bounds", "optimizer", "security"]),
+            ("validate --trials 200", ["bounds", "simulator"]),
+            ("simulate --m 60 --k 30 --w 12 --delta 0.1 --nu 0.3 --trials 2000",
+             ["bounds", "simulator"]),
+            ("stream --eps-stream 1e-5 --eps-qkd 1e-6", ["bounds", "security"]),
+        ],
+        ids=COMMANDS,
+    )
+    def test_each_command_loads_only_what_it_calls(self, argv, modules):
+        # the search commands never load the simulator, nor the Monte
+        # Carlo commands the optimizer
+        assert loaded_after(argv.split()) == [0, ["numpy", *(f"finitekey.{m}" for m in modules)]]
 
     def test_parsers_built_once(self, monkeypatch, capsys):
         # building them took about 1.5 ms of each call; a refusal in
@@ -719,9 +777,7 @@ class TestConfigFile:
     def test_files_do_not_use_the_locale_encoding(self, tmp_path):
         # open() without encoding= raised EncodingWarning under this filter
         (tmp_path / "c.cfg").write_text("m=3100\nvariant=lemma2\n", encoding="utf-8")
-        src = str(Path(finitekey.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = fresh_env()
         done = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "finitekey.cli", "keyrate", "--config", "c.cfg", "--output", "o.csv"],
@@ -829,9 +885,7 @@ class TestHelp:
         assert code == 0
         assert "keyrate" in out
 
-    @pytest.mark.parametrize(
-        "command", ["keyrate", "sweep", "minblock", "validate", "simulate", "stream"]
-    )
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_shared_options_listed_once(self, capsys, command):
         # parents share their Action objects; a parent listed twice, or a
         # conflict resolved by argparse, would show up here
@@ -840,3 +894,15 @@ class TestHelp:
         options = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
         for flag in ("--config", "--output"):
             assert options.count(flag) == 1, (flag, options)
+
+    def test_variant_choices_read_the_one_tuple(self):
+        # the parser offers security.VARIANTS from a module without numpy,
+        # not from a copy of the tuple
+        from finitekey import cli, security
+
+        assert cli.VARIANTS is security.VARIANTS
+        _, parser = cli._parsers()
+        for argv in (["keyrate", "--m", "3100"], ["sweep", "--m-range", "1:2"], ["minblock"]):
+            sub = parser.parse_args(argv).subparser
+            variant = next(action for action in sub._actions if action.dest == "variant")
+            assert variant.choices == [*security.VARIANTS, "both"]
