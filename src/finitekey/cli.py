@@ -5,10 +5,11 @@ sizes), ``minblock`` (smallest viable block size), ``validate`` (Monte Carlo
 audit of the bounds), ``simulate`` (one Monte Carlo case) and ``stream``
 (how many runs a stream-level budget funds).  All tabular output is CSV with a header
 row, written to stdout or to ``--output``; runs are deterministic, so a
-repeated invocation produces byte-identical output.  The ``--config`` and
-``--output`` files are UTF-8, whatever the locale.  Floats print in Python's
-shortest round-trip form, the library's exact value, so a ``keyrate`` or
-``sweep`` row re-checks from its own fields with ``k = round(beta * m)``.
+repeated invocation produces byte-identical output, whatever the number of
+CPUs.  The ``--config`` and ``--output`` files are UTF-8, whatever the
+locale.  Floats print in Python's shortest round-trip form, the library's
+exact value, so a ``keyrate`` or ``sweep`` row re-checks from its own fields
+with ``k = round(beta * m)``.
 
 Every option is parsed by argparse.  ``--config`` and ``--output`` come from
 one parent parser that each subcommand lists, and may stand before or after

@@ -442,6 +442,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(started, "fractions" in sys.modules)
 """
 
+# Imports the simulator, then runs the CLI on each argument, with stdout
+# discarded, and prints whether concurrent.futures was loaded after each.
+_POOL_PROBE = """
+import contextlib, io, sys
+import finitekey.simulator
+from finitekey import cli
+loaded = ["concurrent.futures" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in sys.argv[1:]:
+        cli.main(argv.split())
+        loaded.append("concurrent.futures" in sys.modules)
+print(*loaded)
+"""
+
 # Imports the CLI and runs it on argv (JSON in sys.argv[1], null to only
 # import it), with its output discarded; prints the exit code and which of
 # `_LIBRARY_MODULES` are loaded.
@@ -514,6 +528,28 @@ class TestImport:
             capture_output=True, text=True, check=True, timeout=120,
         ).stdout
         assert out.split() == ["False", "True"]
+
+    def test_thread_pool_loaded_only_by_validate(self):
+        # validate_bounds imports it when it is called: it costs about 6 ms
+        # and 0.6 MB, and loads logging, which no other command needs
+        out = subprocess.run(
+            [sys.executable, "-c", _POOL_PROBE,
+             "simulate --m 60 --k 30 --w 12 --delta 0.1 --nu 0.3 --trials 2000",
+             "validate --trials 200"],
+            env=fresh_env(), capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert out.split() == ["False", "False", "True"]
+
+    def test_validate_is_quiet_in_development_mode(self):
+        # -X dev turns on warnings such as files left open, and -W error
+        # makes each one an error
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "finitekey.cli",
+             *GOLDEN["validate_2000_20260821"]],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (GOLDEN_DIR / "validate_2000_20260821.csv").read_text()
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -3,6 +3,9 @@
 import math
 import re
 import statistics
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from finitekey.bounds import (
 from finitekey.simulator import (
     SimConfig,
     ValidationCase,
+    ValidationRow,
     default_validation_grid,
     run,
     validate_bounds,
@@ -45,6 +49,17 @@ TIGHT_CASE = ValidationCase(
     xi=0.25,
     trials=4000,
     seed=7,
+)
+
+# n (nu - xi) <= 1 makes the two-term bound undefined
+UNDEFINED_CASE = ValidationCase(
+    shape=BlockShape(m=40, k=20),
+    w=10,
+    delta=0.05,
+    nu=0.06,
+    xi=0.01,
+    trials=100,
+    seed=1,
 )
 
 
@@ -418,18 +433,9 @@ class TestValidateBounds:
         assert row.exact > row.serfling_bound
 
     def test_precondition_failure_reported_per_row(self):
-        # n (nu - xi) <= 1 makes the two-term bound undefined; the row must
-        # carry a note instead of aborting the batch
-        bad = ValidationCase(
-            shape=BlockShape(m=40, k=20),
-            w=10,
-            delta=0.05,
-            nu=0.06,
-            xi=0.01,
-            trials=100,
-            seed=1,
-        )
-        rows = validate_bounds([bad, TIGHT_CASE])
+        # the row of a case whose bound is undefined must carry a note
+        # instead of aborting the batch
+        rows = validate_bounds([UNDEFINED_CASE, TIGHT_CASE])
         assert len(rows) == 2
         assert not rows[0].passed
         assert rows[0].note is not None
@@ -459,3 +465,169 @@ class TestValidateBounds:
         # try, so one such case aborted the batch and the good cases got no row
         with pytest.raises(ValueError, match=message):
             replace(default_validation_grid()[0], **change)
+
+
+def serial_rows(cases):
+    """The rows of `validate_bounds` from a loop over `run` on this thread.
+
+    The reference that the thread pool must reproduce row for row.
+    """
+    rows = []
+    for case in cases:
+        slack = SlackParams(nu=case.nu, xi=case.xi)
+        try:
+            s_bound = min(1.0, serfling_epe(case.shape, case.nu) ** 2)
+            l_bound = lemma2_ppe_bound(case.shape, case.delta, slack)
+        except ValueError as exc:
+            rows.append(ValidationRow(case=case, passed=False, note=str(exc)))
+            continue
+        report = run(case)
+        passed = (
+            report.exact <= s_bound
+            and report.exact <= l_bound
+            and report.ci_low <= report.exact <= report.ci_high
+        )
+        rows.append(
+            ValidationRow(
+                case=case,
+                passed=passed,
+                exact=report.exact,
+                frequency=report.frequency,
+                ci_low=report.ci_low,
+                ci_high=report.ci_high,
+                serfling_bound=s_bound,
+                lemma2_bound=l_bound,
+            )
+        )
+    return rows
+
+
+def call_joined(fn, *args, timeout=120):
+    """What ``fn(*args)`` returns or raises, called on a thread joined with a timeout.
+
+    Returns ``(result, exception)``, one of them None.
+    """
+    outcome = [None, None]
+
+    def target():
+        try:
+            outcome[0] = fn(*args)
+        except BaseException as exc:  # handed back to the test to check
+            outcome[1] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} did not return in {timeout} s"
+    return tuple(outcome)
+
+
+def interleaved_cases():
+    """Grid cases with undefined-bound cases between them, first and last."""
+    grid = default_validation_grid(trials=2000)
+    return [
+        UNDEFINED_CASE, *grid[:20], TIGHT_CASE, replace(UNDEFINED_CASE, seed=2),
+        *grid[20:], replace(UNDEFINED_CASE, w=3),
+    ]
+
+
+class TestThreadPool:
+    """`validate_bounds` runs its cases on threads and returns the serial rows."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 8], ids=["host", "one", "eight"])
+    @pytest.mark.parametrize(
+        "cases",
+        [lambda: default_validation_grid(trials=2000), interleaved_cases],
+        ids=["grid", "interleaved"],
+    )
+    def test_rows_equal_the_serial_loop(self, monkeypatch, cpus, cases):
+        # eight threads are more than the cores of most hosts; a short
+        # switch interval makes the threads trade the lock often
+        cases = cases()
+        if cpus is not None:
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rows, error = call_joined(validate_bounds, cases)
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None
+        assert threading.active_count() == before
+        assert rows == serial_rows(cases)
+
+    def test_one_thread_per_cpu(self, monkeypatch):
+        # the executor's own default starts up to 4 more threads than CPUs
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+        names = set()
+
+        def recorded(case):
+            names.add(threading.current_thread().name)
+            time.sleep(0.002)
+            return run(case)
+
+        monkeypatch.setattr(simulator, "run", recorded)
+        rows, error = call_joined(validate_bounds, default_validation_grid(trials=200)[:6])
+        assert error is None and len(rows) == 6
+        assert len(names) == 1
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+        assert simulator._usable_cpus() == 3
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+        assert simulator._usable_cpus() == 1
+
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    def test_first_failing_case_raises_and_the_rest_are_cancelled(self, monkeypatch, error):
+        # The third and fourth drawing cases raise, the fourth at once and
+        # the third after a pause, so the fourth fails first in time; the
+        # third must raise, as in a serial loop.  Each case pauses, so the
+        # 50 cases take about half a second on two threads, and the error
+        # surfaces within a few of them.
+        cases = default_validation_grid(trials=200)
+        started = []
+
+        def failing(case):
+            started.append(case)
+            if case is cases[2]:
+                time.sleep(0.05)
+                raise error(case.seed)
+            if case is cases[3]:
+                raise error(case.seed)
+            time.sleep(0.02)
+            return run(case)
+
+        monkeypatch.setattr(simulator, "run", failing)
+        before = threading.active_count()
+        rows, raised = call_joined(validate_bounds, cases)
+        assert rows is None
+        assert type(raised) is error and raised.args == (cases[2].seed,)
+        assert len(started) < len(cases)
+        assert threading.active_count() == before
+
+    def test_interrupt_on_the_calling_thread_cancels_the_rest(self, monkeypatch):
+        # A Ctrl-C lands on the calling thread, here while it builds the
+        # third row; the queued cases must not run before it propagates.
+        cases = default_validation_grid(trials=200)
+        started = []
+        row = simulator.ValidationRow
+
+        def paused(case):
+            started.append(case)
+            time.sleep(0.02)
+            return run(case)
+
+        def interrupted(*, case, **fields):
+            if case is cases[2]:
+                raise KeyboardInterrupt
+            return row(case=case, **fields)
+
+        monkeypatch.setattr(simulator, "run", paused)
+        monkeypatch.setattr(simulator, "ValidationRow", interrupted)
+        before = threading.active_count()
+        rows, raised = call_joined(validate_bounds, cases)
+        assert rows is None and type(raised) is KeyboardInterrupt
+        assert len(started) < len(cases)
+        assert threading.active_count() == before
